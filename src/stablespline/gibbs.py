@@ -8,6 +8,12 @@ Each sweep draws, in order and each conditioned on the latest values:
    (lambda depends on the other variables only through g);
 3. g from its Gaussian conditional given (lambda, tau).
 
+The sweep runs in whitened coordinates w = L_K^{-1} g, with K = L_K L_K'
+and Phi = U L_K formed once per chain: the residual is y - Phi w, the
+lambda rate uses g'K^{-1}g = w'w, and the g draw is a w draw from
+:func:`stablespline.ssml.posterior_moments` mapped back by g = L_K w.
+The exported conditionals wrap the same three step functions.
+
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), discards a burn-in prefix, and
 averages the remaining g draws.
@@ -19,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .distributions import RngHandle, as_generator, sample_gamma, sample_gig_half, sample_mvn
 from .errors import ConfigError, NumericError
@@ -130,6 +135,83 @@ class GibbsChain:
         return self.g_samples[self.burn_in - 1 :]
 
 
+def _at(sweep: int | None) -> str:
+    return "" if sweep is None else f" at sweep {sweep}"
+
+
+def _whiten(K, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, Phi = U L_K) for the kernel K = L_K L_K'."""
+    L_K = kernel_factor(K)
+    return L_K, np.asarray(U, dtype=float) @ L_K
+
+
+def _draw_tau(
+    Phi: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
+    a_gig: float,
+    gen: np.random.Generator,
+    sweep: int | None = None,
+) -> np.ndarray:
+    """Tau step: tau_i ~ GIG(a_gig, r_i^2, 1/2) with r = y - Phi w."""
+    r = y - Phi @ w
+    tau = sample_gig_half(a_gig, r * r, gen)
+    if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
+        raise NumericError(
+            f"non-positive/non-finite tau{_at(sweep)}",
+            context="gibbs.conditional_tau",
+        )
+    return tau
+
+
+def _draw_lambda(
+    quad: float,
+    n: int,
+    gen: np.random.Generator,
+    convention: str,
+    rate_floor: float,
+    sweep: int | None = None,
+) -> float:
+    """Lambda step: lambda^{-1} ~ Gamma(n/2 + 1, rate) from quad = g'K^{-1}g,
+    which is w'w in the sweep."""
+    rate = quad / 2.0 if convention == "half" else quad
+    if rate < rate_floor:
+        warnings.warn(
+            f"lambda conditional rate {rate:.3g} floored to {rate_floor:.3g} "
+            "(near-zero g'K^{-1}g)",
+            IllConditionedWarning,
+        )
+        rate = rate_floor
+    lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
+    if not (lam > 0 and np.isfinite(lam)):
+        raise NumericError(
+            f"non-positive/non-finite lambda{_at(sweep)}",
+            context="gibbs.conditional_lambda",
+        )
+    return lam
+
+
+def _draw_g(
+    lam: float,
+    tau: np.ndarray,
+    L_K: np.ndarray,
+    Phi: np.ndarray,
+    y: np.ndarray,
+    gen: np.random.Generator,
+    sweep: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """G step: w from its whitened Gaussian conditional; returns (w, L_K w)."""
+    mean, R = posterior_moments(lam, Phi, y, tau)
+    w = sample_mvn(mean, R, gen)
+    g = L_K @ w
+    if not np.all(np.isfinite(g)):
+        raise NumericError(
+            f"non-finite g draw{_at(sweep)}",
+            context="gibbs.conditional_g",
+        )
+    return w, g
+
+
 def conditional_tau(
     g: np.ndarray,
     dataset: Dataset,
@@ -144,27 +226,8 @@ def conditional_tau(
     """
     if not (sigma2 > 0 and np.isfinite(sigma2)):
         raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    r = dataset.y - np.asarray(U, dtype=float) @ np.asarray(g, dtype=float)
-    return sample_gig_half(2.0 / sigma2, r * r, rng)
-
-
-def _draw_lambda(
-    quad: float,
-    n: int,
-    gen: np.random.Generator,
-    convention: str,
-    rate_floor: float,
-) -> float:
-    rate = quad / 2.0 if convention == "half" else quad
-    if rate < rate_floor:
-        warnings.warn(
-            f"lambda conditional rate {rate:.3g} floored to {rate_floor:.3g} "
-            "(near-zero g'K^{-1}g)",
-            IllConditionedWarning,
-        )
-        rate = rate_floor
-    x = sample_gamma(n / 2.0 + 1.0, rate, gen)
-    return 1.0 / float(x)
+    U, g = np.asarray(U, dtype=float), np.asarray(g, dtype=float)
+    return _draw_tau(U, g, dataset.y, 2.0 / sigma2, as_generator(rng))
 
 
 def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> float:
@@ -193,11 +256,11 @@ def conditional_g_moments(
     Equals the posterior of g under noise covariance D = diag(tau):
     mean lam K U' (lam U K U' + D)^{-1} y, covariance
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
-    the information form.
+    the whitened information form and mapped back through L_K.
     """
-    Karr = K.K if hasattr(K, "K") else np.asarray(K, dtype=float)
-    L_K = kernel_factor(Karr)
-    return posterior_moments(lam, L_K, U, y, tau)
+    L_K, Phi = _whiten(K, U)
+    mean, R = posterior_moments(lam, Phi, y, tau)
+    return L_K @ mean, L_K @ R
 
 
 def conditional_g(
@@ -211,8 +274,9 @@ def conditional_g(
     """Draw g from its Gaussian full conditional given (lambda, tau)."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
-    mean, F = conditional_g_moments(lam, tau, K, U, y)
-    return sample_mvn(mean, F, rng)
+    L_K, Phi = _whiten(K, U)
+    _, g = _draw_g(lam, tau, L_K, Phi, y, as_generator(rng))
+    return g
 
 
 def run_gibbs(
@@ -221,7 +285,6 @@ def run_gibbs(
     order: KernelOrder,
     config: GibbsConfig,
     init: SsmlResult,
-    fix_tau: float | None = None,
 ) -> tuple[np.ndarray, GibbsChain]:
     """Run the full sampler and return (g_hat, chain).
 
@@ -229,10 +292,6 @@ def run_gibbs(
     fitted lambda) and, unless overridden in ``config``, the fixed beta
     and sigma2.  The estimate is the mean of the g draws from sweep M0
     through M inclusive.
-
-    ``fix_tau`` is a test hook: when set, every tau update is replaced by
-    the constant vector fix_tau * ones, which reduces the model to the
-    Gaussian-noise posterior with lambda marginalized.
     """
     if config.seed is None:
         raise ConfigError("GibbsConfig.seed must be set to run the sampler")
@@ -245,55 +304,32 @@ def run_gibbs(
     N = dataset.N
     U = build_regressor(dataset.u, N, n)
     K = build_kernel(KernelSpec(order, beta, n))
-    L_K = kernel_factor(K)
+    L_K, Phi = _whiten(K, U)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K.K))
     gen = as_generator(config.seed)
 
-    g = np.asarray(init.g_hat, dtype=float).copy()
-    if g.shape != (n,):
+    g0 = np.asarray(init.g_hat, dtype=float)
+    if g0.shape != (n,):
         raise ConfigError(
-            f"init.g_hat must have length n={n}, got shape {g.shape}"
+            f"init.g_hat must have length n={n}, got shape {g0.shape}"
         )
+    w = np.linalg.solve(L_K, g0)
     a_gig = 2.0 / sigma2
 
     M, M0 = config.M, config.M0
     g_samples = np.empty((M, n))
     lambda_samples = np.empty(M)
     tau_stored = []
-    fixed_tau = None if fix_tau is None else np.full(N, float(fix_tau))
 
     for k in range(1, M + 1):
-        if fixed_tau is not None:
-            tau = fixed_tau
-        else:
-            r = dataset.y - U @ g
-            tau = sample_gig_half(a_gig, r * r, gen)
-            if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
-                raise NumericError(
-                    f"non-positive/non-finite tau at sweep {k}",
-                    context="gibbs.conditional_tau",
-                )
-
-        w = solve_triangular(L_K, g, lower=True)
-        lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor)
-        if not (lam > 0 and np.isfinite(lam)):
-            raise NumericError(
-                f"non-positive/non-finite lambda at sweep {k}",
-                context="gibbs.conditional_lambda",
-            )
-
-        mean, F = posterior_moments(lam, L_K, U, dataset.y, tau)
-        g = sample_mvn(mean, F, gen)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(
-                f"non-finite g draw at sweep {k}",
-                context="gibbs.conditional_g",
-            )
+        tau = _draw_tau(Phi, w, dataset.y, a_gig, gen, k)
+        lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor, k)
+        w, g = _draw_g(lam, tau, L_K, Phi, dataset.y, gen, k)
 
         g_samples[k - 1] = g
         lambda_samples[k - 1] = lam
         if k % TAU_THIN == 0:
-            tau_stored.append(tau.copy())
+            tau_stored.append(tau)
 
     chain = GibbsChain(
         g_samples=g_samples,

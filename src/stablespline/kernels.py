@@ -19,7 +19,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, NumericError
 
@@ -141,7 +140,7 @@ def kernel_factor(K) -> np.ndarray:
 
 
 def kernel_quadratic_form(K, g) -> float:
-    """g^T K^{-1} g via the jittered Cholesky factor and a triangular solve.
+    """g^T K^{-1} g via the jittered Cholesky factor and a solve against it.
 
     Never forms an explicit inverse; the result is nonnegative by
     construction (it is a squared norm of the whitened vector).
@@ -153,5 +152,5 @@ def kernel_quadratic_form(K, g) -> float:
             f"g must be a vector of length {A.shape[0]}, got shape {gv.shape}"
         )
     L = kernel_factor(A)
-    w = solve_triangular(L, gv, lower=True)
+    w = np.linalg.solve(L, gv)
     return float(w @ w)

@@ -8,6 +8,14 @@ sampler in :mod:`stablespline.gibbs`.
 All dense algebra runs in the n x n "information" domain whenever n < N;
 the equivalent N x N covariance-domain formulas exist as an explicit
 method switch so the two routes can be cross-checked against each other.
+
+The posterior is computed in whitened coordinates w = L_K^{-1} g, with
+K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
+N(0, lam I) (the Cholesky-factor parametrization of Chen & Ljung,
+Automatica 2013).  The Gibbs sampler reuses that step with Phi formed
+once per chain.  Every factorization and solve goes through
+``numpy.linalg``: numpy and scipy bundle separate OpenBLAS builds, and
+alternating between them on a hot path makes their thread pools compete.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .errors import ConfigError, NumericError
 from .kernels import KernelMatrix, KernelOrder, KernelSpec, build_kernel, kernel_factor
@@ -74,8 +81,7 @@ def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
             f"adding ridge {ridge:.3g} to the least-squares solve",
             IllConditionedWarning,
         )
-        c, low = cho_factor(G + ridge * np.eye(n), lower=True)
-        g_ls = cho_solve((c, low), U.T @ y)
+        g_ls = np.linalg.solve(G + ridge * np.eye(n), U.T @ y)
     else:
         g_ls, *_ = np.linalg.lstsq(U, y, rcond=None)
     r = y - U @ g_ls
@@ -150,26 +156,28 @@ def neg_log_marglik(lam: float, beta: float, obj: MarglikObjective) -> float:
         T, z = obj._for_beta(beta)
         A = np.eye(n) + (lam / s2) * T
         try:
-            c, low = cho_factor(A, lower=True)
+            c = np.linalg.cholesky(A)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"dual-form factorization failed at lambda={lam:g}, beta={beta:g}",
                 context="ssml.neg_log_marglik",
             ) from exc
+        v = np.linalg.solve(c, z)
         logdet = N * np.log(s2) + 2.0 * float(np.sum(np.log(np.diag(c))))
-        quad = (obj._yy - (lam / s2) * float(z @ cho_solve((c, low), z))) / s2
+        quad = (obj._yy - (lam / s2) * float(v @ v)) / s2
     else:
         K = build_kernel(KernelSpec(obj.order, beta, n)).K
         Sigma = lam * (obj.U @ K @ obj.U.T) + s2 * np.eye(N)
         try:
-            c, low = cho_factor(Sigma, lower=True)
+            c = np.linalg.cholesky(Sigma)
         except np.linalg.LinAlgError as exc:
             raise NumericError(
                 f"covariance factorization failed at lambda={lam:g}, beta={beta:g}",
                 context="ssml.neg_log_marglik",
             ) from exc
+        v = np.linalg.solve(c, obj.y)
         logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-        quad = float(obj.y @ cho_solve((c, low), obj.y))
+        quad = float(v @ v)
     return logdet + quad
 
 
@@ -268,27 +276,32 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
 
 def posterior_moments(
     lam: float,
-    L_K: np.ndarray,
-    U: np.ndarray,
+    Phi: np.ndarray,
     y: np.ndarray,
     noise_cov_diag,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance factor of g given data and (lam, K, D).
+    """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
 
-    Information-form evaluation: with K = L L' and A = I/lam + L'U'D^{-1}U L,
-    the posterior covariance is L A^{-1} L' = F F' with F = L chol(A)^{-T},
-    and the mean is F t where t solves the lower-triangular system against
-    L'U'D^{-1}y.  By the Woodbury identity this equals the covariance-form
-    mean lam K U' (lam U K U' + D)^{-1} y exactly.
+    ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
+    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} Phi'D^{-1}y,
+    A^{-1}) with A = I/lam + Phi'D^{-1}Phi.  Returns the mean and the
+    upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
+    A = L_A L_A'.
+
+    Mapping back through L_K gives the posterior of g: mean L_K m and
+    covariance factor L_K R.  By the Woodbury identity these equal the
+    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
+    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
-    U = np.asarray(U, dtype=float)
+    Phi = np.asarray(Phi, dtype=float)
     y = np.asarray(y, dtype=float)
-    N, n = U.shape
-    d = _noise_diag(noise_cov_diag, N)
-    W = U / d[:, None]
-    A = np.eye(n) / lam + L_K.T @ (U.T @ W) @ L_K
+    N, n = Phi.shape
+    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, N))
+    W = Phi * s[:, None]  # D^{-1/2} Phi, so that W'W is one symmetric product
+    A = W.T @ W
+    A[np.diag_indices(n)] += 1.0 / lam
     try:
         L_A = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
@@ -296,11 +309,17 @@ def posterior_moments(
             "information-form system not positive definite",
             context="ssml.posterior_moments",
         ) from exc
-    rhs = L_K.T @ (W.T @ y)
-    t = solve_triangular(L_A, rhs, lower=True)
-    F = solve_triangular(L_A, L_K.T, lower=True).T
-    mean = F @ t
-    return mean, F
+    # numpy's Cholesky returns NaN rather than raising once A has overflowed
+    if not np.all(np.isfinite(np.diag(L_A))):
+        raise NumericError(
+            "information-form system not finite",
+            context="ssml.posterior_moments",
+        )
+    # numpy has no triangular solve: invert L_A by LU, dropping round-off
+    # above the diagonal
+    R = np.tril(np.linalg.inv(L_A)).T
+    mean = R @ (R.T @ (W.T @ (s * y)))
+    return mean, R
 
 
 def posterior_mean(
@@ -335,18 +354,18 @@ def posterior_mean(
         method = "information" if n <= N else "covariance"
     if method == "information":
         L_K = kernel_factor(Karr)
-        mean, _ = posterior_moments(lam, L_K, U, y, noise_cov_diag)
-        return mean
+        mean, _ = posterior_moments(lam, U @ L_K, y, noise_cov_diag)
+        return L_K @ mean
     d = _noise_diag(noise_cov_diag, N)
     Sigma = lam * (U @ Karr @ U.T) + np.diag(d)
     try:
-        c, low = cho_factor(Sigma, lower=True)
+        c = np.linalg.cholesky(Sigma)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "covariance matrix not positive definite",
             context="ssml.posterior_mean",
         ) from exc
-    return lam * (Karr @ (U.T @ cho_solve((c, low), y)))
+    return lam * (Karr @ (U.T @ np.linalg.solve(c.T, np.linalg.solve(c, y))))
 
 
 @dataclass(frozen=True)

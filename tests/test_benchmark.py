@@ -14,7 +14,7 @@ from stablespline import (
     run_experiment,
     summarize,
 )
-from stablespline.benchmark import POLE_RADIUS, lowpass_filter, _single_run
+from stablespline.benchmark import POLE_RADIUS, _impulse_recursion, _single_run, lowpass_filter
 from stablespline.distributions import RngHandle
 
 FAST_GIBBS = GibbsConfig(M=200, M0=60)
@@ -104,13 +104,22 @@ class TestImpulseResponse:
         with pytest.raises(ConfigError):
             TransferFunction(zeros=np.array([]), poles=np.array([0.96]), gain=1.0)
 
-    def test_instability_guard(self):
-        # huge numerator coefficients push the raw recursion over the limit
+    def test_large_stable_response_accepted(self):
+        # a 30-zero FIR has unscaled samples up to ~6e7 (binomial
+        # coefficients times 0.94^k); stable, so it must not be rejected
         tf = TransferFunction(
             zeros=np.full(30, -0.94), poles=np.array([]), gain=1.0
         )
+        h = impulse_response(tf, 30)
+        assert np.max(np.abs(h)) > 1e6
+        assert np.all(np.isfinite(h))
+        g = h / np.linalg.norm(h)
+        assert np.all(np.isfinite(g)) and abs(np.linalg.norm(g) - 1.0) <= 1e-12
+
+    def test_instability_guard(self):
+        # only a response that overflows is rejected
         with pytest.raises(NumericError):
-            impulse_response(tf, 30)
+            _impulse_recursion(np.array([1.0]), np.array([1.0, -1e200]), 5)
 
 
 class TestGenerateInput:
@@ -185,6 +194,14 @@ class TestRunExperiment:
         y0 = build_regressor(u, cfg.N, cfg.n) @ g
         sigma2 = float(np.var(y0)) / cfg.snr_divisor
         assert float(np.var(y0)) / sigma2 == pytest.approx(cfg.snr_divisor, rel=1e-12)
+
+    def test_large_unscaled_response_run_completes(self):
+        # run 2 of master seed 1 draws a stable system (max |pole| 0.947)
+        # whose unscaled response passes 1e6; it must run to the end
+        cfg = ExperimentConfig(runs=3, N=200, input_kind="wn", master_seed=1)
+        r = _single_run(cfg, 2)
+        assert r.fit_ssml == pytest.approx(69.32, abs=0.05)
+        assert np.isfinite(r.fit_ssgs) and r.fit_ssgs > r.fit_ssml
 
     def test_failure_containment_and_abort(self, monkeypatch):
         import stablespline.benchmark as bench

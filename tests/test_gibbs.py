@@ -21,6 +21,7 @@ from stablespline import (
     run_ssml,
     sample_laplace,
 )
+from stablespline import gibbs
 from stablespline.distributions import RngHandle
 from stablespline.kernels import kernel_factor
 
@@ -261,7 +262,7 @@ class TestRunGibbs:
         g_gs, _ = run_gibbs(ds, n, "first", GibbsConfig(seed=h.child(2)), ssml)
         assert fit_score(g_true, g_gs) >= 95.0
 
-    def test_degenerate_chain_approaches_ssml_estimate(self):
+    def test_degenerate_chain_approaches_ssml_estimate(self, monkeypatch):
         # tau pinned at sigma2_hat: the chain targets the Gaussian-noise
         # posterior with lambda marginalized, so its mean should sit within
         # Monte Carlo error bars of the plug-in SS-ML estimate.  The error
@@ -279,7 +280,11 @@ class TestRunGibbs:
         ds = Dataset(u, y0 + gen.normal(0.0, np.sqrt(s2), N))
         ssml = run_ssml(ds, n)
         cfg = GibbsConfig(M=3000, M0=500, seed=h.child(1))
-        g_fix, chain = run_gibbs(ds, n, "first", cfg, ssml, fix_tau=ssml.hyper.sigma2)
+        sigma2 = ssml.hyper.sigma2
+        monkeypatch.setattr(
+            gibbs, "sample_gig_half", lambda a, b, rng: np.full(b.shape, sigma2)
+        )
+        g_fix, chain = run_gibbs(ds, n, "first", cfg, ssml)
         post = chain.post_burn_in()
         nb = 25
         bs = post.shape[0] // nb

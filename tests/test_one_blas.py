@@ -1,0 +1,72 @@
+"""Tooling rule: the library's dense algebra goes through numpy.linalg only.
+
+numpy and scipy bundle separate OpenBLAS builds.  Alternating between them
+on a hot path makes their thread pools compete, which made the Gibbs sweep
+about 18x slower at N=500 under default threading.  ``scipy.linalg`` may
+supply ``toeplitz`` (pure indexing, no BLAS), and the library must not
+paper over the fight with thread settings.
+"""
+
+import ast
+from pathlib import Path
+
+import stablespline
+
+SOURCES = sorted(Path(stablespline.__file__).parent.glob("*.py"))
+ALLOWED_SCIPY_LINALG = {"toeplitz"}
+THREAD_SETTINGS = (
+    "threadpoolctl",
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+)
+
+
+def _scipy_linalg_imports(tree):
+    """(line, name) of every scipy.linalg import outside the allowed names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("scipy.linalg"):
+                    yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("scipy.linalg"):
+                for alias in node.names:
+                    if node.module != "scipy.linalg" or alias.name not in ALLOWED_SCIPY_LINALG:
+                        yield node.lineno, f"{node.module}.{alias.name}"
+            elif node.module == "scipy":
+                for alias in node.names:
+                    if alias.name == "linalg":
+                        yield node.lineno, "scipy.linalg"
+
+
+def test_scipy_linalg_only_for_toeplitz():
+    assert {p.name for p in SOURCES} >= {"gibbs.py", "ssml.py", "kernels.py"}
+    bad = [
+        f"{path.name}:{line}: {name}"
+        for path in SOURCES
+        for line, name in _scipy_linalg_imports(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not bad, "scipy.linalg imports besides toeplitz: " + ", ".join(bad)
+
+
+def test_rule_catches_each_import_form():
+    src = (
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from scipy.linalg import solve_triangular, toeplitz\n"
+        "from scipy.linalg.lapack import dpotrf\n"
+        "from scipy.linalg import toeplitz\n"
+    )
+    found = [line for line, _ in _scipy_linalg_imports(ast.parse(src))]
+    assert found == [1, 2, 3, 4]
+
+
+def test_no_thread_settings():
+    bad = [
+        f"{path.name}: {word}"
+        for path in SOURCES
+        for word in THREAD_SETTINGS
+        if word in path.read_text()
+    ]
+    assert not bad, "thread settings in the library: " + ", ".join(bad)

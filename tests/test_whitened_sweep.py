@@ -1,0 +1,181 @@
+"""The whitened Gibbs step: Woodbury identity, sampler equivalence, guards.
+
+The sweep draws w = L_K^{-1} g with Phi = U L_K (see
+:func:`stablespline.ssml.posterior_moments`).  These tests hold it to the
+covariance-form posterior, to a copy of the earlier g-space sweep, and at
+the edges of the guards it carries.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+
+from stablespline import (
+    Dataset,
+    GibbsConfig,
+    KernelSpec,
+    NumericError,
+    build_kernel,
+    build_regressor,
+    conditional_lambda,
+    posterior_moments,
+    run_gibbs,
+    run_ssml,
+)
+from stablespline.distributions import (
+    RngHandle,
+    as_generator,
+    sample_gamma,
+    sample_gig_half,
+    sample_mvn,
+)
+from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
+from stablespline.kernels import kernel_factor
+from stablespline.model import Hyperparameters
+from stablespline.ssml import IllConditionedWarning, SsmlResult
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from(["first", "second"]),
+    beta=st.floats(0.05, 0.99),
+    log_lam=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
+    rng = np.random.default_rng(seed)
+    N, n = 30, 8
+    lam = 10.0**log_lam
+    U = build_regressor(rng.standard_normal(N), N, n)
+    y = rng.standard_normal(N)
+    tau = rng.uniform(0.1, 10.0, N)
+    L_K = kernel_factor(build_kernel(KernelSpec(order, beta, n)))
+    # the kernel as factored, jitter included
+    K = L_K @ L_K.T
+
+    mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
+
+    S = lam * U @ K @ U.T + np.diag(tau)
+    mean_ref = lam * K @ U.T @ np.linalg.solve(S, y)
+    cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(S, U @ K)
+    F = L_K @ R
+    assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
+    assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
+    assert np.array_equal(R, np.triu(R))
+
+
+def covariance_factor_sweep(dataset, n, config, init, sweeps):
+    """Oracle: the g-space sweep the whitened one replaced.
+
+    Same conditionals and RNG order (tau, then lambda, then g), with the
+    g draw mean F t + F z for F = L_K L_A^{-T} and a triangular solve for
+    g'K^{-1}g on every sweep.
+    """
+    y = dataset.y
+    U = build_regressor(dataset.u, dataset.N, n)
+    K = build_kernel(KernelSpec("first", init.hyper.beta, n)).K
+    L_K = kernel_factor(K)
+    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
+    gen = as_generator(config.seed)
+    g = np.array(init.g_hat)
+    draws = []
+    for _ in range(sweeps):
+        r = y - U @ g
+        tau = sample_gig_half(2.0 / init.hyper.sigma2, r * r, gen)
+        w = solve_triangular(L_K, g, lower=True)
+        rate = max(float(w @ w) / 2.0, rate_floor)
+        lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
+        W = U / tau[:, None]
+        A = np.eye(n) / lam + L_K.T @ (U.T @ W) @ L_K
+        L_A = np.linalg.cholesky(A)
+        t = solve_triangular(L_A, L_K.T @ (W.T @ y), lower=True)
+        F = solve_triangular(L_A, L_K.T, lower=True).T
+        g = sample_mvn(F @ t, F, gen)
+        draws.append(g)
+    return np.array(draws)
+
+
+def test_sampler_matches_covariance_factor_oracle():
+    N, n, sweeps = 120, 15, 20
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(N)
+    U = build_regressor(u, N, n)
+    g_true = kernel_factor(build_kernel(KernelSpec("first", 0.8, n))) @ rng.standard_normal(n)
+    # Laplace noise: the draws the sweep is built for
+    y = U @ g_true + rng.laplace(0.0, 0.1, N)
+    ds = Dataset(u, y)
+    init = run_ssml(ds, n)
+    cfg = GibbsConfig(M=sweeps, M0=10, seed=RngHandle(9))
+
+    _, chain = run_gibbs(ds, n, "first", cfg, init)
+    oracle = covariance_factor_sweep(ds, n, cfg, init, sweeps)
+
+    gap = np.linalg.norm(chain.g_samples - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+    assert gap.max() <= 1e-9
+
+
+class TestLambdaRateFloor:
+    n = 6
+
+    def _g_with_rate(self, rate):
+        # K = I factors as sqrt(1 + 1e-12) I, so g'K^{-1}g = |g|^2 / (1 + 1e-12)
+        g = np.zeros(self.n)
+        g[0] = np.sqrt(2.0 * rate * (1.0 + 1e-12))
+        return g
+
+    def _expected(self, rate, seed):
+        return 1.0 / float(sample_gamma(self.n / 2.0 + 1.0, rate, RngHandle(seed)))
+
+    def test_rate_below_floor_warns_and_floors(self):
+        floor = LAMBDA_RATE_FLOOR_FACTOR * self.n  # trace of I
+        g = self._g_with_rate(0.5 * floor)
+        with pytest.warns(IllConditionedWarning, match="floored"):
+            lam = conditional_lambda(g, np.eye(self.n), RngHandle(120))
+        assert lam == self._expected(floor, 120)
+
+    def test_rate_above_floor_is_used(self):
+        floor = LAMBDA_RATE_FLOOR_FACTOR * self.n
+        g = self._g_with_rate(2.0 * floor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = conditional_lambda(g, np.eye(self.n), RngHandle(121))
+        assert lam == pytest.approx(self._expected(2.0 * floor, 121), rel=1e-10)
+
+    def test_sweep_from_zero_state_floors(self):
+        # a chain started at g0 = 0 has w'w = 0 on its first sweep
+        rng = np.random.default_rng(122)
+        N, n = 40, self.n
+        u = rng.standard_normal(N)
+        ds = Dataset(u, build_regressor(u, N, n) @ rng.standard_normal(n))
+        init = SsmlResult(
+            g_hat=np.zeros(n),
+            hyper=Hyperparameters(lam=1.0, beta=0.8, sigma2=0.5),
+            objective=0.0,
+        )
+        cfg = GibbsConfig(M=3, M0=1, seed=RngHandle(123))
+        with pytest.warns(IllConditionedWarning, match="floored"):
+            _, chain = run_gibbs(ds, n, "first", cfg, init)
+        assert np.all(np.isfinite(chain.g_samples))
+        assert np.all(chain.lambda_samples > 0)
+
+
+def test_non_pd_information_form_raises():
+    # Identical columns and huge 1/tau: A = I/lam + Phi'D^{-1}Phi rounds
+    # exactly to 2^44 * ones(3, 3) (every value a power of two), whose
+    # Cholesky meets a zero pivot.
+    Phi = np.ones((16, 3))
+    with pytest.raises(NumericError, match="not positive definite"):
+        posterior_moments(2.0**30, Phi, np.ones(16), np.full(16, 2.0**-40))
+
+
+def test_overflowed_information_form_raises():
+    # one column of squared norm 1e400 overflows A to diag(inf, 2); numpy's
+    # Cholesky returns diag(inf, sqrt(2)) for it instead of raising
+    Phi = np.array([[1e200, 0.0], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="not finite"):
+            posterior_moments(1.0, Phi, np.ones(2), np.ones(2))
