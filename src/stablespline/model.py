@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -103,8 +103,8 @@ def build_regressor(u, N: int, n: int) -> np.ndarray:
     uv = _as_finite_vector(u, "u")
     if uv.size < N:
         raise ConfigError(f"need at least N={N} input samples, got {uv.size}")
-    col = np.concatenate(([0.0], uv[: N - 1]))
-    return toeplitz(col, np.zeros(n))
+    padded = np.concatenate((np.zeros(n), uv[: N - 1]))
+    return sliding_window_view(padded, n)[:, ::-1].copy()
 
 
 def fit_score(g_true, g_hat) -> float:

@@ -1,21 +1,25 @@
 """Empirical-Bayes impulse response estimation under Gaussian noise.
 
-Pipeline: least-squares noise-variance pre-estimate, grid optimization of
-the marginal likelihood over (lambda, beta), then the posterior-mean
-estimate.  The fitted result doubles as the initialization of the Gibbs
-sampler in :mod:`stablespline.gibbs`.
+Pipeline: least-squares noise-variance pre-estimate, marginal-likelihood
+fit of (lambda, beta), then the posterior-mean estimate, which also starts
+the Gibbs sampler in :mod:`stablespline.gibbs`.
 
-All dense algebra runs in the n x n "information" domain whenever n < N;
-the equivalent N x N covariance-domain formulas exist as an explicit
-method switch so the two routes can be cross-checked against each other.
+The marginal likelihood of the empirical-Bayes fit (Pillonetto & De
+Nicolao, Automatica 2010) has one route for any N and n, the profiled-lambda
+form of Chen & Ljung (Automatica 2013).  With U = QR factored once, b = Q'y,
+rss = |y - QQ'y|^2, and one eigendecomposition R K_beta R' = W diag(s) W'
+per beta, p = W'b, the objective log det S + y'S^{-1}y of
+S = lam U K U' + sigma2 I is N log sigma2 + sum log(1 + lam s / sigma2)
++ (rss + sum p^2 / (1 + lam s / sigma2)) / sigma2.  No term is negative, so
+nothing cancels at large lambda, and each lambda costs O(n).
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
-N(0, lam I) (the Cholesky-factor parametrization of Chen & Ljung,
-Automatica 2013).  The Gibbs sampler reuses that step with Phi formed
-once per chain.  Every factorization and solve goes through
-``numpy.linalg``: numpy and scipy bundle separate OpenBLAS builds, and
-alternating between them on a hot path makes their thread pools compete.
+N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  The Gibbs
+sampler reuses that step with Phi formed once per chain.  Every
+factorization and solve goes through ``numpy.linalg``: numpy and scipy
+bundle separate OpenBLAS builds, and alternating between them on a hot
+path makes their thread pools compete.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kernels import KernelMatrix, KernelOrder, KernelSpec, build_kernel, kernel_factor
+from .kernels import KernelOrder, KernelSpec, build_kernel, kernel_factor
 from .model import Dataset, Hyperparameters, build_regressor
 
 __all__ = [
@@ -53,7 +57,8 @@ SIGMA2_FLOOR_FACTOR = 1e-12
 
 
 class IllConditionedWarning(UserWarning):
-    """Raised (as a warning) when a ridge fallback or rate floor engages."""
+    """Raised (as a warning) when a ridge fallback or rate floor engages,
+    or when the hyperparameter optimum lies on a search boundary."""
 
 
 def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
@@ -93,8 +98,8 @@ class MarglikObjective:
     """Fixed data for marginal-likelihood evaluations over (lambda, beta).
 
     Holds the regressor, output vector, pre-estimated noise variance and
-    kernel order; per-beta factorizations are cached internally, so reuse
-    one instance across a hyperparameter search.  Treat as immutable.
+    kernel order; per-beta eigendecompositions are cached internally, so
+    reuse one instance across a hyperparameter search.  Treat as immutable.
     """
 
     U: np.ndarray
@@ -115,8 +120,11 @@ class MarglikObjective:
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         self.order = KernelOrder.parse(self.order)
         self._yy = float(self.y @ self.y)
-        self._UtU = self.U.T @ self.U
-        self._Uty = self.U.T @ self.y
+        # reduced QR: R is n x n when n <= N and N x n otherwise
+        Q, self._R = np.linalg.qr(self.U)
+        self._b = Q.T @ self.y
+        r = self.y - Q @ self._b
+        self._rss = float(r @ r)
 
     @property
     def N(self) -> int:
@@ -127,58 +135,32 @@ class MarglikObjective:
         return self.U.shape[1]
 
     def _for_beta(self, beta: float):
-        """Cached (T, z) with T = L' U'U L, z = L' U'y for K_beta = L L'."""
+        """Cached (s, p): eigenvalues of R K_beta R' clipped at 0, and W'b."""
         key = float(beta)
         hit = self._beta_cache.get(key)
         if hit is None:
-            K = build_kernel(KernelSpec(self.order, key, self.n))
-            L = kernel_factor(K)
-            T = L.T @ self._UtU @ L
-            z = L.T @ self._Uty
-            hit = (T, z)
+            K = build_kernel(KernelSpec(self.order, key, self.n)).K
+            s, W = np.linalg.eigh(self._R @ K @ self._R.T)
+            hit = (np.maximum(s, 0.0), W.T @ self._b)
             self._beta_cache[key] = hit
         return hit
 
+    def _values(self, lams, beta: float) -> np.ndarray:
+        """The objective at each of ``lams`` (an array) for one beta."""
+        s, p = self._for_beta(beta)
+        c = np.asarray(lams, dtype=float)[..., None] * (s / self.sigma2)
+        fit = self._rss + np.sum(p * p / (1.0 + c), axis=-1)
+        return self.N * np.log(self.sigma2) + np.sum(np.log1p(c), axis=-1) + fit / self.sigma2
+
 
 def neg_log_marglik(lam: float, beta: float, obj: MarglikObjective) -> float:
-    """log det(Sigma_y) + y' Sigma_y^{-1} y with Sigma_y = lam U K U' + sigma2 I.
-
-    Evaluated through the n x n determinant-lemma form when n < N, and
-    through a direct Cholesky of the N x N matrix otherwise.
-    """
+    """log det(Sigma_y) + y' Sigma_y^{-1} y with Sigma_y = lam U K U' + sigma2 I,
+    by the QR and eigendecomposition route of the module docstring."""
     if not (lam >= 0 and np.isfinite(lam)):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     if not (0.0 < beta < 1.0):
         raise ConfigError(f"beta must lie in (0, 1), got {beta}")
-    N, n = obj.N, obj.n
-    s2 = obj.sigma2
-    if n < N:
-        T, z = obj._for_beta(beta)
-        A = np.eye(n) + (lam / s2) * T
-        try:
-            c = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"dual-form factorization failed at lambda={lam:g}, beta={beta:g}",
-                context="ssml.neg_log_marglik",
-            ) from exc
-        v = np.linalg.solve(c, z)
-        logdet = N * np.log(s2) + 2.0 * float(np.sum(np.log(np.diag(c))))
-        quad = (obj._yy - (lam / s2) * float(v @ v)) / s2
-    else:
-        K = build_kernel(KernelSpec(obj.order, beta, n)).K
-        Sigma = lam * (obj.U @ K @ obj.U.T) + s2 * np.eye(N)
-        try:
-            c = np.linalg.cholesky(Sigma)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(
-                f"covariance factorization failed at lambda={lam:g}, beta={beta:g}",
-                context="ssml.neg_log_marglik",
-            ) from exc
-        v = np.linalg.solve(c, obj.y)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
-        quad = float(v @ v)
-    return logdet + quad
+    return float(obj._values(lam, beta))
 
 
 def default_beta_grid() -> np.ndarray:
@@ -186,81 +168,83 @@ def default_beta_grid() -> np.ndarray:
     return np.concatenate([np.arange(0.05, 0.951, 0.05), [0.99]])
 
 
-# Search-domain scaling: lambda grids span LAMBDA_SPAN decades around
-# ||y||^2 / trace(U K_beta U'), which puts lam * tr(UKU') ~ ||y||^2 at the
-# grid center.
-LAMBDA_SPAN = 4.0
-LAMBDA_POINTS = 25
-REFINE_ROUNDS = 2
-REFINE_POINTS = 9
-REFINE_SHRINK = 4.0
+# Search domain.  The lambda grid spans LAMBDA_SPAN decades each side of
+# ||y||^2 / trace(U K_beta U'), where lam * tr(UKU') ~ ||y||^2; low-pass N=500
+# optima lay up to 6.8 decades out.  Tolerances: decades of lambda, units of beta.
+LAMBDA_SPAN = 10.0
+LAMBDA_POINTS = 81
+LAMBDA_TOL = 1e-4
 BETA_MIN, BETA_MAX = 0.01, 0.99
+BETA_HALF_WIDTH = 0.05
+BETA_TOL = 1e-4
+_GOLDEN = (5.0**0.5 - 1.0) / 2.0
+
+
+def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
+    """(x, f(x)) of a golden-section search for a minimum of f on [a, b]."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
-    """Grid-refined minimizer of the negative log marginal likelihood.
+    """Minimizer (lambda, beta) of the negative log marginal likelihood.
 
-    A full coarse grid over beta x lambda is scanned first, followed by
-    two rounds of local refinement that shrink both axes by a factor of
-    four around the incumbent.  Ties break toward the smallest beta, then
-    the smallest lambda, so the reduction is deterministic.  Individual
-    grid points that fail to factorize are skipped; it is an error only if
-    every point fails.
+    At each beta of ``default_beta_grid()``, lambda is profiled out: a log
+    grid brackets the minimum and a golden-section search refines it inside
+    the best grid cell.  A golden-section search on the profiled objective
+    over [beta0 - 0.05, beta0 + 0.05] ∩ [BETA_MIN, BETA_MAX] then refines the
+    best grid beta beta0.  The result is the best beta evaluated, the first
+    on ties, so it is deterministic.  An optimum on the lambda grid's edge or
+    at BETA_MAX is returned with an IllConditionedWarning.
     """
-    best = None  # (value, beta, lam)
-    n_failed = 0
-    last_error = None
+    profiles = {}  # beta -> (value, lam, lam is an end of the grid)
 
-    def consider(lam: float, beta: float):
-        nonlocal best, n_failed, last_error
-        try:
-            val = neg_log_marglik(lam, beta, obj)
-        except NumericError as exc:
-            n_failed += 1
-            last_error = exc
-            return
-        if not np.isfinite(val):
-            n_failed += 1
-            return
-        cand = (val, beta, lam)
-        if best is None or cand < best:
-            best = cand
+    def profiled(beta: float) -> float:
+        s, _ = obj._for_beta(beta)
+        tr = float(np.sum(s))
+        if not (tr > 0 and obj._yy > 0):
+            raise NumericError(
+                f"no lambda scale at beta={beta:g}: y'y={obj._yy:g}, trace(UKU')={tr:g}",
+                context="ssml.optimize_hyperparams",
+            )
+        x = np.log10(obj._yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
+        v = obj._values(10.0**x, beta)
+        i = int(np.argmin(v))
+        lo, hi = x[max(i - 1, 0)], x[min(i + 1, LAMBDA_POINTS - 1)]
+        xm, vm = _golden_min(lambda t: float(obj._values(10.0**t, beta)), lo, hi, LAMBDA_TOL)
+        if v[i] <= vm:
+            xm, vm = x[i], v[i]
+        profiles[beta] = (float(vm), float(10.0**xm), i in (0, LAMBDA_POINTS - 1))
+        return float(vm)
 
-    betas = default_beta_grid()
-    for beta in betas:
-        T, _ = obj._for_beta(beta)
-        tr = float(np.trace(T))
-        if not (tr > 0):
-            n_failed += LAMBDA_POINTS
-            continue
-        scale = obj._yy / tr
-        for lam in scale * np.logspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS):
-            consider(lam, beta)
-
-    if best is None:
-        raise NumericError(
-            f"all {n_failed} hyperparameter grid evaluations failed",
-            context="ssml.optimize_hyperparams",
-        ) from last_error
-
-    beta_half_width = 0.05 / 2.0
-    lam_half_decades = (2.0 * LAMBDA_SPAN / (LAMBDA_POINTS - 1)) / 2.0
-    for _ in range(REFINE_ROUNDS):
-        _, beta0, lam0 = best
-        beta_lo = max(BETA_MIN, beta0 - beta_half_width)
-        beta_hi = min(BETA_MAX, beta0 + beta_half_width)
-        local_betas = np.linspace(beta_lo, beta_hi, REFINE_POINTS)
-        local_lams = lam0 * np.logspace(
-            -lam_half_decades, lam_half_decades, REFINE_POINTS
+    beta0 = min(map(float, default_beta_grid()), key=profiled)
+    lo, hi = max(BETA_MIN, beta0 - BETA_HALF_WIDTH), min(BETA_MAX, beta0 + BETA_HALF_WIDTH)
+    _golden_min(profiled, lo, hi, BETA_TOL)
+    beta_hat = min(profiles, key=lambda beta: profiles[beta][0])
+    _, lam_hat, on_edge = profiles[beta_hat]
+    if on_edge:
+        warnings.warn(
+            f"marginal-likelihood optimum lambda={lam_hat:.3g} (beta={beta_hat:.4g}) "
+            f"lies on the edge of the {LAMBDA_SPAN:g}-decade search span",
+            IllConditionedWarning,
         )
-        for beta in local_betas:
-            for lam in local_lams:
-                consider(lam, beta)
-        beta_half_width /= REFINE_SHRINK
-        lam_half_decades /= REFINE_SHRINK
-
-    _, beta_hat, lam_hat = best
-    return float(lam_hat), float(beta_hat)
+    if beta_hat >= BETA_MAX - BETA_TOL:
+        warnings.warn(
+            f"marginal-likelihood optimum beta={beta_hat:.4g} lies on the search "
+            f"bound {BETA_MAX:g}",
+            IllConditionedWarning,
+        )
+    return lam_hat, beta_hat
 
 
 def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
@@ -328,44 +312,23 @@ def posterior_mean(
     U: np.ndarray,
     y: np.ndarray,
     noise_cov_diag,
-    method: str = "auto",
 ) -> np.ndarray:
     """Posterior-mean impulse response lam K U' (lam U K U' + D)^{-1} y.
 
     ``noise_cov_diag`` is the diagonal of D: a scalar sigma2 for the
     Gaussian-noise estimator, or the per-sample variances tau inside the
-    Gibbs sweep.  ``method`` chooses the algebraic route:
-
-    * "information": n x n Woodbury form (default for n <= N),
-    * "covariance":  direct N x N solve,
-    * "auto":        information when lam > 0 and n <= N, else covariance.
+    Gibbs sweep.  Computed by the whitened information form of
+    ``posterior_moments``, which holds for any N and n when lam > 0;
+    lam = 0 gives the zero response.
     """
-    Karr = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
     U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    N, n = U.shape
     if not (lam >= 0 and np.isfinite(lam)):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0.0:
-        return np.zeros(n)
-    if method not in ("auto", "information", "covariance"):
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "information" if n <= N else "covariance"
-    if method == "information":
-        L_K = kernel_factor(Karr)
-        mean, _ = posterior_moments(lam, U @ L_K, y, noise_cov_diag)
-        return L_K @ mean
-    d = _noise_diag(noise_cov_diag, N)
-    Sigma = lam * (U @ Karr @ U.T) + np.diag(d)
-    try:
-        c = np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "covariance matrix not positive definite",
-            context="ssml.posterior_mean",
-        ) from exc
-    return lam * (Karr @ (U.T @ np.linalg.solve(c.T, np.linalg.solve(c, y))))
+        return np.zeros(U.shape[1])
+    L_K = kernel_factor(K)
+    mean, _ = posterior_moments(lam, U @ L_K, y, noise_cov_diag)
+    return L_K @ mean
 
 
 @dataclass(frozen=True)

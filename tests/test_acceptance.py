@@ -9,6 +9,7 @@ inside the 5-point tolerance).
 
 import numpy as np
 import pytest
+from dense_oracle import covariance_posterior_mean
 from scipy import integrate
 
 from stablespline import (
@@ -155,7 +156,7 @@ def test_criterion_4d_constant_tau_reduction():
         K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
         mean, _ = conditional_g_moments(lam, np.full(N, sigma2), K, U, y)
         # independent route: direct N x N covariance-form solve
-        ref = posterior_mean(lam, K, U, y, sigma2, method="covariance")
+        ref = covariance_posterior_mean(lam, K, U, y, sigma2)
         err = np.linalg.norm(mean - ref) / np.linalg.norm(ref)
         worst = max(worst, err)
         assert err <= 1e-8
@@ -173,8 +174,8 @@ def test_criterion_4e_woodbury_equivalence():
         d = rng.uniform(0.3, 3.0, N)
         lam = rng.uniform(0.1, 5.0)
         K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-        a = posterior_mean(lam, K, U, y, d, method="information")
-        b = posterior_mean(lam, K, U, y, d, method="covariance")
+        a = posterior_mean(lam, K, U, y, d)
+        b = covariance_posterior_mean(lam, K, U, y, d)
         err = np.linalg.norm(a - b) / np.linalg.norm(b)
         worst = max(worst, err)
         assert err <= 1e-8

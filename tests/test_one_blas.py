@@ -2,18 +2,22 @@
 
 numpy and scipy bundle separate OpenBLAS builds.  Alternating between them
 on a hot path makes their thread pools compete, which made the Gibbs sweep
-about 18x slower at N=500 under default threading.  ``scipy.linalg`` may
-supply ``toeplitz`` (pure indexing, no BLAS), and the library must not
-paper over the fight with thread settings.
+about 18x slower at N=500 under default threading.  The library imports no
+``scipy.linalg`` name, and must not paper over the fight with thread
+settings.  Importing the package loads no scipy module at all: scipy's
+import time would land in every command's start-up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stablespline
 
 SOURCES = sorted(Path(stablespline.__file__).parent.glob("*.py"))
-ALLOWED_SCIPY_LINALG = {"toeplitz"}
+ALLOWED_SCIPY_LINALG = set()
 THREAD_SETTINGS = (
     "threadpoolctl",
     "OPENBLAS_NUM_THREADS",
@@ -40,14 +44,14 @@ def _scipy_linalg_imports(tree):
                         yield node.lineno, "scipy.linalg"
 
 
-def test_scipy_linalg_only_for_toeplitz():
+def test_no_scipy_linalg():
     assert {p.name for p in SOURCES} >= {"gibbs.py", "ssml.py", "kernels.py"}
     bad = [
         f"{path.name}:{line}: {name}"
         for path in SOURCES
         for line, name in _scipy_linalg_imports(ast.parse(path.read_text(), str(path)))
     ]
-    assert not bad, "scipy.linalg imports besides toeplitz: " + ", ".join(bad)
+    assert not bad, "scipy.linalg imports: " + ", ".join(bad)
 
 
 def test_rule_catches_each_import_form():
@@ -59,7 +63,19 @@ def test_rule_catches_each_import_form():
         "from scipy.linalg import toeplitz\n"
     )
     found = [line for line, _ in _scipy_linalg_imports(ast.parse(src))]
-    assert found == [1, 2, 3, 4]
+    assert found == [1, 2, 3, 3, 4, 5]
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, stablespline; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(stablespline.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_thread_settings():

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik
 
 from stablespline import (
     ConfigError,
@@ -15,6 +18,8 @@ from stablespline import (
     posterior_mean,
     run_ssml,
 )
+from stablespline.cli import main as cli_main
+from stablespline.fileio import read_dataset
 from stablespline.kernels import kernel_factor
 from stablespline.ssml import IllConditionedWarning, default_beta_grid
 
@@ -88,7 +93,7 @@ class TestNegLogMarglik:
         assert neg_log_marglik(0.0, 0.5, obj) == pytest.approx(float(y @ y), rel=1e-12)
 
     def test_scalar_closed_form(self):
-        # N = n = 1 takes the direct N x N path: log(1 + 4*0.5) + y^2/3
+        # N = n = 1: log(1 + 4*0.5) + y^2/3
         U = np.array([[2.0]])
         y = np.array([1.7])
         obj = MarglikObjective(U, y, sigma2=1.0)
@@ -97,17 +102,27 @@ class TestNegLogMarglik:
 
     def test_dual_form_matches_dense_oracle(self):
         rng = np.random.default_rng(6)
+        cases = []
         for _ in range(10):
             _, U, _ = random_problem(rng, N=40, n=10)
             y = rng.standard_normal(40)
-            s2 = rng.uniform(0.1, 2.0)
-            lam = rng.uniform(0.01, 10.0)
-            beta = rng.uniform(0.2, 0.95)
+            cases.append((U, y, rng.uniform(0.1, 2.0), rng.uniform(0.01, 10.0),
+                          rng.uniform(0.2, 0.95)))
+        # lambda 8 decades each side of scale = y'y / tr(UKU'), on kernels
+        # with eigenvalues below the jitter of kernel_factor: at 10^8 a
+        # route through the jittered factor is off by more than 1e-7
+        for beta in (0.05, 0.1, 0.3):
+            _, U, _ = random_problem(rng, N=40, n=20)
+            y = rng.standard_normal(40)
+            K = build_kernel(KernelSpec("first", beta, 20)).K
+            scale = float(y @ y) / float(np.trace(U @ K @ U.T))
+            cases += [(U, y, 4.0, scale * 1e8, beta), (U, y, 4.0, scale * 1e-8, beta)]
+        # N < n: R of U = QR is N x n
+        _, U, _ = random_problem(rng, N=8, n=10)
+        cases.append((U, rng.standard_normal(8), 0.5, 2.0, 0.8))
+        for U, y, s2, lam, beta in cases:
             obj = MarglikObjective(U, y, sigma2=s2)
-            K = build_kernel(KernelSpec("first", beta, 10)).K
-            Sigma = lam * U @ K @ U.T + s2 * np.eye(40)
-            sign, logdet = np.linalg.slogdet(Sigma)
-            oracle = logdet + float(y @ np.linalg.solve(Sigma, y))
+            oracle = dense_neg_log_marglik(lam, beta, U, y, s2)
             assert neg_log_marglik(lam, beta, obj) == pytest.approx(oracle, rel=1e-8)
 
     def test_row_permutation_invariance(self):
@@ -174,6 +189,30 @@ class TestOptimizeHyperparams:
             hits += abs(beta_hat - beta_star) <= 0.1
         assert hits >= 0.8 * reps
 
+    def test_lambda_on_span_edge_warns(self):
+        # y orthogonal to the columns of U: the objective rises with lambda,
+        # so the profiled minimum is the lower end of the lambda grid
+        rng = np.random.default_rng(20)
+        _, U, _ = random_problem(rng, N=120, n=12)
+        v = rng.standard_normal(120)
+        Q, _ = np.linalg.qr(U)
+        y = v - Q @ (Q.T @ v)
+        with pytest.warns(IllConditionedWarning, match="edge of the 10-decade"):
+            optimize_hyperparams(MarglikObjective(U, y, sigma2=float(np.var(y))))
+        y = U @ (0.8 ** np.arange(1, 13)) + 0.05 * rng.standard_normal(120)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            optimize_hyperparams(MarglikObjective(U, y, sigma2=0.05**2))
+
+    def test_beta_on_upper_bound_warns(self):
+        # an undamped response wants beta -> 1
+        rng = np.random.default_rng(21)
+        _, U, _ = random_problem(rng, N=120, n=12)
+        y = U @ np.ones(12) + 0.01 * rng.standard_normal(120)
+        with pytest.warns(IllConditionedWarning, match="beta=0.99 lies on the search bound"):
+            _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, sigma2=1e-4))
+        assert beta_hat == pytest.approx(0.99, abs=1e-4)
+
 
 class TestPosteriorMean:
     def test_lambda_zero_gives_zero_vector(self):
@@ -201,8 +240,8 @@ class TestPosteriorMean:
             d = rng.uniform(0.5, 3.0, N)
             lam = rng.uniform(0.1, 5.0)
             K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-            a = posterior_mean(lam, K, U, y, d, method="information")
-            b = posterior_mean(lam, K, U, y, d, method="covariance")
+            a = posterior_mean(lam, K, U, y, d)
+            b = covariance_posterior_mean(lam, K, U, y, d)
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_linear_in_y(self):
@@ -246,3 +285,36 @@ class TestRunSsml:
         ds = Dataset(np.ones(10), np.ones(10))
         with pytest.raises(ConfigError):
             run_ssml(ds, 10)
+
+    def test_lowpass_reaches_dense_grid_minimum(self, tmp_path):
+        # the optimum of this low-pass dataset lies more than 4 decades of
+        # lambda from y'y / tr(UKU'); the grid below evaluates the objective
+        # through the eigendecomposition of the N x N matrix U K U'
+        data = tmp_path / "lp.csv"
+        code = cli_main([
+            "simulate", "--input-kind", "lp", "--seed", "1", "--N", "500",
+            "--output", str(data), "--truth", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0
+        ds = read_dataset(data)
+        res = run_ssml(ds, 50)
+        U = build_regressor(ds.u, ds.N, 50)
+        y, s2 = ds.y, res.hyper.sigma2
+
+        def dense_eig(beta):
+            K = build_kernel(KernelSpec("first", beta, 50)).K
+            m, V = np.linalg.eigh(U @ K @ U.T)
+            return np.maximum(m, 0.0), V.T @ y
+
+        def dense_values(m, q, lams):
+            d = np.asarray(lams)[:, None] * m + s2
+            return np.sum(np.log(d), axis=1) + np.sum(q * q / d, axis=1)
+
+        grid_min = np.inf
+        for beta in np.linspace(0.02, 0.98, 49):
+            m, q = dense_eig(beta)
+            lams = float(y @ y) / m.sum() * np.logspace(-12, 12, 481)
+            grid_min = min(grid_min, float(dense_values(m, q, lams).min()))
+        m, q = dense_eig(res.hyper.beta)
+        assert res.objective == pytest.approx(float(dense_values(m, q, [res.hyper.lam])[0]), rel=1e-8)
+        assert res.objective <= grid_min + 0.1
