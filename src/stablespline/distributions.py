@@ -116,7 +116,8 @@ def sample_gig_half(a: float, b, rng, size=None):
     if not (a > 0 and np.isfinite(a)):
         raise ConfigError(f"GIG parameter a must be positive, got {a}")
     b_arr = np.asarray(b, dtype=float)
-    if np.any(b_arr < 0) or not np.all(np.isfinite(b_arr)):
+    lo, hi = (b_arr.min(), b_arr.max()) if b_arr.size else (0.0, 0.0)
+    if not (lo >= 0 and hi < np.inf):
         raise ConfigError("GIG parameter b must be finite and >= 0")
     if size is not None and b_arr.ndim != 0:
         raise ConfigError("size may only be given with scalar b")

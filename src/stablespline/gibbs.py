@@ -156,7 +156,7 @@ def _draw_tau(
     """Tau step: tau_i ~ GIG(a_gig, r_i^2, 1/2) with r = y - Phi w."""
     r = y - Phi @ w
     tau = sample_gig_half(a_gig, r * r, gen)
-    if np.any(tau <= 0) or not np.all(np.isfinite(tau)):
+    if not (tau.min() > 0 and tau.max() < np.inf):
         raise NumericError(
             f"non-positive/non-finite tau{_at(sweep)}",
             context="gibbs.conditional_tau",

@@ -16,10 +16,13 @@ nothing cancels at large lambda, and each lambda costs O(n).
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
 N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  The Gibbs
-sampler reuses that step with Phi formed once per chain.  Every
-factorization and solve goes through ``numpy.linalg``: numpy and scipy
-bundle separate OpenBLAS builds, and alternating between them on a hot
-path makes their thread pools compete.
+sampler reuses that step with Phi formed once per chain.  One Cholesky
+of the 2n x 2n matrix [[A, I], [I, 2 lam I]], A the posterior information
+matrix, yields the posterior covariance factor L_A^{-T} as its lower-left
+block, so a step needs neither a triangular solve nor an inverse.  Every
+factorization goes through ``numpy.linalg``: numpy and scipy bundle
+separate OpenBLAS builds, and alternating between them on a hot path makes
+their thread pools compete.
 """
 
 from __future__ import annotations
@@ -66,7 +69,8 @@ def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
 
     Requires N > n.  If the normal matrix U'U has condition estimate above
     RIDGE_CONDITION_LIMIT, a ridge of RIDGE_SCALE * trace(U'U)/n is added
-    and an IllConditionedWarning is recorded.
+    and an IllConditionedWarning is recorded; a zero U'U (an all-zero
+    input) raises NumericError.
     """
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -81,6 +85,11 @@ def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
     cond = np.linalg.cond(G)
     if not np.isfinite(cond) or cond > RIDGE_CONDITION_LIMIT:
         ridge = RIDGE_SCALE * float(np.trace(G)) / n
+        if not ridge > 0:
+            raise NumericError(
+                "normal matrix U'U is zero (all-zero input?)",
+                context="ssml.estimate_sigma2",
+            )
         warnings.warn(
             f"normal matrix condition {cond:.3g} exceeds {RIDGE_CONDITION_LIMIT:.0e}; "
             f"adding ridge {ridge:.3g} to the least-squares solve",
@@ -253,7 +262,7 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
         d = np.full(N, float(d))
     if d.shape != (N,):
         raise ConfigError(f"noise_cov_diag must be scalar or length {N}")
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+    if d.size and not (d.min() > 0 and d.max() < np.inf):
         raise ConfigError("noise_cov_diag entries must be positive and finite")
     return d
 
@@ -284,24 +293,35 @@ def posterior_moments(
     N, n = Phi.shape
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, N))
     W = Phi * s[:, None]  # D^{-1/2} Phi, so that W'W is one symmetric product
-    A = W.T @ W
-    A[np.diag_indices(n)] += 1.0 / lam
+    # numpy has no triangular solve, so R comes from one Cholesky of the
+    # augmented M = [[A, I], [I, 2 lam I]], whose lower factor is
+    # [[L_A, 0], [R, L_S]]: R L_A' = I gives R = L_A^{-T}, exactly
+    # upper-triangular because forward substitution on e_i leaves exact
+    # zeros.  A >= I/lam bounds the Schur complement L_S L_S' =
+    # 2 lam I - A^{-1} below by lam I, so M factors whenever A does.
+    # numpy's Cholesky reads the lower triangle only: the upper-right I is
+    # left out.
+    M = np.zeros((2 * n, 2 * n))
+    M[:n, :n] = W.T @ W
+    i = np.arange(n)
+    M[i, i] += 1.0 / lam
+    M[i + n, i] = 1.0
+    M[i + n, i + n] = 2.0 * lam
     try:
-        L_A = np.linalg.cholesky(A)
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "information-form system not positive definite",
             context="ssml.posterior_moments",
         ) from exc
-    # numpy's Cholesky returns NaN rather than raising once A has overflowed
-    if not np.all(np.isfinite(np.diag(L_A))):
+    # numpy's Cholesky returns an infinite or NaN factor rather than raising
+    # once A has overflowed
+    if not L.diagonal().max() < np.inf:
         raise NumericError(
             "information-form system not finite",
             context="ssml.posterior_moments",
         )
-    # numpy has no triangular solve: invert L_A by LU, dropping round-off
-    # above the diagonal
-    R = np.tril(np.linalg.inv(L_A)).T
+    R = L[n:, :n]
     mean = R @ (R.T @ (W.T @ (s * y)))
     return mean, R
 

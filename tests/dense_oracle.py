@@ -4,6 +4,7 @@ The library works in n x n forms; these are the textbook covariance-domain
 formulas they must agree with, used only as test oracles.
 """
 
+import mpmath
 import numpy as np
 
 from stablespline import KernelSpec, build_kernel
@@ -28,3 +29,29 @@ def dense_neg_log_marglik(lam, beta, U, y, sigma2):
     sign, logdet = np.linalg.slogdet(S)
     assert sign > 0
     return logdet + float(y @ np.linalg.solve(S, y))
+
+
+def covariance_posterior(lam, K, U, y, noise_cov_diag, dps=50):
+    """(mean, covariance) of g by the covariance form lam K U' S^{-1} y and
+    lam K - lam^2 K U' S^{-1} U K, S = lam U K U' + D, in mpmath at ``dps``
+    digits.
+
+    At large lam both terms of the covariance are about lam K and cancel to
+    the much smaller posterior covariance, and S is as ill-conditioned as
+    lam U K U' is large: in double precision this form loses about
+    log10(lam) digits, so the oracle carries the extra digits itself.
+    """
+    Karr = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    U = np.asarray(U, dtype=float)
+    d = np.broadcast_to(np.asarray(noise_cov_diag, dtype=float), (U.shape[0],))
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(float(lam))
+        Km, Um = mpmath.matrix(Karr.tolist()), mpmath.matrix(U.tolist())
+        KUt = Km * Um.T
+        Si = mpmath.inverse(lam * Um * KUt + mpmath.diag(d.tolist()))
+        mean = lam * KUt * (Si * mpmath.matrix(np.asarray(y, dtype=float).tolist()))
+        cov = lam * Km - lam**2 * KUt * (Si * KUt.T)
+        return (
+            np.array(mean.tolist(), dtype=float).ravel(),
+            np.array(cov.tolist(), dtype=float),
+        )

@@ -140,6 +140,20 @@ class TestIdentify:
         )
         assert code == 3
 
+    def test_all_zero_input_exits_3(self, tmp_path, capsys):
+        ds = tmp_path / "zero_input.csv"
+        write_dataset(ds, np.zeros(60), np.random.default_rng(0).standard_normal(60))
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "identify", "--input", str(ds), "--output", str(out),
+            "--n", "10", "--estimator", "ssml",
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure:") and "all-zero input" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_n_too_large_exits_2(self, sim_files, tmp_path):
         ds, _ = sim_files
         code = run_cli(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gig_oracle import masked_sample_gig_half
 from scipy import integrate, stats
 
 from stablespline import ConfigError
@@ -123,6 +124,69 @@ class TestSampleGigHalf:
             sample_gig_half(0.0, 1.0, RngHandle(0))
         with pytest.raises(ConfigError):
             sample_gig_half(1.0, -1.0, RngHandle(0))
+
+
+def _same_draws(a, b, seed, size=None):
+    """The sampler and its frozen oracle agree bit for bit, and leave the
+    generator at the same point."""
+    gen, ref_gen = RngHandle(seed).generator(), RngHandle(seed).generator()
+    x = sample_gig_half(a, b, gen, size=size)
+    ref = masked_sample_gig_half(a, b, ref_gen, size=size)
+    assert type(x) is type(ref)
+    assert np.array_equal(x, ref)
+    assert np.array_equal(gen.random(4), ref_gen.random(4))
+    return x
+
+
+class TestSampleGigHalfPaths:
+    a = 4.0
+    floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
+
+    def test_array_above_floor_matches_oracle(self):
+        rng = np.random.default_rng(40)
+        _same_draws(self.a, rng.exponential(size=500), 41)
+        _same_draws(self.a, rng.exponential(size=(7, 9)), 42)
+
+    def test_scalar_matches_oracle(self):
+        _same_draws(self.a, 0.3, 43, size=1000)
+        _same_draws(self.a, 0.3, 44)
+        assert _same_draws(self.a, 0.3, 45, size=0).shape == (0,)
+
+    def test_b_at_floor_takes_inverse_gaussian_draw(self):
+        b = np.full(200, self.floor)
+        x = _same_draws(self.a, b, 46)
+        # b equal to the floor is not below it, so no entry is a Gamma draw
+        gamma = RngHandle(46).generator().gamma(0.5, scale=2.0 / self.a, size=200)
+        assert not np.any(x == gamma)
+
+    def test_b_just_below_floor_takes_gamma_limit(self):
+        b = np.full(200, np.nextafter(self.floor, 0.0))
+        x = _same_draws(self.a, b, 47)
+        gamma = RngHandle(47).generator().gamma(0.5, scale=2.0 / self.a, size=200)
+        assert np.array_equal(x, gamma)
+
+    def test_mixed_arrays_match_oracle(self):
+        rng = np.random.default_rng(48)
+        for i, n_low in enumerate([1, 17, 199]):
+            b = rng.exponential(size=200)
+            b[rng.choice(200, n_low, replace=False)] = rng.choice(
+                [0.0, 0.5 * self.floor, np.nextafter(self.floor, 0.0)], n_low
+            )
+            _same_draws(self.a, b, 49 + i)
+        _same_draws(self.a, np.array([[0.0, self.floor], [2.0, 0.0]]), 52)
+        _same_draws(self.a, 0.0, 53, size=50)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_rejects_non_finite_or_negative_b(self, bad):
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            sample_gig_half(self.a, bad, RngHandle(54))
+        b = np.full(10, 0.5)
+        b[3] = bad
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            sample_gig_half(self.a, b, RngHandle(54))
+
+    def test_empty_b(self):
+        assert sample_gig_half(self.a, np.array([]), RngHandle(55)).shape == (0,)
 
 
 class TestGigPdfHalf:

@@ -6,6 +6,10 @@ about 18x slower at N=500 under default threading.  The library imports no
 ``scipy.linalg`` name, and must not paper over the fight with thread
 settings.  Importing the package loads no scipy module at all: scipy's
 import time would land in every command's start-up.
+
+The library also calls no ``numpy.linalg.inv``: an explicit inverse is an
+LU with n right-hand sides where a factorization already holds the answer
+(the Gibbs step reads L_A^{-T} off one Cholesky).
 """
 
 import ast
@@ -44,6 +48,21 @@ def _scipy_linalg_imports(tree):
                         yield node.lineno, "scipy.linalg"
 
 
+def _numpy_inv_uses(tree):
+    """(line, form) of every reference to numpy.linalg.inv."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "inv":
+            base = node.value
+            if (isinstance(base, ast.Attribute) and base.attr == "linalg") or (
+                isinstance(base, ast.Name) and base.id == "linalg"
+            ):
+                yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            for alias in node.names:
+                if alias.name == "inv":
+                    yield node.lineno, "from numpy.linalg import inv"
+
+
 def test_no_scipy_linalg():
     assert {p.name for p in SOURCES} >= {"gibbs.py", "ssml.py", "kernels.py"}
     bad = [
@@ -64,6 +83,28 @@ def test_rule_catches_each_import_form():
     )
     found = [line for line, _ in _scipy_linalg_imports(ast.parse(src))]
     assert found == [1, 2, 3, 3, 4, 5]
+
+
+def test_no_numpy_inv():
+    bad = [
+        f"{path.name}:{line}: {form}"
+        for path in SOURCES
+        for line, form in _numpy_inv_uses(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not bad, "numpy.linalg.inv in the library: " + ", ".join(bad)
+
+
+def test_inv_rule_catches_each_form():
+    src = (
+        "x = np.linalg.inv(a)\n"
+        "x = numpy.linalg.inv(a)\n"
+        "from numpy.linalg import inv\n"
+        "from numpy.linalg import cholesky, inv as invert\n"
+        "f = linalg.inv\n"
+        "x = np.linalg.pinv(a) + np.linalg.solve(a, b) + inv(a)\n"
+    )
+    found = sorted(line for line, _ in _numpy_inv_uses(ast.parse(src)))
+    assert found == [1, 2, 3, 4, 5]
 
 
 def test_import_loads_no_scipy():

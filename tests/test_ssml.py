@@ -9,6 +9,7 @@ from stablespline import (
     Dataset,
     KernelSpec,
     MarglikObjective,
+    NumericError,
     build_kernel,
     build_regressor,
     estimate_sigma2,
@@ -82,6 +83,13 @@ class TestEstimateSigma2:
         with pytest.warns(IllConditionedWarning):
             out = estimate_sigma2(U, y)
         assert np.isfinite(out) and out >= 0.0
+
+    def test_all_zero_input_raises(self):
+        # U'U = 0: the ridge scale trace(U'U)/n is 0 and no ridge helps
+        U = build_regressor(np.zeros(60), 60, 10)
+        y = np.random.default_rng(5).standard_normal(60)
+        with pytest.raises(NumericError, match="all-zero input"):
+            estimate_sigma2(U, y)
 
 
 class TestNegLogMarglik:

@@ -10,22 +10,27 @@ import warnings
 
 import numpy as np
 import pytest
+from dense_oracle import covariance_posterior
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from stablespline import (
+    ConfigError,
     Dataset,
     GibbsConfig,
     KernelSpec,
     NumericError,
     build_kernel,
     build_regressor,
+    conditional_g,
     conditional_lambda,
+    conditional_tau,
     posterior_moments,
     run_gibbs,
     run_ssml,
 )
+from stablespline.benchmark import generate_input
 from stablespline.distributions import (
     RngHandle,
     as_generator,
@@ -179,3 +184,84 @@ def test_overflowed_information_form_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="not finite"):
             posterior_moments(1.0, Phi, np.ones(2), np.ones(2))
+
+
+class TestPosteriorMomentsEdges:
+    """The augmented-Cholesky step at the ends of the lambda range, on a
+    low-pass regressor (ill-conditioned U'U) and slowly decaying kernels."""
+
+    N, n = 40, 12
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        rng = np.random.default_rng(60)
+        U = build_regressor(generate_input("lp", self.N, RngHandle(60)), self.N, self.n)
+        return U, rng.standard_normal(self.N), rng.uniform(0.5, 3.0, self.N)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("lam", [1e-10, 1e10])
+    def test_matches_covariance_form(self, problem, lam, beta):
+        U, y, tau = problem
+        L_K = kernel_factor(build_kernel(KernelSpec("first", beta, self.n)))
+        mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
+
+        assert np.all(np.tril(R, -1) == 0.0)
+        # against the kernel as factored, jitter included
+        mean_ref, cov_ref = covariance_posterior(lam, L_K @ L_K.T, U, y, tau)
+        F = L_K @ R
+        assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
+        assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
+
+    @pytest.mark.parametrize("lam", [1e-10, 1e10])
+    def test_factor_triangular_at_sweep_size(self, lam):
+        N, n = 500, 50
+        U = build_regressor(generate_input("lp", N, RngHandle(61)), N, n)
+        L_K = kernel_factor(build_kernel(KernelSpec("first", 0.99, n)))
+        tau = np.random.default_rng(61).uniform(0.1, 10.0, N)
+        _, R = posterior_moments(lam, U @ L_K, np.ones(N), tau)
+        assert np.all(np.tril(R, -1) == 0.0)
+        assert np.all(np.diag(R) > 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_noise_variance(self, bad):
+        d = np.ones(8)
+        d[5] = bad
+        with pytest.raises(ConfigError, match="positive and finite"):
+            posterior_moments(1.0, np.ones((8, 2)), np.ones(8), d)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            posterior_moments(1.0, np.ones((8, 2)), np.ones(8), bad)
+
+
+class TestSweepGuards:
+    """The tau and g finiteness guards of the sweep's step functions."""
+
+    N, n = 30, 5
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(62)
+        u = rng.standard_normal(self.N)
+        U = build_regressor(u, self.N, self.n)
+        return Dataset(u, U @ rng.standard_normal(self.n)), U
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_tau_draw_raises(self, problem, monkeypatch, bad):
+        ds, U = problem
+
+        def draw(a, b, gen):
+            tau = np.ones(b.shape)
+            tau[-1] = bad
+            return tau
+
+        monkeypatch.setattr("stablespline.gibbs.sample_gig_half", draw)
+        with pytest.raises(NumericError, match="tau"):
+            conditional_tau(np.zeros(self.n), ds, U, 1.0, RngHandle(63))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_g_draw_raises(self, problem, monkeypatch, bad):
+        ds, U = problem
+        w = np.ones(self.n)
+        w[2] = bad
+        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda m, R, gen: w)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite g"):
+            conditional_g(1.0, np.ones(self.N), np.eye(self.n), U, ds.y, RngHandle(64))
