@@ -88,16 +88,18 @@ def build_kernel(spec: KernelSpec) -> KernelMatrix:
     """Evaluate the stable spline kernel matrix for ``spec``.
 
     Symmetry is exact by construction: entries (i, j) and (j, i) are
-    produced from identical integer index arrays.
+    produced from identical integer index arrays.  Each power beta^k is
+    computed once and gathered through those arrays, which gives the same
+    matrix, bit for bit, as ``np.float_power`` over the index matrices.
     """
     idx = np.arange(1, spec.n + 1)
     m = np.maximum.outer(idx, idx)
-    beta = spec.beta
     if spec.order is KernelOrder.FIRST:
-        K = np.float_power(beta, m)
+        K = np.float_power(spec.beta, np.arange(spec.n + 1))[m]
     else:
+        powers = np.float_power(spec.beta, np.arange(3 * spec.n + 1))
         s = np.add.outer(idx, idx)
-        K = np.float_power(beta, s + m) / 2.0 - np.float_power(beta, 3 * m) / 6.0
+        K = powers[s + m] / 2.0 - powers[3 * m] / 6.0
     return KernelMatrix(K=K, spec=spec)
 
 

@@ -11,7 +11,11 @@ rss = |y - QQ'y|^2, and one eigendecomposition R K_beta R' = W diag(s) W'
 per beta, p = W'b, the objective log det S + y'S^{-1}y of
 S = lam U K U' + sigma2 I is N log sigma2 + sum log(1 + lam s / sigma2)
 + (rss + sum p^2 / (1 + lam s / sigma2)) / sigma2.  No term is negative, so
-nothing cancels at large lambda, and each lambda costs O(n).
+nothing cancels at large lambda, and each lambda costs O(n).  The first
+two derivatives in ln(lam) are closed-form and O(n) too, so at each beta
+lambda is profiled by one vectorized log-grid evaluation and a safeguarded
+Newton iteration inside the best grid cell, then one evaluation of the
+result.
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
@@ -60,8 +64,9 @@ SIGMA2_FLOOR_FACTOR = 1e-12
 
 
 class IllConditionedWarning(UserWarning):
-    """Raised (as a warning) when a ridge fallback or rate floor engages,
-    or when the hyperparameter optimum lies on a search boundary."""
+    """Raised (as a warning) when a ridge fallback, the noise-variance floor
+    or a rate floor engages, or when the hyperparameter optimum lies on a
+    search boundary."""
 
 
 def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
@@ -179,7 +184,9 @@ def default_beta_grid() -> np.ndarray:
 
 # Search domain.  The lambda grid spans LAMBDA_SPAN decades each side of
 # ||y||^2 / trace(U K_beta U'), where lam * tr(UKU') ~ ||y||^2; low-pass N=500
-# optima lay up to 6.8 decades out.  Tolerances: decades of lambda, units of beta.
+# optima lay up to 6.8 decades out.  LAMBDA_TOL is the Newton step, in
+# decades of lambda, below which the lambda profile stops; BETA_TOL is the
+# width, in units of beta, at which the golden-section search stops.
 LAMBDA_SPAN = 10.0
 LAMBDA_POINTS = 81
 LAMBDA_TOL = 1e-4
@@ -187,6 +194,7 @@ BETA_MIN, BETA_MAX = 0.01, 0.99
 BETA_HALF_WIDTH = 0.05
 BETA_TOL = 1e-4
 _GOLDEN = (5.0**0.5 - 1.0) / 2.0
+_LN10 = float(np.log(10.0))
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
@@ -205,36 +213,86 @@ def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def _newton_log_lambda(s, p, sigma2: float, lo: float, hi: float, t: float) -> float:
+    """A minimizer in t = ln(lam) of the objective on [lo, hi], from t.
+
+    With c = lam s / sigma2 and q = p^2 / sigma2 the objective's derivatives
+    in t are f' = sum c/(1+c) - sum q c/(1+c)^2 and
+    f'' = sum c/(1+c)^2 - sum q c(1-c)/(1+c)^3, each O(n).  The sign of f'
+    shrinks the bracket; the Newton step is taken when f'' > 0, it lands in
+    the bracket and it is shorter than half the step before last (which
+    bounds the iteration count), else the bracket is bisected.  Stops at a
+    step shorter than LAMBDA_TOL decades.
+    """
+    a = s / sigma2
+    q = p * p / sigma2
+    tol = LAMBDA_TOL * _LN10
+    prev = step = hi - lo
+    while True:
+        c = np.exp(t) * a
+        r = 1.0 / (1.0 + c)
+        cr = c * r
+        d1 = float(np.sum(cr * (1.0 - q * r)))
+        d2 = float(np.sum(cr * r * (1.0 - q * (1.0 - c) * r)))
+        if d1 > 0:
+            hi = t
+        else:
+            lo = t
+        newton = -d1 / d2 if d2 > 0 else np.inf
+        if lo <= t + newton <= hi and abs(newton) < 0.5 * prev:
+            prev, step = abs(step), newton
+        else:
+            prev, step = abs(step), 0.5 * (lo + hi) - t
+        t += step
+        if abs(step) < tol:
+            return t
+
+
+def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, bool]:
+    """(value, lam, lam is an end of the grid) of the minimum over lambda.
+
+    The objective is evaluated on the LAMBDA_POINTS log grid, then
+    ``_newton_log_lambda`` refines the best grid point inside its cell and
+    the refined point is evaluated once; the grid point is kept if lower.
+    """
+    s, p = obj._for_beta(beta)
+    tr = float(np.sum(s))
+    # a non-finite scale would make the grid and the Newton bracket NaN
+    if not (tr > 0 and 0 < obj._yy / tr < np.inf):
+        raise NumericError(
+            f"no lambda scale at beta={beta:g}: y'y={obj._yy:g}, trace(UKU')={tr:g}",
+            context="ssml.optimize_hyperparams",
+        )
+    x = np.log10(obj._yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
+    v = obj._values(10.0**x, beta)
+    i = int(np.argmin(v))
+    lo, hi = x[max(i - 1, 0)] * _LN10, x[min(i + 1, LAMBDA_POINTS - 1)] * _LN10
+    lam = float(np.exp(_newton_log_lambda(s, p, obj.sigma2, lo, hi, x[i] * _LN10)))
+    value = float(obj._values(lam, beta))
+    if v[i] <= value:
+        lam, value = float(10.0 ** x[i]), float(v[i])
+    return value, lam, i in (0, LAMBDA_POINTS - 1)
+
+
 def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
     """Minimizer (lambda, beta) of the negative log marginal likelihood.
 
     At each beta of ``default_beta_grid()``, lambda is profiled out: a log
-    grid brackets the minimum and a golden-section search refines it inside
-    the best grid cell.  A golden-section search on the profiled objective
-    over [beta0 - 0.05, beta0 + 0.05] ∩ [BETA_MIN, BETA_MAX] then refines the
+    grid brackets the minimum and a safeguarded Newton iteration in ln(lam)
+    refines it inside the best grid cell, so each beta costs one
+    eigendecomposition and two objective evaluations.  A golden-section
+    search on the profiled objective over
+    [beta0 - 0.05, beta0 + 0.05] ∩ [BETA_MIN, BETA_MAX] then refines the
     best grid beta beta0.  The result is the best beta evaluated, the first
     on ties, so it is deterministic.  An optimum on the lambda grid's edge or
-    at BETA_MAX is returned with an IllConditionedWarning.
+    within BETA_TOL of BETA_MIN or BETA_MAX is returned with an
+    IllConditionedWarning.
     """
     profiles = {}  # beta -> (value, lam, lam is an end of the grid)
 
     def profiled(beta: float) -> float:
-        s, _ = obj._for_beta(beta)
-        tr = float(np.sum(s))
-        if not (tr > 0 and obj._yy > 0):
-            raise NumericError(
-                f"no lambda scale at beta={beta:g}: y'y={obj._yy:g}, trace(UKU')={tr:g}",
-                context="ssml.optimize_hyperparams",
-            )
-        x = np.log10(obj._yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
-        v = obj._values(10.0**x, beta)
-        i = int(np.argmin(v))
-        lo, hi = x[max(i - 1, 0)], x[min(i + 1, LAMBDA_POINTS - 1)]
-        xm, vm = _golden_min(lambda t: float(obj._values(10.0**t, beta)), lo, hi, LAMBDA_TOL)
-        if v[i] <= vm:
-            xm, vm = x[i], v[i]
-        profiles[beta] = (float(vm), float(10.0**xm), i in (0, LAMBDA_POINTS - 1))
-        return float(vm)
+        profiles[beta] = _profile_lambda(obj, beta)
+        return profiles[beta][0]
 
     beta0 = min(map(float, default_beta_grid()), key=profiled)
     lo, hi = max(BETA_MIN, beta0 - BETA_HALF_WIDTH), min(BETA_MAX, beta0 + BETA_HALF_WIDTH)
@@ -247,12 +305,13 @@ def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
             f"lies on the edge of the {LAMBDA_SPAN:g}-decade search span",
             IllConditionedWarning,
         )
-    if beta_hat >= BETA_MAX - BETA_TOL:
-        warnings.warn(
-            f"marginal-likelihood optimum beta={beta_hat:.4g} lies on the search "
-            f"bound {BETA_MAX:g}",
-            IllConditionedWarning,
-        )
+    for bound in (BETA_MIN, BETA_MAX):
+        if abs(beta_hat - bound) <= BETA_TOL:
+            warnings.warn(
+                f"marginal-likelihood optimum beta={beta_hat:.4g} lies on the search "
+                f"bound {bound:g}",
+                IllConditionedWarning,
+            )
     return lam_hat, beta_hat
 
 
@@ -377,7 +436,8 @@ def run_ssml(
     """Full Gaussian-noise estimation pass on a dataset.
 
     Builds the regressor, pre-estimates sigma2 (floored at
-    SIGMA2_FLOOR_FACTOR * var(y)), optimizes (lambda, beta) by marginal
+    SIGMA2_FLOOR_FACTOR * var(y), with an IllConditionedWarning when the
+    floor engages), optimizes (lambda, beta) by marginal
     likelihood, and returns the posterior-mean response of length n.
     Deterministic: no randomness is consumed.
     """
@@ -387,7 +447,14 @@ def run_ssml(
         raise ConfigError(f"run_ssml needs N > n, got N={N}, n={n}")
     U = build_regressor(dataset.u, N, n)
     sigma2 = estimate_sigma2(U, dataset.y)
-    sigma2 = max(sigma2, SIGMA2_FLOOR_FACTOR * float(np.var(dataset.y)))
+    floor = SIGMA2_FLOOR_FACTOR * float(np.var(dataset.y))
+    if sigma2 < floor:
+        warnings.warn(
+            f"least-squares noise variance {sigma2:.3g} is below the floor "
+            f"{floor:.3g} ({SIGMA2_FLOOR_FACTOR:g} var(y)); using the floor",
+            IllConditionedWarning,
+        )
+        sigma2 = floor
     if not sigma2 > 0:
         raise NumericError(
             "estimated noise variance is zero (constant zero output?)",

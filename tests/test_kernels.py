@@ -61,6 +61,24 @@ class TestBuildKernel:
             floor = -1e-10 * np.trace(K) / n
             assert np.linalg.eigvalsh(K).min() >= floor
 
+    def test_gathered_powers_match_float_power_bitwise(self):
+        # build_kernel gathers beta^k through the index arrays; the matrix
+        # must be the elementwise np.float_power over those arrays, bit for bit
+        rng = np.random.default_rng(11)
+        betas = [0.0, 0.01, 0.5, 0.99, *rng.uniform(0.0, 1.0, 20)]
+        for n in (1, 2, 17, 50):
+            idx = np.arange(1, n + 1)
+            m = np.maximum.outer(idx, idx)
+            s = np.add.outer(idx, idx)
+            for beta in betas:
+                first = build_kernel(KernelSpec("first", beta, n)).K
+                second = build_kernel(KernelSpec("second", beta, n)).K
+                assert np.array_equal(first, np.float_power(beta, m))
+                assert np.array_equal(
+                    second,
+                    np.float_power(beta, s + m) / 2.0 - np.float_power(beta, 3 * m) / 6.0,
+                )
+
     def test_second_order_entries_nonnegative(self):
         for beta in np.linspace(0.0, 0.99, 34):
             K = build_kernel(KernelSpec("second", beta, 25)).K

@@ -1,8 +1,11 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stablespline import (
     ConfigError,
@@ -19,10 +22,17 @@ from stablespline import (
     posterior_mean,
     run_ssml,
 )
+from stablespline import ssml
 from stablespline.cli import main as cli_main
 from stablespline.fileio import read_dataset
 from stablespline.kernels import kernel_factor
-from stablespline.ssml import IllConditionedWarning, default_beta_grid
+from stablespline.ssml import (
+    LAMBDA_POINTS,
+    LAMBDA_SPAN,
+    SIGMA2_FLOOR_FACTOR,
+    IllConditionedWarning,
+    default_beta_grid,
+)
 
 
 def random_problem(rng, N=40, n=10):
@@ -152,8 +162,73 @@ class TestNegLogMarglik:
             neg_log_marglik(1.0, 1.0, obj)
 
 
+def objective_with_spectrum(s, p, sigma2, rss, beta=0.5):
+    """A MarglikObjective whose cached (s, p) at ``beta`` is the given one,
+    with rss and y'y = rss + |p|^2 to match."""
+    n = len(s)
+    obj = MarglikObjective(np.eye(n + 1, n), np.zeros(n + 1), sigma2)
+    obj._beta_cache[beta] = (np.asarray(s, dtype=float), np.asarray(p, dtype=float))
+    obj._rss = rss
+    obj._yy = rss + float(np.sum(np.square(p)))
+    return obj
+
+
+class TestLambdaProfile:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(
+            st.tuples(
+                st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+                st.floats(-1e3, 1e3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        sigma2=st.floats(1e-4, 1e4),
+        rss=st.floats(0.0, 1e4),
+    )
+    def test_profile_reaches_dense_grid_minimum(self, terms, sigma2, rss):
+        s, p = (np.array(v) for v in zip(*terms))
+        assume(s.sum() > 0 and rss + p @ p > 0)
+        obj = objective_with_spectrum(s, p, sigma2, rss)
+        value, lam, _ = ssml._profile_lambda(obj, 0.5)
+        assert value == float(obj._values(lam, 0.5))
+        # the same 81-point grid, and 4001 points across its best cell
+        x = np.log10(obj._yy / s.sum()) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
+        grid = obj._values(10.0**x, 0.5)
+        i = int(np.argmin(grid))
+        cell = np.linspace(x[max(i - 1, 0)], x[min(i + 1, LAMBDA_POINTS - 1)], 4001)
+        dense = float(obj._values(10.0**cell, 0.5).min())
+        assert value <= grid[i]
+        assert value <= dense + 1e-9 * abs(dense)
+        if 0 < i < LAMBDA_POINTS - 1:
+            # a minimum inside the cell is found to far finer than the
+            # LAMBDA_TOL step: no point within 1e-3 decades is lower
+            x_hat = np.log10(lam)
+            near = np.linspace(max(x_hat - 1e-3, cell[0]), min(x_hat + 1e-3, cell[-1]), 2001)
+            local = float(obj._values(10.0**near, 0.5).min())
+            assert value <= local + 1e-11 * max(1.0, abs(local))
+
+    def test_two_objective_calls_per_beta(self, monkeypatch):
+        # one grid call and one call at the refined lambda per beta: a
+        # scalar search over lambda would show up here
+        calls = Counter()
+        values = MarglikObjective._values
+
+        def counting(self, lams, beta):
+            calls[beta] += 1
+            return values(self, lams, beta)
+
+        monkeypatch.setattr(MarglikObjective, "_values", counting)
+        obj = TestOptimizeHyperparams._make_obj(8)
+        optimize_hyperparams(obj)
+        assert set(calls) == set(obj._beta_cache)
+        assert max(calls.values()) <= 2
+
+
 class TestOptimizeHyperparams:
-    def _make_obj(self, seed, N=120, n=12):
+    @staticmethod
+    def _make_obj(seed, N=120, n=12):
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(N)
         U = build_regressor(u, N, n)
@@ -221,6 +296,26 @@ class TestOptimizeHyperparams:
             _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, sigma2=1e-4))
         assert beta_hat == pytest.approx(0.99, abs=1e-4)
 
+    def test_no_lambda_scale_raises(self):
+        # y'y / tr(UKU') must be positive and finite: a zero output has no
+        # scale, and a 1e-156 input makes tr(UKU') subnormal and the ratio inf
+        rng = np.random.default_rng(23)
+        _, U, _ = random_problem(rng, N=60, n=10)
+        with pytest.raises(NumericError, match="no lambda scale"):
+            optimize_hyperparams(MarglikObjective(U, np.zeros(60), sigma2=1.0))
+        y = 1e3 * rng.standard_normal(60)
+        with pytest.raises(NumericError, match="no lambda scale"):
+            optimize_hyperparams(MarglikObjective(1e-156 * U, y, sigma2=1.0))
+
+    def test_beta_on_lower_bound_warns(self):
+        # a response that is one impulse at lag 1 wants beta -> 0
+        rng = np.random.default_rng(22)
+        _, U, _ = random_problem(rng, N=120, n=12)
+        y = U[:, 0] + 0.01 * rng.standard_normal(120)
+        with pytest.warns(IllConditionedWarning, match="lies on the search bound 0.01$"):
+            _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, sigma2=1e-4))
+        assert beta_hat == pytest.approx(0.01, abs=1e-4)
+
 
 class TestPosteriorMean:
     def test_lambda_zero_gives_zero_vector(self):
@@ -273,8 +368,46 @@ class TestRunSsml:
         u = rng.standard_normal(500)
         U = build_regressor(u, 500, n)
         ds = Dataset(u, U @ g)
-        res = run_ssml(ds, n)
+        with pytest.warns(IllConditionedWarning, match="below the floor"):
+            res = run_ssml(ds, n)
         assert fit_score(g, res.g_hat) >= 99.0
+
+    def _noiseless_fir(self):
+        rng = np.random.default_rng(16)
+        u = rng.standard_normal(200)
+        g = 0.8 ** np.arange(1, 21)
+        return Dataset(u, build_regressor(u, 200, 20) @ g)
+
+    def test_sigma2_floor_warns(self):
+        ds = self._noiseless_fir()
+        floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
+        ls = estimate_sigma2(build_regressor(ds.u, ds.N, 20), ds.y)
+        assert ls < floor
+        with pytest.warns(IllConditionedWarning, match="below the floor") as caught:
+            res = run_ssml(ds, 20)
+        assert res.hyper.sigma2 == floor
+        msg = next(str(w.message) for w in caught if "floor" in str(w.message))
+        assert f"{ls:.3g}" in msg and f"{floor:.3g}" in msg
+
+    def test_sigma2_just_below_floor_is_floored(self, monkeypatch):
+        ds = self._noiseless_fir()
+        floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
+        below = float(np.nextafter(floor, 0.0))
+        monkeypatch.setattr(ssml, "estimate_sigma2", lambda U, y: below)
+        with pytest.warns(IllConditionedWarning, match=f"{below:.3g} is below the floor"):
+            res = run_ssml(ds, 20)
+        assert res.hyper.sigma2 == floor
+
+    def test_sigma2_at_or_above_floor_is_kept(self, monkeypatch):
+        ds = self._noiseless_fir()
+        floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
+        for sigma2 in (floor, float(np.nextafter(floor, np.inf))):
+            monkeypatch.setattr(ssml, "estimate_sigma2", lambda U, y: sigma2)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = run_ssml(ds, 20)
+            assert not [w for w in caught if "floor" in str(w.message)]
+            assert res.hyper.sigma2 == sigma2
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
