@@ -51,6 +51,7 @@ from .kernels import (
 )
 from .model import Dataset, Hyperparameters, build_regressor, fit_score
 from .ssml import (
+    LeastSquares,
     MarglikObjective,
     SsmlResult,
     estimate_sigma2,
@@ -82,6 +83,7 @@ __all__ = [
     "sample_mvn",
     "sample_laplace",
     "sample_noise_mixture",
+    "LeastSquares",
     "MarglikObjective",
     "SsmlResult",
     "estimate_sigma2",

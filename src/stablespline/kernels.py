@@ -27,6 +27,7 @@ __all__ = [
     "KernelSpec",
     "KernelMatrix",
     "build_kernel",
+    "build_kernel_derivative",
     "kernel_factor",
     "kernel_quadratic_form",
 ]
@@ -101,6 +102,21 @@ def build_kernel(spec: KernelSpec) -> KernelMatrix:
         s = np.add.outer(idx, idx)
         K = powers[s + m] / 2.0 - powers[3 * m] / 6.0
     return KernelMatrix(K=K, spec=spec)
+
+
+def build_kernel_derivative(spec: KernelSpec) -> np.ndarray:
+    """dK/dbeta of ``build_kernel(spec).K``, entry by entry in closed form.
+
+    With m = max(i, j) and e = i + j + m: m beta^(m-1) for the first order,
+    (e beta^(e-1) - m beta^(3m-1)) / 2 for the second.
+    """
+    idx = np.arange(1, spec.n + 1)
+    m = np.maximum.outer(idx, idx)
+    if spec.order is KernelOrder.FIRST:
+        return m * np.float_power(spec.beta, np.arange(spec.n))[m - 1]
+    powers = np.float_power(spec.beta, np.arange(3 * spec.n))
+    e = np.add.outer(idx, idx) + m
+    return (e * powers[e - 1] - m * powers[3 * m - 1]) / 2.0
 
 
 def _kernel_array(K) -> np.ndarray:

@@ -1,21 +1,30 @@
 """Empirical-Bayes impulse response estimation under Gaussian noise.
 
-Pipeline: least-squares noise-variance pre-estimate, marginal-likelihood
-fit of (lambda, beta), then the posterior-mean estimate, which also starts
-the Gibbs sampler in :mod:`stablespline.gibbs`.
+Pipeline: one QR of the data, the least-squares noise-variance estimate
+read off it, a marginal-likelihood fit of (lambda, beta), then the
+posterior-mean estimate, which also starts the Gibbs sampler in
+:mod:`stablespline.gibbs`.
+
+A fit factors its data once.  One QR of [U y] gives R (U = Q_1 R),
+b = Q_1'y and rss = |y - Q_1 b|^2, the least-squares residual, so
+R'R = U'U and R'b = U'y: the noise variance is rss / (N - n), and under
+scalar noise the posterior mean depends on U and y only through (R, b).
 
 The marginal likelihood of the empirical-Bayes fit (Pillonetto & De
 Nicolao, Automatica 2010) has one route for any N and n, the profiled-lambda
-form of Chen & Ljung (Automatica 2013).  With U = QR factored once, b = Q'y,
-rss = |y - QQ'y|^2, and one eigendecomposition R K_beta R' = W diag(s) W'
-per beta, p = W'b, the objective log det S + y'S^{-1}y of
-S = lam U K U' + sigma2 I is N log sigma2 + sum log(1 + lam s / sigma2)
-+ (rss + sum p^2 / (1 + lam s / sigma2)) / sigma2.  No term is negative, so
-nothing cancels at large lambda, and each lambda costs O(n).  The first
-two derivatives in ln(lam) are closed-form and O(n) too, so at each beta
-lambda is profiled by one vectorized log-grid evaluation and a safeguarded
-Newton iteration inside the best grid cell, then one evaluation of the
-result.
+form of Chen & Ljung (Automatica 2013).  With one eigendecomposition
+R K_beta R' = W diag(s) W' per beta and p = W'b, the objective
+log det S + y'S^{-1}y of S = lam U K U' + sigma2 I is N log sigma2
++ sum log(1 + lam s / sigma2) + (rss + sum p^2 / (1 + lam s / sigma2)) / sigma2.
+No term is negative, so nothing cancels at large lambda, and each lambda
+costs O(n).  The first two derivatives in ln(lam) are closed-form and O(n)
+too, so at each beta lambda is profiled by one vectorized log-grid
+evaluation and a safeguarded Newton iteration inside the best grid cell,
+then one evaluation of the result.  By the envelope theorem the slope of
+the profiled objective in beta is the partial derivative at the profiled
+lambda; it comes from the same eigendecomposition and the closed-form
+dK/dbeta in O(n^3), so beta is refined by a bracketed secant search on
+that slope.
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
@@ -37,11 +46,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .kernels import KernelOrder, KernelSpec, build_kernel, kernel_factor
+from .kernels import (
+    KernelOrder,
+    KernelSpec,
+    build_kernel,
+    build_kernel_derivative,
+    kernel_factor,
+)
 from .model import Dataset, Hyperparameters, build_regressor
 
 __all__ = [
     "IllConditionedWarning",
+    "LeastSquares",
     "MarglikObjective",
     "SsmlResult",
     "estimate_sigma2",
@@ -69,27 +85,62 @@ class IllConditionedWarning(UserWarning):
     search boundary."""
 
 
-def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
+@dataclass(eq=False)
+class LeastSquares:
+    """The regression y = U g + e, reduced by one QR of [U y].
+
+    [U y] = Q [[R, b], [0, r]] gives R, upper-triangular with U = Q_1 R,
+    b = Q_1'y and rss = r^2 = |y - U g_LS|^2.  So R'R = U'U, R'b = U'y and
+    rss + |b|^2 = y'y.  When N <= n, R is N x n and rss is 0.  Treat as
+    immutable.
+    """
+
+    U: np.ndarray
+    y: np.ndarray
+    R: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray = field(init=False, repr=False)
+    rss: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.U = np.asarray(self.U, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        if self.U.ndim != 2 or self.y.shape != (self.U.shape[0],):
+            raise ConfigError(f"shape mismatch: U {self.U.shape}, y {self.y.shape}")
+        n = self.U.shape[1]
+        Ra = np.linalg.qr(np.column_stack([self.U, self.y]), mode="r")
+        self.R, self.b = Ra[:n, :n], Ra[:n, n]
+        self.rss = float(Ra[n:, n] @ Ra[n:, n])
+
+    @property
+    def N(self) -> int:
+        return self.U.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.U.shape[1]
+
+
+def estimate_sigma2(ls: LeastSquares) -> float:
     """Least-squares residual variance (y - U g_LS)'(y - U g_LS) / (N - n).
 
-    Requires N > n.  If the normal matrix U'U has condition estimate above
-    RIDGE_CONDITION_LIMIT, a ridge of RIDGE_SCALE * trace(U'U)/n is added
-    and an IllConditionedWarning is recorded; a zero U'U (an all-zero
-    input) raises NumericError.
+    Requires N > n.  If the normal matrix U'U = R'R has condition number
+    cond(R)^2 above RIDGE_CONDITION_LIMIT, g solves
+    (R'R + rho I) g = R'b with the ridge rho = RIDGE_SCALE * trace(U'U)/n,
+    its residual is rss + |b - R g|^2, and an IllConditionedWarning is
+    recorded; a zero U'U (an all-zero input) raises NumericError.
     """
-    U = np.asarray(U, dtype=float)
-    y = np.asarray(y, dtype=float)
-    N, n = U.shape
-    if y.shape != (N,):
-        raise ConfigError(f"y must have length {N}, got shape {y.shape}")
+    N, n = ls.N, ls.n
     if N <= n:
         raise ConfigError(
             f"sigma2 estimation needs N > n, got N={N}, n={n}"
         )
-    G = U.T @ U
-    cond = np.linalg.cond(G)
+    sv = np.linalg.svd(ls.R, compute_uv=False)
+    # a zero R gives 0/0: NaN, which the test below treats as singular
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cond = (sv[0] / sv[-1]) ** 2
+    rss = ls.rss
     if not np.isfinite(cond) or cond > RIDGE_CONDITION_LIMIT:
-        ridge = RIDGE_SCALE * float(np.trace(G)) / n
+        ridge = RIDGE_SCALE * float(sv @ sv) / n
         if not ridge > 0:
             raise NumericError(
                 "normal matrix U'U is zero (all-zero input?)",
@@ -100,71 +151,82 @@ def estimate_sigma2(U: np.ndarray, y: np.ndarray) -> float:
             f"adding ridge {ridge:.3g} to the least-squares solve",
             IllConditionedWarning,
         )
-        g_ls = np.linalg.solve(G + ridge * np.eye(n), U.T @ y)
-    else:
-        g_ls, *_ = np.linalg.lstsq(U, y, rcond=None)
-    r = y - U @ g_ls
-    return float(r @ r) / (N - n)
+        g = np.linalg.solve(ls.R.T @ ls.R + ridge * np.eye(n), ls.R.T @ ls.b)
+        r = ls.b - ls.R @ g
+        rss += float(r @ r)
+    return rss / (N - n)
 
 
 @dataclass
 class MarglikObjective:
     """Fixed data for marginal-likelihood evaluations over (lambda, beta).
 
-    Holds the regressor, output vector, pre-estimated noise variance and
-    kernel order; per-beta eigendecompositions are cached internally, so
-    reuse one instance across a hyperparameter search.  Treat as immutable.
+    Holds the reduced regression, pre-estimated noise variance and kernel
+    order; per-beta eigendecompositions are cached internally, so reuse one
+    instance across a hyperparameter search.  Treat as immutable.
     """
 
-    U: np.ndarray
-    y: np.ndarray
+    data: LeastSquares
     sigma2: float
     order: KernelOrder = KernelOrder.FIRST
 
     _beta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.U.ndim != 2 or self.y.shape != (self.U.shape[0],):
-            raise ConfigError(
-                f"shape mismatch: U {self.U.shape}, y {self.y.shape}"
-            )
         if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         self.order = KernelOrder.parse(self.order)
         self._yy = float(self.y @ self.y)
-        # reduced QR: R is n x n when n <= N and N x n otherwise
-        Q, self._R = np.linalg.qr(self.U)
-        self._b = Q.T @ self.y
-        r = self.y - Q @ self._b
-        self._rss = float(r @ r)
+
+    @property
+    def U(self) -> np.ndarray:
+        return self.data.U
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.data.y
 
     @property
     def N(self) -> int:
-        return self.U.shape[0]
+        return self.data.N
 
     @property
     def n(self) -> int:
-        return self.U.shape[1]
+        return self.data.n
 
     def _for_beta(self, beta: float):
-        """Cached (s, p): eigenvalues of R K_beta R' clipped at 0, and W'b."""
+        """Cached (s, p, W): eigenvalues of R K_beta R' = W diag(s) W'
+        clipped at 0, p = W'b, and the eigenvectors."""
         key = float(beta)
         hit = self._beta_cache.get(key)
         if hit is None:
+            R = self.data.R
             K = build_kernel(KernelSpec(self.order, key, self.n)).K
-            s, W = np.linalg.eigh(self._R @ K @ self._R.T)
-            hit = (np.maximum(s, 0.0), W.T @ self._b)
+            s, W = np.linalg.eigh(R @ K @ R.T)
+            hit = (np.maximum(s, 0.0), W.T @ self.data.b, W)
             self._beta_cache[key] = hit
         return hit
 
     def _values(self, lams, beta: float) -> np.ndarray:
         """The objective at each of ``lams`` (an array) for one beta."""
-        s, p = self._for_beta(beta)
+        s, p, _ = self._for_beta(beta)
         c = np.asarray(lams, dtype=float)[..., None] * (s / self.sigma2)
-        fit = self._rss + np.sum(p * p / (1.0 + c), axis=-1)
+        fit = self.data.rss + np.sum(p * p / (1.0 + c), axis=-1)
         return self.N * np.log(self.sigma2) + np.sum(np.log1p(c), axis=-1) + fit / self.sigma2
+
+    def _beta_slope(self, lam: float, beta: float) -> float:
+        """The partial derivative of the objective in beta at (lam, beta).
+
+        With d = sigma2 + lam s, v = p / d and G = W' R K'_beta R' W, it is
+        lam (sum G_ii / d_i - v'G v): the derivative of log det and of the
+        quadratic form of sigma2 I + lam R K_beta R' in its eigenbasis.
+        """
+        s, p, W = self._for_beta(beta)
+        B = self.data.R.T @ W
+        G = B.T @ build_kernel_derivative(KernelSpec(self.order, float(beta), self.n)) @ B
+        d = self.sigma2 + lam * s
+        v = p / d
+        return lam * float(np.diagonal(G) @ (1.0 / d) - v @ G @ v)
 
 
 def neg_log_marglik(lam: float, beta: float, obj: MarglikObjective) -> float:
@@ -186,31 +248,15 @@ def default_beta_grid() -> np.ndarray:
 # ||y||^2 / trace(U K_beta U'), where lam * tr(UKU') ~ ||y||^2; low-pass N=500
 # optima lay up to 6.8 decades out.  LAMBDA_TOL is the Newton step, in
 # decades of lambda, below which the lambda profile stops; BETA_TOL is the
-# width, in units of beta, at which the golden-section search stops.
+# secant step, and the bracket width, in units of beta, below which the beta
+# search stops, and the distance from BETA_MIN or BETA_MAX within which an
+# optimum counts as on the bound.
 LAMBDA_SPAN = 10.0
 LAMBDA_POINTS = 81
 LAMBDA_TOL = 1e-4
 BETA_MIN, BETA_MAX = 0.01, 0.99
-BETA_HALF_WIDTH = 0.05
 BETA_TOL = 1e-4
-_GOLDEN = (5.0**0.5 - 1.0) / 2.0
 _LN10 = float(np.log(10.0))
-
-
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    """(x, f(x)) of a golden-section search for a minimum of f on [a, b]."""
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
 
 
 def _newton_log_lambda(s, p, sigma2: float, lo: float, hi: float, t: float) -> float:
@@ -255,7 +301,7 @@ def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, b
     ``_newton_log_lambda`` refines the best grid point inside its cell and
     the refined point is evaluated once; the grid point is kept if lower.
     """
-    s, p = obj._for_beta(beta)
+    s, p, _ = obj._for_beta(beta)
     tr = float(np.sum(s))
     # a non-finite scale would make the grid and the Newton bracket NaN
     if not (tr > 0 and 0 < obj._yy / tr < np.inf):
@@ -274,29 +320,73 @@ def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, b
     return value, lam, i in (0, LAMBDA_POINTS - 1)
 
 
+def _secant_beta(profiled, slope, a: float, lo: float, hi: float) -> None:
+    """Profile betas toward a minimum of the profiled objective, from a
+    toward lo or hi, whichever side its slope at a descends toward.
+
+    The bracket between a and that end c keeps a slope at a pointing down
+    toward c, and at c a slope pointing back toward a or a value above a's,
+    so it always holds a local minimum.  The secant step through the two
+    latest points is taken when it lands inside the bracket and is shorter
+    than half the step before last, else the bracket is bisected.  Stops at
+    a step or a bracket shorter than BETA_TOL.  Each new beta lies strictly
+    inside the bracket, so none is profiled twice.
+    """
+    ga = slope(a)
+    c = hi if ga < 0 else lo
+    if c == a:
+        return
+    sign = 1.0 if c > a else -1.0
+    fa, ha = profiled(a), sign * ga
+    fc, hc = profiled(c), sign * slope(c)
+    if not (hc > 0 or fc > fa):
+        return
+    x0, h0, x1, h1 = c, hc, a, ha
+    prev = step = abs(c - a)
+    while abs(c - a) > BETA_TOL and abs(step) >= BETA_TOL:
+        secant = x1 - h1 * (x1 - x0) / (h1 - h0) if h1 != h0 else np.inf
+        if min(a, c) < secant < max(a, c) and abs(secant - x1) < 0.5 * prev:
+            prev, step = abs(step), secant - x1
+        else:
+            prev, step = abs(step), 0.5 * (a + c) - x1
+        x = x1 + step
+        fx, hx = profiled(x), sign * slope(x)
+        if hx > 0 or fx > fa:
+            c = x
+        else:
+            a, fa = x, fx
+        x0, h0, x1, h1 = x1, h1, x, hx
+
+
 def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
     """Minimizer (lambda, beta) of the negative log marginal likelihood.
 
     At each beta of ``default_beta_grid()``, lambda is profiled out: a log
     grid brackets the minimum and a safeguarded Newton iteration in ln(lam)
     refines it inside the best grid cell, so each beta costs one
-    eigendecomposition and two objective evaluations.  A golden-section
-    search on the profiled objective over
-    [beta0 - 0.05, beta0 + 0.05] ∩ [BETA_MIN, BETA_MAX] then refines the
-    best grid beta beta0.  The result is the best beta evaluated, the first
-    on ties, so it is deterministic.  An optimum on the lambda grid's edge or
-    within BETA_TOL of BETA_MIN or BETA_MAX is returned with an
-    IllConditionedWarning.
+    eigendecomposition and two objective evaluations.  The slope in beta of
+    the profiled objective at the best grid beta beta0 picks the side of
+    beta0 it descends toward; the grid neighbour on that side, or BETA_MIN or
+    BETA_MAX past the grid's ends, closes the bracket, in which
+    ``_secant_beta`` refines beta.  The result is the best beta profiled,
+    the first on ties, so it is deterministic.  An optimum on the lambda
+    grid's edge or within BETA_TOL of BETA_MIN or BETA_MAX is returned with
+    an IllConditionedWarning.
     """
     profiles = {}  # beta -> (value, lam, lam is an end of the grid)
 
     def profiled(beta: float) -> float:
-        profiles[beta] = _profile_lambda(obj, beta)
+        if beta not in profiles:
+            profiles[beta] = _profile_lambda(obj, beta)
         return profiles[beta][0]
 
-    beta0 = min(map(float, default_beta_grid()), key=profiled)
-    lo, hi = max(BETA_MIN, beta0 - BETA_HALF_WIDTH), min(BETA_MAX, beta0 + BETA_HALF_WIDTH)
-    _golden_min(profiled, lo, hi, BETA_TOL)
+    def slope(beta: float) -> float:
+        return obj._beta_slope(profiles[beta][1], beta)
+
+    # BETA_MIN and BETA_MAX close the brackets past the grid's ends
+    grid = [BETA_MIN, *map(float, default_beta_grid()), BETA_MAX]
+    i = min(range(1, len(grid) - 1), key=lambda k: profiled(grid[k]))
+    _secant_beta(profiled, slope, grid[i], grid[i - 1], grid[i + 1])
     beta_hat = min(profiles, key=lambda beta: profiles[beta][0])
     _, lam_hat, on_edge = profiles[beta_hat]
     if on_edge:
@@ -398,7 +488,9 @@ def posterior_mean(
     Gaussian-noise estimator, or the per-sample variances tau inside the
     Gibbs sweep.  Computed by the whitened information form of
     ``posterior_moments``, which holds for any N and n when lam > 0;
-    lam = 0 gives the zero response.
+    lam = 0 gives the zero response.  Under a scalar sigma2 the mean
+    depends on U and y only through U'U and U'y, so the n x n pair (R, b)
+    of ``LeastSquares`` gives the same mean as (U, y).
     """
     U = np.asarray(U, dtype=float)
     if not (lam >= 0 and np.isfinite(lam)):
@@ -435,18 +527,19 @@ def run_ssml(
 ) -> SsmlResult:
     """Full Gaussian-noise estimation pass on a dataset.
 
-    Builds the regressor, pre-estimates sigma2 (floored at
+    Builds the regressor and reduces it with the output by one QR
+    (``LeastSquares``), pre-estimates sigma2 from that QR (floored at
     SIGMA2_FLOOR_FACTOR * var(y), with an IllConditionedWarning when the
-    floor engages), optimizes (lambda, beta) by marginal
-    likelihood, and returns the posterior-mean response of length n.
-    Deterministic: no randomness is consumed.
+    floor engages), optimizes (lambda, beta) by marginal likelihood on the
+    same QR, and returns the posterior-mean response of length n, computed
+    from the n x n reduction.  Deterministic: no randomness is consumed.
     """
     order = KernelOrder.parse(order)
     N = dataset.N
     if N <= n:
         raise ConfigError(f"run_ssml needs N > n, got N={N}, n={n}")
-    U = build_regressor(dataset.u, N, n)
-    sigma2 = estimate_sigma2(U, dataset.y)
+    ls = LeastSquares(build_regressor(dataset.u, N, n), dataset.y)
+    sigma2 = estimate_sigma2(ls)
     floor = SIGMA2_FLOOR_FACTOR * float(np.var(dataset.y))
     if sigma2 < floor:
         warnings.warn(
@@ -460,10 +553,10 @@ def run_ssml(
             "estimated noise variance is zero (constant zero output?)",
             context="ssml.run_ssml",
         )
-    obj = MarglikObjective(U, dataset.y, sigma2, order)
+    obj = MarglikObjective(ls, sigma2, order)
     lam_hat, beta_hat = optimize_hyperparams(obj)
     K = build_kernel(KernelSpec(order, beta_hat, n))
-    g_hat = posterior_mean(lam_hat, K, U, dataset.y, sigma2)
+    g_hat = posterior_mean(lam_hat, K, ls.R, ls.b, sigma2)
     value = neg_log_marglik(lam_hat, beta_hat, obj)
     return SsmlResult(
         g_hat=g_hat,

@@ -1,14 +1,37 @@
-"""Dense N x N reference computations for the SS-ML algebra.
+"""Dense reference computations for the SS-ML algebra.
 
-The library works in n x n forms; these are the textbook covariance-domain
-formulas they must agree with, used only as test oracles.
+The library works in n x n forms from one QR of the data; these are the
+textbook formulas they must agree with (covariance-domain N x N forms, and
+the least-squares noise variance by numpy's SVD-based solvers), used only as
+test oracles.
 """
+
+import warnings
 
 import mpmath
 import numpy as np
 
 from stablespline import KernelSpec, build_kernel
 from stablespline.kernels import KernelMatrix
+from stablespline.ssml import RIDGE_CONDITION_LIMIT, RIDGE_SCALE, IllConditionedWarning
+
+
+def lstsq_sigma2(U, y):
+    """|y - U g|^2 / (N - n) with g from ``np.linalg.lstsq``, or, when
+    ``np.linalg.cond(U'U)`` exceeds RIDGE_CONDITION_LIMIT, from
+    (U'U + rho I) g = U'y with rho = RIDGE_SCALE trace(U'U) / n and an
+    IllConditionedWarning."""
+    U = np.asarray(U, dtype=float)
+    N, n = U.shape
+    G = U.T @ U
+    cond = np.linalg.cond(G)
+    if not np.isfinite(cond) or cond > RIDGE_CONDITION_LIMIT:
+        warnings.warn(f"oracle ridge at condition {cond:.3g}", IllConditionedWarning)
+        g = np.linalg.solve(G + RIDGE_SCALE * float(np.trace(G)) / n * np.eye(n), U.T @ y)
+    else:
+        g, *_ = np.linalg.lstsq(U, y, rcond=None)
+    r = y - U @ g
+    return float(r @ r) / (N - n)
 
 
 def covariance_posterior_mean(lam, K, U, y, noise_cov_diag):

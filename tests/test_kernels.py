@@ -10,7 +10,7 @@ from stablespline import (
     kernel_factor,
     kernel_quadratic_form,
 )
-from stablespline.kernels import JITTER_BASE, JITTER_MAX
+from stablespline.kernels import JITTER_BASE, JITTER_MAX, build_kernel_derivative
 
 
 class TestBuildKernel:
@@ -83,6 +83,36 @@ class TestBuildKernel:
         for beta in np.linspace(0.0, 0.99, 34):
             K = build_kernel(KernelSpec("second", beta, 25)).K
             assert np.all(K >= 0.0)
+
+
+class TestBuildKernelDerivative:
+    def test_matches_central_differences(self):
+        h = 1e-6
+        for order in ("first", "second"):
+            for beta in (0.01, 0.3, 0.75, 0.99 - h):
+                dK = build_kernel_derivative(KernelSpec(order, beta, 12))
+                hi = build_kernel(KernelSpec(order, beta + h, 12)).K
+                lo = build_kernel(KernelSpec(order, beta - h, 12)).K
+                assert np.allclose(dK, (hi - lo) / (2 * h), rtol=1e-6, atol=1e-10)
+
+    def test_entries(self):
+        beta, n = 0.7, 4
+        first = build_kernel_derivative(KernelSpec("first", beta, n))
+        second = build_kernel_derivative(KernelSpec("second", beta, n))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                m, e = max(i, j), i + j + max(i, j)
+                assert first[i - 1, j - 1] == pytest.approx(m * beta ** (m - 1), rel=1e-15)
+                expected = e * beta ** (e - 1) / 2.0 - 3 * m * beta ** (3 * m - 1) / 6.0
+                assert second[i - 1, j - 1] == pytest.approx(expected, rel=1e-14)
+
+    def test_symmetric_and_defined_at_zero(self):
+        for order in ("first", "second"):
+            dK = build_kernel_derivative(KernelSpec(order, 0.0, 6))
+            assert np.array_equal(dK, dK.T) and np.all(np.isfinite(dK))
+        # d(beta^1)/dbeta = 1 at the first lag; every higher power has slope 0
+        dK = build_kernel_derivative(KernelSpec("first", 0.0, 3))
+        assert np.array_equal(dK, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestKernelFactor:

@@ -9,7 +9,10 @@ import time would land in every command's start-up.
 
 The library also calls no ``numpy.linalg.inv``: an explicit inverse is an
 LU with n right-hand sides where a factorization already holds the answer
-(the Gibbs step reads L_A^{-T} off one Cholesky).
+(the Gibbs step reads L_A^{-T} off one Cholesky).  Nor does it call
+``numpy.linalg.lstsq`` or ``numpy.linalg.cond``: each is an SVD of its
+argument, where one QR of the data already gives the least-squares residual
+and an n x n triangle whose condition is that of U.
 """
 
 import ast
@@ -22,6 +25,7 @@ import stablespline
 
 SOURCES = sorted(Path(stablespline.__file__).parent.glob("*.py"))
 ALLOWED_SCIPY_LINALG = set()
+SVD_ROUTES = {"lstsq", "cond"}
 THREAD_SETTINGS = (
     "threadpoolctl",
     "OPENBLAS_NUM_THREADS",
@@ -48,10 +52,10 @@ def _scipy_linalg_imports(tree):
                         yield node.lineno, "scipy.linalg"
 
 
-def _numpy_inv_uses(tree):
-    """(line, form) of every reference to numpy.linalg.inv."""
+def _numpy_linalg_uses(tree, names):
+    """(line, form) of every reference to numpy.linalg.<name> for ``names``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "inv":
+        if isinstance(node, ast.Attribute) and node.attr in names:
             base = node.value
             if (isinstance(base, ast.Attribute) and base.attr == "linalg") or (
                 isinstance(base, ast.Name) and base.id == "linalg"
@@ -59,8 +63,8 @@ def _numpy_inv_uses(tree):
                 yield node.lineno, ast.unparse(node)
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
             for alias in node.names:
-                if alias.name == "inv":
-                    yield node.lineno, "from numpy.linalg import inv"
+                if alias.name in names:
+                    yield node.lineno, f"from numpy.linalg import {alias.name}"
 
 
 def test_no_scipy_linalg():
@@ -89,7 +93,7 @@ def test_no_numpy_inv():
     bad = [
         f"{path.name}:{line}: {form}"
         for path in SOURCES
-        for line, form in _numpy_inv_uses(ast.parse(path.read_text(), str(path)))
+        for line, form in _numpy_linalg_uses(ast.parse(path.read_text(), str(path)), {"inv"})
     ]
     assert not bad, "numpy.linalg.inv in the library: " + ", ".join(bad)
 
@@ -103,8 +107,31 @@ def test_inv_rule_catches_each_form():
         "f = linalg.inv\n"
         "x = np.linalg.pinv(a) + np.linalg.solve(a, b) + inv(a)\n"
     )
-    found = sorted(line for line, _ in _numpy_inv_uses(ast.parse(src)))
+    found = sorted(line for line, _ in _numpy_linalg_uses(ast.parse(src), {"inv"}))
     assert found == [1, 2, 3, 4, 5]
+
+
+def test_no_numpy_lstsq_or_cond():
+    bad = [
+        f"{path.name}:{line}: {form}"
+        for path in SOURCES
+        for line, form in _numpy_linalg_uses(ast.parse(path.read_text(), str(path)), SVD_ROUTES)
+    ]
+    assert not bad, "numpy.linalg.lstsq or cond in the library: " + ", ".join(bad)
+
+
+def test_lstsq_cond_rule_catches_each_form():
+    src = (
+        "g, *_ = np.linalg.lstsq(U, y, rcond=None)\n"
+        "c = numpy.linalg.cond(G)\n"
+        "from numpy.linalg import lstsq\n"
+        "from numpy.linalg import qr, cond as condition\n"
+        "f = linalg.lstsq\n"
+        "x = np.linalg.qr(a, mode='r') + np.linalg.svd(r) + lstsq(a) + cond(a)\n"
+        "from numpy.linalg import lstsq, cond\n"
+    )
+    found = sorted(line for line, _ in _numpy_linalg_uses(ast.parse(src), SVD_ROUTES))
+    assert found == [1, 2, 3, 4, 5, 7, 7]
 
 
 def test_import_loads_no_scipy():

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik
+from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik, lstsq_sigma2
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from stablespline import (
     ConfigError,
     Dataset,
     KernelSpec,
+    LeastSquares,
     MarglikObjective,
     NumericError,
     build_kernel,
@@ -23,12 +24,14 @@ from stablespline import (
     run_ssml,
 )
 from stablespline import ssml
+from stablespline.benchmark import generate_input
 from stablespline.cli import main as cli_main
 from stablespline.fileio import read_dataset
 from stablespline.kernels import kernel_factor
 from stablespline.ssml import (
     LAMBDA_POINTS,
     LAMBDA_SPAN,
+    RIDGE_CONDITION_LIMIT,
     SIGMA2_FLOOR_FACTOR,
     IllConditionedWarning,
     default_beta_grid,
@@ -47,7 +50,7 @@ class TestEstimateSigma2:
         rng = np.random.default_rng(0)
         _, U, g = random_problem(rng, N=100, n=8)
         y = U @ g
-        assert estimate_sigma2(U, y) <= 1e-18 * float(y @ y)
+        assert estimate_sigma2(LeastSquares(U, y)) <= 1e-18 * float(y @ y)
 
     def test_matches_projection_residual_oracle(self):
         rng = np.random.default_rng(1)
@@ -58,7 +61,7 @@ class TestEstimateSigma2:
         P = U @ np.linalg.inv(U.T @ U) @ U.T
         rss = float(y @ (np.eye(60) - P) @ y)
         expected = rss / (60 - 6)
-        assert estimate_sigma2(U, y) == pytest.approx(expected, rel=1e-10)
+        assert estimate_sigma2(LeastSquares(U, y)) == pytest.approx(expected, rel=1e-10)
 
     def test_denominator_one_when_N_is_n_plus_1(self):
         rng = np.random.default_rng(2)
@@ -67,21 +70,21 @@ class TestEstimateSigma2:
         y = U @ g + e
         g_ls, *_ = np.linalg.lstsq(U, y, rcond=None)
         rss = float(np.sum((y - U @ g_ls) ** 2))
-        assert estimate_sigma2(U, y) == pytest.approx(rss, rel=1e-12)
+        assert estimate_sigma2(LeastSquares(U, y)) == pytest.approx(rss, rel=1e-12)
 
     def test_invariant_to_signal_component(self):
         rng = np.random.default_rng(3)
         _, U, _ = random_problem(rng, N=80, n=10)
         e = rng.standard_normal(80)
         g1, g2 = rng.standard_normal((2, 10))
-        s1 = estimate_sigma2(U, U @ g1 + e)
-        s2 = estimate_sigma2(U, U @ g2 + e)
+        s1 = estimate_sigma2(LeastSquares(U, U @ g1 + e))
+        s2 = estimate_sigma2(LeastSquares(U, U @ g2 + e))
         assert s1 == pytest.approx(s2, rel=1e-10)
 
     def test_rejects_N_not_greater_than_n(self):
         U = np.ones((5, 5))
         with pytest.raises(ConfigError):
-            estimate_sigma2(U, np.ones(5))
+            estimate_sigma2(LeastSquares(U, np.ones(5)))
 
     def test_ridge_fallback_warns(self):
         # duplicate columns force an exactly singular normal matrix
@@ -91,7 +94,7 @@ class TestEstimateSigma2:
         U = np.column_stack([col, col, rng.standard_normal(N)])
         y = rng.standard_normal(N)
         with pytest.warns(IllConditionedWarning):
-            out = estimate_sigma2(U, y)
+            out = estimate_sigma2(LeastSquares(U, y))
         assert np.isfinite(out) and out >= 0.0
 
     def test_all_zero_input_raises(self):
@@ -99,7 +102,86 @@ class TestEstimateSigma2:
         U = build_regressor(np.zeros(60), 60, 10)
         y = np.random.default_rng(5).standard_normal(60)
         with pytest.raises(NumericError, match="all-zero input"):
-            estimate_sigma2(U, y)
+            estimate_sigma2(LeastSquares(U, y))
+
+    def test_matches_lstsq_oracle(self):
+        # white-noise and low-pass regressors of many shapes, no ridge
+        rng = np.random.default_rng(6)
+        for k in range(40):
+            n = int(rng.integers(1, 51))
+            N = n + int(rng.integers(1, 450))
+            U = build_regressor(generate_input(("wn", "lp")[k % 2], N, rng), N, n)
+            y = U @ (0.8 ** np.arange(1, n + 1)) + 10 ** rng.uniform(-3, 0) * rng.standard_normal(N)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert estimate_sigma2(LeastSquares(U, y)) == pytest.approx(lstsq_sigma2(U, y), rel=1e-9)
+
+    def test_ridge_matches_lstsq_oracle(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            col = rng.standard_normal(40)
+            U = np.column_stack([col, col, rng.standard_normal((40, 3))])
+            y = rng.standard_normal(40)
+            with pytest.warns(IllConditionedWarning):
+                expected = lstsq_sigma2(U, y)
+            with pytest.warns(IllConditionedWarning, match="adding ridge"):
+                assert estimate_sigma2(LeastSquares(U, y)) == pytest.approx(expected, rel=1e-12)
+
+    def test_ridge_threshold_edge(self):
+        # U = Q diag(sv) V' with cond(U'U) = (sv_max / sv_min)^2 set just
+        # above and just below RIDGE_CONDITION_LIMIT
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.standard_normal((60, 6)))
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        y = rng.standard_normal(60)
+        for factor, fires in ((1.0 + 1e-6, True), (1.0 - 1e-6, False)):
+            sv = np.geomspace(1.0, (RIDGE_CONDITION_LIMIT * factor) ** -0.5, 6)
+            U = (Q * sv) @ V.T
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                estimate_sigma2(LeastSquares(U, y))
+            ridge = [w for w in caught if issubclass(w.category, IllConditionedWarning)]
+            assert bool(ridge) == fires
+            if fires:
+                assert "exceeds 1e+12; adding ridge" in str(ridge[0].message)
+
+
+class TestLeastSquares:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 15),
+        N=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(-6.0, 6.0),
+        duplicate=st.booleans(),
+    )
+    def test_reduction_identities(self, n, N, seed, scale, duplicate):
+        # R'R = U'U, R'b = U'y and rss + |b|^2 = y'y, with R upper-triangular
+        # and rss the least-squares residual; N <= n and repeated columns too
+        rng = np.random.default_rng(seed)
+        U = 10.0**scale * rng.standard_normal((N, n))
+        if duplicate and n > 1:
+            U[:, -1] = U[:, 0]
+        y = rng.standard_normal(N)
+        ls = LeastSquares(U, y)
+        assert ls.R.shape == (min(N, n), n) and ls.b.shape == (min(N, n),)
+        assert np.array_equal(np.tril(ls.R, -1), np.zeros_like(ls.R))
+        uu, yy = float(np.sum(U * U)), float(y @ y)
+        assert np.allclose(ls.R.T @ ls.R, U.T @ U, rtol=0, atol=1e-13 * uu)
+        assert np.allclose(ls.R.T @ ls.b, U.T @ y, rtol=0, atol=1e-13 * np.sqrt(uu * yy))
+        assert ls.rss >= 0 and ls.rss + ls.b @ ls.b == pytest.approx(yy, rel=1e-13)
+        if N <= n:
+            assert ls.rss == 0.0
+        elif not duplicate:
+            g, *_ = np.linalg.lstsq(U, y, rcond=None)
+            r = y - U @ g
+            assert ls.rss == pytest.approx(float(r @ r), rel=1e-8, abs=1e-13 * yy)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            LeastSquares(np.ones((5, 2)), np.ones(4))
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            LeastSquares(np.ones(5), np.ones(5))
 
 
 class TestNegLogMarglik:
@@ -107,14 +189,14 @@ class TestNegLogMarglik:
         rng = np.random.default_rng(5)
         _, U, _ = random_problem(rng, N=30, n=5)
         y = rng.standard_normal(30)
-        obj = MarglikObjective(U, y, sigma2=1.0)
+        obj = MarglikObjective(LeastSquares(U, y), sigma2=1.0)
         assert neg_log_marglik(0.0, 0.5, obj) == pytest.approx(float(y @ y), rel=1e-12)
 
     def test_scalar_closed_form(self):
         # N = n = 1: log(1 + 4*0.5) + y^2/3
         U = np.array([[2.0]])
         y = np.array([1.7])
-        obj = MarglikObjective(U, y, sigma2=1.0)
+        obj = MarglikObjective(LeastSquares(U, y), sigma2=1.0)
         expected = np.log(3.0) + y[0] ** 2 / 3.0
         assert neg_log_marglik(1.0, 0.5, obj) == pytest.approx(expected, rel=1e-12)
 
@@ -139,7 +221,7 @@ class TestNegLogMarglik:
         _, U, _ = random_problem(rng, N=8, n=10)
         cases.append((U, rng.standard_normal(8), 0.5, 2.0, 0.8))
         for U, y, s2, lam, beta in cases:
-            obj = MarglikObjective(U, y, sigma2=s2)
+            obj = MarglikObjective(LeastSquares(U, y), sigma2=s2)
             oracle = dense_neg_log_marglik(lam, beta, U, y, s2)
             assert neg_log_marglik(lam, beta, obj) == pytest.approx(oracle, rel=1e-8)
 
@@ -148,14 +230,14 @@ class TestNegLogMarglik:
         _, U, _ = random_problem(rng, N=25, n=6)
         y = rng.standard_normal(25)
         perm = rng.permutation(25)
-        obj = MarglikObjective(U, y, sigma2=0.7)
-        obj_p = MarglikObjective(U[perm], y[perm], sigma2=0.7)
+        obj = MarglikObjective(LeastSquares(U, y), sigma2=0.7)
+        obj_p = MarglikObjective(LeastSquares(U[perm], y[perm]), sigma2=0.7)
         a = neg_log_marglik(2.0, 0.8, obj)
         b = neg_log_marglik(2.0, 0.8, obj_p)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_rejects_bad_domain(self):
-        obj = MarglikObjective(np.ones((3, 1)), np.ones(3), sigma2=1.0)
+        obj = MarglikObjective(LeastSquares(np.ones((3, 1)), np.ones(3)), sigma2=1.0)
         with pytest.raises(ConfigError):
             neg_log_marglik(-1.0, 0.5, obj)
         with pytest.raises(ConfigError):
@@ -164,12 +246,12 @@ class TestNegLogMarglik:
 
 def objective_with_spectrum(s, p, sigma2, rss, beta=0.5):
     """A MarglikObjective whose cached (s, p) at ``beta`` is the given one,
-    with rss and y'y = rss + |p|^2 to match."""
+    with eigenvectors I, and rss and y'y = rss + |p|^2 to match: U = [I; 0]
+    and y = [p; sqrt(rss)] reduce to R = I, b = p and that rss."""
     n = len(s)
-    obj = MarglikObjective(np.eye(n + 1, n), np.zeros(n + 1), sigma2)
-    obj._beta_cache[beta] = (np.asarray(s, dtype=float), np.asarray(p, dtype=float))
-    obj._rss = rss
-    obj._yy = rss + float(np.sum(np.square(p)))
+    data = LeastSquares(np.eye(n + 1, n), np.append(p, np.sqrt(rss)))
+    obj = MarglikObjective(data, sigma2)
+    obj._beta_cache[beta] = (np.asarray(s, dtype=float), np.asarray(p, dtype=float), np.eye(n))
     return obj
 
 
@@ -226,6 +308,94 @@ class TestLambdaProfile:
         assert max(calls.values()) <= 2
 
 
+class TestBetaSlope:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.sampled_from(["first", "second"]),
+        n=st.integers(1, 12),
+        extra=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        u_scale=st.floats(-3.0, 3.0),
+        y_scale=st.floats(-3.0, 3.0),
+        noise=st.floats(-6.0, 1.0),
+        beta=st.floats(0.05, 0.95),
+    )
+    def test_envelope_slope_matches_central_differences(
+        self, order, n, extra, seed, u_scale, y_scale, noise, beta
+    ):
+        # at the profiled lambda, the slope is both the partial derivative in
+        # beta and (envelope theorem) the derivative of the profiled objective
+        rng = np.random.default_rng(seed)
+        N = n + extra
+        U = 10.0**u_scale * build_regressor(rng.standard_normal(N), N, n)
+        y = 10.0**y_scale * rng.standard_normal(N)
+        obj = MarglikObjective(LeastSquares(U, y), float(y @ y) / N * 10.0**noise, order)
+        value, lam, on_edge = ssml._profile_lambda(obj, beta)
+        assume(not on_edge)
+        slope = obj._beta_slope(lam, beta)
+        h = 1e-5
+
+        def parts(b):
+            # the objective's log-det and quadratic terms at (lam, b)
+            s, p, _ = obj._for_beta(b)
+            c = lam * s / obj.sigma2
+            return np.sum(np.log1p(c)), (obj.data.rss + np.sum(p * p / (1.0 + c))) / obj.sigma2
+
+        (d_hi, q_hi), (d_lo, q_lo) = parts(beta + h), parts(beta - h)
+        partial = ((d_hi + q_hi) - (d_lo + q_lo)) / (2 * h)
+        profiled = (ssml._profile_lambda(obj, beta + h)[0] - ssml._profile_lambda(obj, beta - h)[0]) / (2 * h)
+        # the two terms' slopes may cancel to any small slope; their sizes
+        # bound the differences' truncation error, and the objective's terms
+        # in absolute value its rounding error
+        scale = (abs(d_hi - d_lo) + abs(q_hi - q_lo)) / (2 * h)
+        size = N * abs(np.log(obj.sigma2)) + sum(parts(beta))
+        tol = 1e-5 * scale + 2e-9 * size
+        assert abs(partial - slope) <= tol
+        assert abs(profiled - slope) <= tol
+
+
+class TestBetaSearch:
+    @staticmethod
+    def _eigendecompositions(monkeypatch, obj):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        optimize_hyperparams(obj)
+        monkeypatch.undo()
+        assert len(calls) == len(obj._beta_cache)
+        return len(calls)
+
+    def test_eigendecompositions_per_fit(self, monkeypatch, tmp_path):
+        # 20 grid betas and a few secant steps; a golden-section search to
+        # BETA_TOL would add 17
+        assert self._eigendecompositions(monkeypatch, TestOptimizeHyperparams._make_obj(8)) <= 30
+        data = tmp_path / "lp.csv"
+        code = cli_main([
+            "simulate", "--input-kind", "lp", "--seed", "1", "--N", "500",
+            "--output", str(data), "--truth", str(tmp_path / "truth.json"),
+        ])
+        assert code == 0
+        ds = read_dataset(data)
+        ls = LeastSquares(build_regressor(ds.u, ds.N, 50), ds.y)
+        assert self._eigendecompositions(monkeypatch, MarglikObjective(ls, estimate_sigma2(ls))) <= 30
+
+    def test_refines_beyond_the_grid(self):
+        # the search ends off the grid, at a local minimum of the profiled
+        # objective to within 1e-3 in beta
+        obj = TestOptimizeHyperparams._make_obj(8)
+        lam_hat, beta_hat = optimize_hyperparams(obj)
+        assert beta_hat not in set(default_beta_grid())
+        value = ssml._profile_lambda(obj, beta_hat)[0]
+        for h in (1e-3, 1e-2):
+            assert value <= ssml._profile_lambda(obj, beta_hat - h)[0]
+            assert value <= ssml._profile_lambda(obj, beta_hat + h)[0]
+
+
 class TestOptimizeHyperparams:
     @staticmethod
     def _make_obj(seed, N=120, n=12):
@@ -235,7 +405,7 @@ class TestOptimizeHyperparams:
         L = kernel_factor(build_kernel(KernelSpec("first", 0.8, n)))
         g = L @ rng.standard_normal(n)
         y = U @ g + 0.05 * rng.standard_normal(N)
-        return MarglikObjective(U, y, sigma2=0.05**2)
+        return MarglikObjective(LeastSquares(U, y), sigma2=0.05**2)
 
     def test_beats_every_coarse_grid_point(self):
         obj = self._make_obj(8)
@@ -268,7 +438,7 @@ class TestOptimizeHyperparams:
             y0 = U @ g
             s2 = 1e-4 * float(np.var(y0))
             y = y0 + rng.normal(0.0, np.sqrt(s2), N)
-            _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, s2))
+            _, beta_hat = optimize_hyperparams(MarglikObjective(LeastSquares(U, y), s2))
             hits += abs(beta_hat - beta_star) <= 0.1
         assert hits >= 0.8 * reps
 
@@ -281,11 +451,11 @@ class TestOptimizeHyperparams:
         Q, _ = np.linalg.qr(U)
         y = v - Q @ (Q.T @ v)
         with pytest.warns(IllConditionedWarning, match="edge of the 10-decade"):
-            optimize_hyperparams(MarglikObjective(U, y, sigma2=float(np.var(y))))
+            optimize_hyperparams(MarglikObjective(LeastSquares(U, y), sigma2=float(np.var(y))))
         y = U @ (0.8 ** np.arange(1, 13)) + 0.05 * rng.standard_normal(120)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            optimize_hyperparams(MarglikObjective(U, y, sigma2=0.05**2))
+            optimize_hyperparams(MarglikObjective(LeastSquares(U, y), sigma2=0.05**2))
 
     def test_beta_on_upper_bound_warns(self):
         # an undamped response wants beta -> 1
@@ -293,7 +463,7 @@ class TestOptimizeHyperparams:
         _, U, _ = random_problem(rng, N=120, n=12)
         y = U @ np.ones(12) + 0.01 * rng.standard_normal(120)
         with pytest.warns(IllConditionedWarning, match="beta=0.99 lies on the search bound"):
-            _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, sigma2=1e-4))
+            _, beta_hat = optimize_hyperparams(MarglikObjective(LeastSquares(U, y), sigma2=1e-4))
         assert beta_hat == pytest.approx(0.99, abs=1e-4)
 
     def test_no_lambda_scale_raises(self):
@@ -302,10 +472,10 @@ class TestOptimizeHyperparams:
         rng = np.random.default_rng(23)
         _, U, _ = random_problem(rng, N=60, n=10)
         with pytest.raises(NumericError, match="no lambda scale"):
-            optimize_hyperparams(MarglikObjective(U, np.zeros(60), sigma2=1.0))
+            optimize_hyperparams(MarglikObjective(LeastSquares(U, np.zeros(60)), sigma2=1.0))
         y = 1e3 * rng.standard_normal(60)
         with pytest.raises(NumericError, match="no lambda scale"):
-            optimize_hyperparams(MarglikObjective(1e-156 * U, y, sigma2=1.0))
+            optimize_hyperparams(MarglikObjective(LeastSquares(1e-156 * U, y), sigma2=1.0))
 
     def test_beta_on_lower_bound_warns(self):
         # a response that is one impulse at lag 1 wants beta -> 0
@@ -313,7 +483,7 @@ class TestOptimizeHyperparams:
         _, U, _ = random_problem(rng, N=120, n=12)
         y = U[:, 0] + 0.01 * rng.standard_normal(120)
         with pytest.warns(IllConditionedWarning, match="lies on the search bound 0.01$"):
-            _, beta_hat = optimize_hyperparams(MarglikObjective(U, y, sigma2=1e-4))
+            _, beta_hat = optimize_hyperparams(MarglikObjective(LeastSquares(U, y), sigma2=1e-4))
         assert beta_hat == pytest.approx(0.01, abs=1e-4)
 
 
@@ -381,7 +551,7 @@ class TestRunSsml:
     def test_sigma2_floor_warns(self):
         ds = self._noiseless_fir()
         floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
-        ls = estimate_sigma2(build_regressor(ds.u, ds.N, 20), ds.y)
+        ls = estimate_sigma2(LeastSquares(build_regressor(ds.u, ds.N, 20), ds.y))
         assert ls < floor
         with pytest.warns(IllConditionedWarning, match="below the floor") as caught:
             res = run_ssml(ds, 20)
@@ -393,7 +563,7 @@ class TestRunSsml:
         ds = self._noiseless_fir()
         floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
         below = float(np.nextafter(floor, 0.0))
-        monkeypatch.setattr(ssml, "estimate_sigma2", lambda U, y: below)
+        monkeypatch.setattr(ssml, "estimate_sigma2", lambda ls: below)
         with pytest.warns(IllConditionedWarning, match=f"{below:.3g} is below the floor"):
             res = run_ssml(ds, 20)
         assert res.hyper.sigma2 == floor
@@ -402,7 +572,7 @@ class TestRunSsml:
         ds = self._noiseless_fir()
         floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
         for sigma2 in (floor, float(np.nextafter(floor, np.inf))):
-            monkeypatch.setattr(ssml, "estimate_sigma2", lambda U, y: sigma2)
+            monkeypatch.setattr(ssml, "estimate_sigma2", lambda ls: sigma2)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 res = run_ssml(ds, 20)
