@@ -18,15 +18,15 @@ print("=" * 70)
 print("First-order kernel: K[i, j] = beta^max(i, j)")
 print("=" * 70)
 K1 = build_kernel(KernelSpec("first", beta=0.5, n=5))
-print(K1.K)
-print("\nDiagonal decays geometrically:", np.diag(K1.K))
+print(K1)
+print("\nDiagonal decays geometrically:", np.diag(K1))
 
 print()
 print("=" * 70)
 print("Second-order kernel: smoother draws, slower off-diagonal decay")
 print("=" * 70)
 K2 = build_kernel(KernelSpec("second", beta=0.5, n=5))
-print(K2.K)
+print(K2)
 
 print()
 print("=" * 70)

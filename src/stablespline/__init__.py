@@ -22,7 +22,6 @@ from .benchmark import (
 )
 from .distributions import (
     RngHandle,
-    gig_pdf_half,
     sample_gamma,
     sample_gig_half,
     sample_laplace,
@@ -42,7 +41,6 @@ from .gibbs import (
     run_gibbs,
 )
 from .kernels import (
-    KernelMatrix,
     KernelOrder,
     KernelSpec,
     build_kernel,
@@ -72,14 +70,12 @@ __all__ = [
     "fit_score",
     "KernelOrder",
     "KernelSpec",
-    "KernelMatrix",
     "build_kernel",
     "kernel_factor",
     "kernel_quadratic_form",
     "RngHandle",
     "sample_gamma",
     "sample_gig_half",
-    "gig_pdf_half",
     "sample_mvn",
     "sample_laplace",
     "sample_noise_mixture",

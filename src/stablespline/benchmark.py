@@ -28,9 +28,11 @@ __all__ = [
     "TransferFunction",
     "ExperimentConfig",
     "RunResult",
+    "Simulation",
     "generate_system",
     "impulse_response",
     "generate_input",
+    "simulate",
     "run_experiment",
     "summarize",
 ]
@@ -233,34 +235,56 @@ class RunResult:
     warnings: tuple = ()
 
 
-def _single_run(config: ExperimentConfig, run_index: int) -> RunResult:
-    handle = RngHandle(config.master_seed, stream=run_index)
+@dataclass(frozen=True)
+class Simulation:
+    """One dataset of the protocol with its truth: the system, its length-n
+    response, the nominal noise variance and the outlier mask of the noise."""
+
+    system: TransferFunction
+    g_true: np.ndarray
+    sigma2: float
+    outliers: np.ndarray
+    dataset: Dataset
+
+
+def simulate(config: ExperimentConfig, handle: RngHandle) -> Simulation:
+    """Draw one dataset of the protocol from the lanes of ``handle``.
+
+    The system comes from child 0 and the input from child 1.  The output
+    U g is corrupted by mixture noise from child 2, with nominal variance
+    sigma2 = var(U g) / snr_divisor.
+    """
     tf = generate_system(handle.child(0), n=config.n)
     g_true = impulse_response(tf, config.n)
     u = generate_input(config.input_kind, config.N, handle.child(1))
-    U = build_regressor(u, config.N, config.n)
-    y0 = U @ g_true
+    y0 = build_regressor(u, config.N, config.n) @ g_true
     var0 = float(np.var(y0))
     if var0 <= 0.0:
         raise NumericError(
-            "noiseless output has zero variance", context="benchmark.run"
+            "noiseless output has zero variance", context="benchmark.simulate"
         )
-    sigma2_true = var0 / config.snr_divisor
-    v = sample_noise_mixture(
-        config.N, sigma2_true, config.c1, config.variance_ratio, handle.child(2)
+    sigma2 = var0 / config.snr_divisor
+    v, outliers = sample_noise_mixture(
+        config.N, sigma2, config.c1, config.variance_ratio, handle.child(2),
+        return_outlier_mask=True,
     )
-    dataset = Dataset(u, y0 + v)
+    return Simulation(tf, g_true, sigma2, outliers, Dataset(u, y0 + v))
+
+
+def _single_run(config: ExperimentConfig, run_index: int) -> RunResult:
+    handle = RngHandle(config.master_seed, stream=run_index)
+    sim = simulate(config, handle)
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ssml = run_ssml(dataset, config.n, config.order)
+        ssml = run_ssml(sim.dataset, config.n, config.order)
         gibbs_cfg = replace(config.gibbs, seed=handle.child(3))
-        g_gs, _chain = run_gibbs(dataset, config.n, config.order, gibbs_cfg, ssml)
+        g_gs, _chain = run_gibbs(sim.dataset, config.n, config.order, gibbs_cfg, ssml)
 
     return RunResult(
         run_index=run_index,
-        fit_ssml=fit_score(g_true, ssml.g_hat),
-        fit_ssgs=fit_score(g_true, g_gs),
+        fit_ssml=fit_score(sim.g_true, ssml.g_hat),
+        fit_ssgs=fit_score(sim.g_true, g_gs),
         sigma2=ssml.hyper.sigma2,
         beta_hat=ssml.hyper.beta,
         warnings=tuple(str(w.message) for w in caught),

@@ -12,15 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .benchmark import (
-    ExperimentConfig,
-    InputKind,
-    generate_input,
-    generate_system,
-    impulse_response,
-    run_experiment,
-)
-from .distributions import RngHandle, sample_noise_mixture
+from .benchmark import ExperimentConfig, run_experiment, simulate
+from .distributions import RngHandle
 from .errors import ConfigError, NumericError
 from .fileio import (
     SCHEMA_VERSION,
@@ -32,7 +25,7 @@ from .fileio import (
 )
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
-from .model import build_regressor, fit_score
+from .model import fit_score
 from .ssml import run_ssml
 
 ESTIMATORS = ("ssml", "ssgs", "both")
@@ -173,24 +166,17 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    handle = RngHandle(args.seed)
-    kind = InputKind.parse(args.input_kind)
-    if args.N <= args.n:
-        raise ConfigError(f"need N > n, got N={args.N}, n={args.n}")
-    tf = generate_system(handle.child(0), n=args.n)
-    g_true = impulse_response(tf, args.n)
-    u = generate_input(kind, args.N, handle.child(1))
-    U = build_regressor(u, args.N, args.n)
-    y0 = U @ g_true
-    var0 = float(np.var(y0))
-    if var0 <= 0:
-        raise NumericError("noiseless output has zero variance", context="cli.simulate")
-    sigma2 = var0 / args.snr_divisor
-    v, outliers = sample_noise_mixture(
-        args.N, sigma2, args.c1, args.variance_ratio, handle.child(2),
-        return_outlier_mask=True,
+    config = ExperimentConfig(
+        N=args.N,
+        input_kind=args.input_kind,
+        n=args.n,
+        c1=args.c1,
+        variance_ratio=args.variance_ratio,
+        snr_divisor=args.snr_divisor,
     )
-    write_dataset(args.output, u, y0 + v)
+    sim = simulate(config, RngHandle(args.seed))
+    tf = sim.system
+    write_dataset(args.output, sim.dataset.u, sim.dataset.y)
     write_document(
         args.truth,
         {
@@ -199,16 +185,16 @@ def cmd_simulate(args) -> int:
             "config": {
                 "N": args.N,
                 "n": args.n,
-                "input_kind": kind.value,
+                "input_kind": config.input_kind.value,
                 "c1": args.c1,
                 "variance_ratio": args.variance_ratio,
                 "snr_divisor": args.snr_divisor,
                 "seed": args.seed,
             },
-            "sigma2_true": sigma2,
-            "outlier_count": int(outliers.sum()),
-            "outlier_indices": [int(i) + 1 for i in np.flatnonzero(outliers)],
-            "impulse_response": g_true,
+            "sigma2_true": sim.sigma2,
+            "outlier_count": int(sim.outliers.sum()),
+            "outlier_indices": [int(i) + 1 for i in np.flatnonzero(sim.outliers)],
+            "impulse_response": sim.g_true,
             "system": {
                 "gain": tf.gain,
                 "delay": tf.delay,

@@ -1,4 +1,4 @@
-"""Seeded random sampling and density oracles for the Gibbs machinery.
+"""Seeded random sampling for the Gibbs machinery.
 
 All samplers draw from a counter-based Philox bitstream addressed by an
 (seed, stream) pair, so independent Monte Carlo runs get provably
@@ -23,7 +23,6 @@ __all__ = [
     "as_generator",
     "sample_gamma",
     "sample_gig_half",
-    "gig_pdf_half",
     "sample_mvn",
     "sample_laplace",
     "sample_noise_mixture",
@@ -138,26 +137,6 @@ def sample_gig_half(a: float, b, rng, size=None):
         mu = np.sqrt(a / bb)
         out[~low] = 1.0 / _inverse_gaussian(mu, a, gen, bb.shape)
     return float(out[0]) if scalar else out
-
-
-def gig_pdf_half(tau, a: float, b: float):
-    """Normalized GIG(a, b, 1/2) density; a density/test oracle, not a
-    sampling path.
-
-    Uses the closed form K_{1/2}(z) = sqrt(pi/2) e^{-z} z^{-1/2} for the
-    modified Bessel normalizer (a/b)^{p/2} / (2 K_p(sqrt(ab))).
-    """
-    if not (a > 0 and np.isfinite(a)):
-        raise ConfigError(f"GIG parameter a must be positive, got {a}")
-    if not (b > 0 and np.isfinite(b)):
-        raise ConfigError(f"gig_pdf_half requires b > 0, got {b}")
-    t = np.asarray(tau, dtype=float)
-    if np.any(t <= 0):
-        raise ConfigError("tau must be positive")
-    z = np.sqrt(a * b)
-    k_half = np.sqrt(np.pi / 2.0) * np.exp(-z) / np.sqrt(z)
-    norm = (a / b) ** 0.25 / (2.0 * k_half)
-    return norm * t ** (-0.5) * np.exp(-0.5 * (a * t + b / t))
 
 
 def sample_mvn(mean, cov_factor, rng) -> np.ndarray:

@@ -136,7 +136,9 @@ def read_document(path) -> dict:
 
 
 def write_runs_csv(path, results) -> None:
-    """One row per benchmark run: run, fit_ssml, fit_ssgs, beta_hat, sigma2, warnings."""
+    """One row per benchmark run: run, fit_ssml, fit_ssgs, beta_hat, sigma2,
+    warnings.  A run's warnings are joined by ';', which no warning of the
+    library contains, so the column splits back into them."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "fit_ssml", "fit_ssgs", "beta_hat", "sigma2", "warnings"])

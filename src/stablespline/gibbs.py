@@ -22,7 +22,7 @@ averages the remaining g draws.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,17 +71,16 @@ TAU_THIN = 10  # store every TAU_THIN-th tau vector; the estimate needs none
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sampler settings: M total sweeps, M0 burn-in, seeded stream.
+    """Sampler settings: M total sweeps, M0 burn-in, seeded stream and the
+    rate convention of the lambda conditional.
 
-    ``beta`` and ``sigma2`` are treated as known during sampling; leave
-    them None to take both from the initializing SS-ML result.
+    beta and sigma2 are not settings: the sampler holds both fixed at the
+    values of the initializing SS-ML result (see :func:`run_gibbs`).
     """
 
     M: int = 1500
     M0: int = 500
     seed: RngHandle | None = None
-    beta: float | None = None
-    sigma2: float | None = None
     rate_convention: str = "half"
 
     def __post_init__(self):
@@ -288,24 +287,20 @@ def run_gibbs(
 ) -> tuple[np.ndarray, GibbsChain]:
     """Run the full sampler and return (g_hat, chain).
 
-    ``init`` supplies the starting point (g0 = SS-ML estimate, lambda0 =
-    fitted lambda) and, unless overridden in ``config``, the fixed beta
-    and sigma2.  The estimate is the mean of the g draws from sweep M0
-    through M inclusive.
+    ``init`` supplies the starting point (g0 = SS-ML estimate) and the
+    fixed beta and sigma2 of its ``hyper``, which are held through the
+    chain; the first sweep draws lambda afresh.  The estimate is the mean
+    of the g draws from sweep M0 through M inclusive.
     """
     if config.seed is None:
         raise ConfigError("GibbsConfig.seed must be set to run the sampler")
     order = KernelOrder.parse(order)
-    beta = config.beta if config.beta is not None else init.hyper.beta
-    sigma2 = config.sigma2 if config.sigma2 is not None else init.hyper.sigma2
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
 
     N = dataset.N
     U = build_regressor(dataset.u, N, n)
-    K = build_kernel(KernelSpec(order, beta, n))
+    K = build_kernel(KernelSpec(order, init.hyper.beta, n))
     L_K, Phi = _whiten(K, U)
-    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K.K))
+    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(config.seed)
 
     g0 = np.asarray(init.g_hat, dtype=float)
@@ -314,7 +309,7 @@ def run_gibbs(
             f"init.g_hat must have length n={n}, got shape {g0.shape}"
         )
     w = np.linalg.solve(L_K, g0)
-    a_gig = 2.0 / sigma2
+    a_gig = 2.0 / init.hyper.sigma2
 
     M, M0 = config.M, config.M0
     g_samples = np.empty((M, n))
@@ -338,13 +333,7 @@ def run_gibbs(
         burn_in=M0,
     )
     if M - M0 >= 100:
-        chain = GibbsChain(
-            g_samples=chain.g_samples,
-            lambda_samples=chain.lambda_samples,
-            tau_samples=chain.tau_samples,
-            burn_in=M0,
-            diagnostics=quantile_diagnostics(chain),
-        )
+        chain = replace(chain, diagnostics=quantile_diagnostics(chain))
     g_hat = chain.post_burn_in().mean(axis=0)
     return g_hat, chain
 

@@ -25,7 +25,6 @@ from .errors import ConfigError, NumericError
 __all__ = [
     "KernelOrder",
     "KernelSpec",
-    "KernelMatrix",
     "build_kernel",
     "build_kernel_derivative",
     "kernel_factor",
@@ -68,25 +67,8 @@ class KernelSpec:
             raise ConfigError(f"n must be positive, got {self.n}")
 
 
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Realized n x n covariance together with the spec that produced it."""
-
-    K: np.ndarray
-    spec: KernelSpec
-
-    def __post_init__(self):
-        K = np.array(self.K, dtype=float)
-        K.flags.writeable = False
-        object.__setattr__(self, "K", K)
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-
-def build_kernel(spec: KernelSpec) -> KernelMatrix:
-    """Evaluate the stable spline kernel matrix for ``spec``.
+def build_kernel(spec: KernelSpec) -> np.ndarray:
+    """Evaluate the stable spline kernel matrix for ``spec``, read-only.
 
     Symmetry is exact by construction: entries (i, j) and (j, i) are
     produced from identical integer index arrays.  Each power beta^k is
@@ -101,11 +83,12 @@ def build_kernel(spec: KernelSpec) -> KernelMatrix:
         powers = np.float_power(spec.beta, np.arange(3 * spec.n + 1))
         s = np.add.outer(idx, idx)
         K = powers[s + m] / 2.0 - powers[3 * m] / 6.0
-    return KernelMatrix(K=K, spec=spec)
+    K.flags.writeable = False
+    return K
 
 
 def build_kernel_derivative(spec: KernelSpec) -> np.ndarray:
-    """dK/dbeta of ``build_kernel(spec).K``, entry by entry in closed form.
+    """dK/dbeta of ``build_kernel(spec)``, entry by entry in closed form.
 
     With m = max(i, j) and e = i + j + m: m beta^(m-1) for the first order,
     (e beta^(e-1) - m beta^(3m-1)) / 2 for the second.
@@ -120,8 +103,6 @@ def build_kernel_derivative(spec: KernelSpec) -> np.ndarray:
 
 
 def _kernel_array(K) -> np.ndarray:
-    if isinstance(K, KernelMatrix):
-        return K.K
     A = np.asarray(K, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigError(f"kernel matrix must be square, got shape {A.shape}")

@@ -41,7 +41,7 @@ their thread pools compete.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -91,33 +91,33 @@ class LeastSquares:
 
     [U y] = Q [[R, b], [0, r]] gives R, upper-triangular with U = Q_1 R,
     b = Q_1'y and rss = r^2 = |y - U g_LS|^2.  So R'R = U'U, R'b = U'y and
-    rss + |b|^2 = y'y.  When N <= n, R is N x n and rss is 0.  Treat as
-    immutable.
+    rss + |b|^2 = y'y.  When N <= n, R is N x n and rss is 0.  U and y are
+    not kept: besides (R, b, rss) a fit reads only the sample count N and
+    yy = y'y, which scales the lambda grid.  Treat as immutable.
     """
 
-    U: np.ndarray
-    y: np.ndarray
+    U: InitVar[np.ndarray]
+    y: InitVar[np.ndarray]
     R: np.ndarray = field(init=False, repr=False)
     b: np.ndarray = field(init=False, repr=False)
     rss: float = field(init=False, repr=False)
+    N: int = field(init=False)
+    yy: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        if self.U.ndim != 2 or self.y.shape != (self.U.shape[0],):
-            raise ConfigError(f"shape mismatch: U {self.U.shape}, y {self.y.shape}")
-        n = self.U.shape[1]
-        Ra = np.linalg.qr(np.column_stack([self.U, self.y]), mode="r")
+    def __post_init__(self, U, y):
+        U = np.asarray(U, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if U.ndim != 2 or y.shape != (U.shape[0],):
+            raise ConfigError(f"shape mismatch: U {U.shape}, y {y.shape}")
+        self.N, n = U.shape
+        Ra = np.linalg.qr(np.column_stack([U, y]), mode="r")
         self.R, self.b = Ra[:n, :n], Ra[:n, n]
         self.rss = float(Ra[n:, n] @ Ra[n:, n])
-
-    @property
-    def N(self) -> int:
-        return self.U.shape[0]
+        self.yy = float(y @ y)
 
     @property
     def n(self) -> int:
-        return self.U.shape[1]
+        return self.R.shape[1]
 
 
 def estimate_sigma2(ls: LeastSquares) -> float:
@@ -147,7 +147,7 @@ def estimate_sigma2(ls: LeastSquares) -> float:
                 context="ssml.estimate_sigma2",
             )
         warnings.warn(
-            f"normal matrix condition {cond:.3g} exceeds {RIDGE_CONDITION_LIMIT:.0e}; "
+            f"normal matrix condition {cond:.3g} exceeds {RIDGE_CONDITION_LIMIT:.0e}: "
             f"adding ridge {ridge:.3g} to the least-squares solve",
             IllConditionedWarning,
         )
@@ -176,23 +176,6 @@ class MarglikObjective:
         if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
             raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
         self.order = KernelOrder.parse(self.order)
-        self._yy = float(self.y @ self.y)
-
-    @property
-    def U(self) -> np.ndarray:
-        return self.data.U
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.data.y
-
-    @property
-    def N(self) -> int:
-        return self.data.N
-
-    @property
-    def n(self) -> int:
-        return self.data.n
 
     def _for_beta(self, beta: float):
         """Cached (s, p, W): eigenvalues of R K_beta R' = W diag(s) W'
@@ -201,7 +184,7 @@ class MarglikObjective:
         hit = self._beta_cache.get(key)
         if hit is None:
             R = self.data.R
-            K = build_kernel(KernelSpec(self.order, key, self.n)).K
+            K = build_kernel(KernelSpec(self.order, key, self.data.n))
             s, W = np.linalg.eigh(R @ K @ R.T)
             hit = (np.maximum(s, 0.0), W.T @ self.data.b, W)
             self._beta_cache[key] = hit
@@ -212,7 +195,7 @@ class MarglikObjective:
         s, p, _ = self._for_beta(beta)
         c = np.asarray(lams, dtype=float)[..., None] * (s / self.sigma2)
         fit = self.data.rss + np.sum(p * p / (1.0 + c), axis=-1)
-        return self.N * np.log(self.sigma2) + np.sum(np.log1p(c), axis=-1) + fit / self.sigma2
+        return self.data.N * np.log(self.sigma2) + np.sum(np.log1p(c), axis=-1) + fit / self.sigma2
 
     def _beta_slope(self, lam: float, beta: float) -> float:
         """The partial derivative of the objective in beta at (lam, beta).
@@ -223,7 +206,7 @@ class MarglikObjective:
         """
         s, p, W = self._for_beta(beta)
         B = self.data.R.T @ W
-        G = B.T @ build_kernel_derivative(KernelSpec(self.order, float(beta), self.n)) @ B
+        G = B.T @ build_kernel_derivative(KernelSpec(self.order, float(beta), self.data.n)) @ B
         d = self.sigma2 + lam * s
         v = p / d
         return lam * float(np.diagonal(G) @ (1.0 / d) - v @ G @ v)
@@ -304,12 +287,12 @@ def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, b
     s, p, _ = obj._for_beta(beta)
     tr = float(np.sum(s))
     # a non-finite scale would make the grid and the Newton bracket NaN
-    if not (tr > 0 and 0 < obj._yy / tr < np.inf):
+    if not (tr > 0 and 0 < obj.data.yy / tr < np.inf):
         raise NumericError(
-            f"no lambda scale at beta={beta:g}: y'y={obj._yy:g}, trace(UKU')={tr:g}",
+            f"no lambda scale at beta={beta:g}: y'y={obj.data.yy:g}, trace(UKU')={tr:g}",
             context="ssml.optimize_hyperparams",
         )
-    x = np.log10(obj._yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
+    x = np.log10(obj.data.yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
     v = obj._values(10.0**x, beta)
     i = int(np.argmin(v))
     lo, hi = x[max(i - 1, 0)] * _LN10, x[min(i + 1, LAMBDA_POINTS - 1)] * _LN10
@@ -544,7 +527,7 @@ def run_ssml(
     if sigma2 < floor:
         warnings.warn(
             f"least-squares noise variance {sigma2:.3g} is below the floor "
-            f"{floor:.3g} ({SIGMA2_FLOOR_FACTOR:g} var(y)); using the floor",
+            f"{floor:.3g} ({SIGMA2_FLOOR_FACTOR:g} var(y)), so the floor is used",
             IllConditionedWarning,
         )
         sigma2 = floor

@@ -12,7 +12,6 @@ import mpmath
 import numpy as np
 
 from stablespline import KernelSpec, build_kernel
-from stablespline.kernels import KernelMatrix
 from stablespline.ssml import RIDGE_CONDITION_LIMIT, RIDGE_SCALE, IllConditionedWarning
 
 
@@ -36,7 +35,7 @@ def lstsq_sigma2(U, y):
 
 def covariance_posterior_mean(lam, K, U, y, noise_cov_diag):
     """lam K U' (lam U K U' + D)^{-1} y by a direct N x N Cholesky solve."""
-    Karr = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    Karr = np.asarray(K, dtype=float)
     U = np.asarray(U, dtype=float)
     y = np.asarray(y, dtype=float)
     d = np.broadcast_to(np.asarray(noise_cov_diag, dtype=float), y.shape)
@@ -47,7 +46,7 @@ def covariance_posterior_mean(lam, K, U, y, noise_cov_diag):
 def dense_neg_log_marglik(lam, beta, U, y, sigma2):
     """log det S + y'S^{-1}y, S = lam U K U' + sigma2 I (first-order K), by
     slogdet and a solve."""
-    K = build_kernel(KernelSpec("first", beta, U.shape[1])).K
+    K = build_kernel(KernelSpec("first", beta, U.shape[1]))
     S = lam * (U @ K @ U.T) + sigma2 * np.eye(U.shape[0])
     sign, logdet = np.linalg.slogdet(S)
     assert sign > 0
@@ -64,7 +63,7 @@ def covariance_posterior(lam, K, U, y, noise_cov_diag, dps=50):
     lam U K U' is large: in double precision this form loses about
     log10(lam) digits, so the oracle carries the extra digits itself.
     """
-    Karr = K.K if isinstance(K, KernelMatrix) else np.asarray(K, dtype=float)
+    Karr = np.asarray(K, dtype=float)
     U = np.asarray(U, dtype=float)
     d = np.broadcast_to(np.asarray(noise_cov_diag, dtype=float), (U.shape[0],))
     with mpmath.workdps(dps):

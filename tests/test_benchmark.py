@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -14,8 +16,9 @@ from stablespline import (
     run_experiment,
     summarize,
 )
-from stablespline.benchmark import POLE_RADIUS, _impulse_recursion, _single_run, lowpass_filter
+from stablespline.benchmark import POLE_RADIUS, _impulse_recursion, _single_run, lowpass_filter, simulate
 from stablespline.distributions import RngHandle
+from stablespline.fileio import write_runs_csv
 
 FAST_GIBBS = GibbsConfig(M=200, M0=60)
 
@@ -194,6 +197,9 @@ class TestRunExperiment:
         y0 = build_regressor(u, cfg.N, cfg.n) @ g
         sigma2 = float(np.var(y0)) / cfg.snr_divisor
         assert float(np.var(y0)) / sigma2 == pytest.approx(cfg.snr_divisor, rel=1e-12)
+        sim = simulate(cfg, h)
+        assert sim.sigma2 == sigma2
+        assert np.array_equal(sim.g_true, g) and np.array_equal(sim.dataset.u, u)
 
     def test_large_unscaled_response_run_completes(self):
         # run 2 of master seed 1 draws a stable system (max |pole| 0.947)
@@ -248,3 +254,19 @@ class TestRunExperiment:
             2000, 1.0, 1.0, 100.0, RngHandle(213), return_outlier_mask=True
         )
         assert not mask.any()
+
+
+class TestRunsCsv:
+    def test_warnings_column_splits_back(self, tmp_path):
+        # snr_divisor=1e14 puts the least-squares noise variance under the
+        # sigma2 floor, so every run records the floor warning
+        cfg = ExperimentConfig(
+            runs=2, N=80, n=10, snr_divisor=1e14, master_seed=3, gibbs=GibbsConfig(M=60, M0=20)
+        )
+        results, _ = run_experiment(cfg)
+        assert all(r.warnings for r in results)
+        path = tmp_path / "runs.csv"
+        write_runs_csv(path, results)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [tuple(row[5].split(";")) for row in rows] == [r.warnings for r in results]

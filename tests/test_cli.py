@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stablespline.benchmark import ExperimentConfig, simulate
 from stablespline.cli import main
+from stablespline.distributions import RngHandle
 from stablespline.fileio import dump_document, read_dataset, read_document, write_dataset
 
 
@@ -59,12 +61,24 @@ class TestSimulate:
         assert doc["outlier_count"] == 0
         assert doc["outlier_indices"] == []
 
-    def test_invalid_parameters_exit_2(self, tmp_path):
+    def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         code = run_cli(
             "simulate", "--N", "10", "--n", "20",
             "--output", str(tmp_path / "d.csv"), "--truth", str(tmp_path / "t.json"),
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: need N > n, got N=10, n=20\n"
+
+    def test_writes_the_benchmark_simulation(self, tmp_path):
+        # one simulation routine: the command's dataset is simulate()'s
+        for seed, kind in ((11, "wn"), (4, "lp")):
+            ds = tmp_path / f"{kind}.csv"
+            args = ["simulate", "--N", "120", "--n", "20", "--input-kind", kind, "--seed", str(seed)]
+            assert run_cli(*args, "--output", str(ds), "--truth", str(tmp_path / "t.json")) == 0
+            config = ExperimentConfig(N=120, n=20, input_kind=kind)
+            want = simulate(config, RngHandle(seed)).dataset
+            got = read_dataset(ds)
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.y, want.y)
 
 
 class TestIdentify:

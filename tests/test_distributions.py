@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from gig_oracle import masked_sample_gig_half
+from gig_oracle import gig_pdf_half, masked_sample_gig_half
 from scipy import integrate, stats
 
 from stablespline import ConfigError
 from stablespline.distributions import (
     GIG_B_FLOOR_FACTOR,
     RngHandle,
-    gig_pdf_half,
     sample_gamma,
     sample_gig_half,
     sample_laplace,

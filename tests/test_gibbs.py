@@ -159,9 +159,9 @@ class TestConditionalG:
             lam = rng.uniform(0.2, 5.0)
             K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
             mean, F = conditional_g_moments(lam, tau, K, U, y)
-            Sigma = lam * U @ K.K @ U.T + np.diag(tau)
-            mean_ref = lam * K.K @ U.T @ np.linalg.solve(Sigma, y)
-            cov_ref = lam * K.K - lam**2 * K.K @ U.T @ np.linalg.solve(Sigma, U @ K.K)
+            Sigma = lam * U @ K @ U.T + np.diag(tau)
+            mean_ref = lam * K @ U.T @ np.linalg.solve(Sigma, y)
+            cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(Sigma, U @ K)
             assert np.linalg.norm(mean - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
             assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
 

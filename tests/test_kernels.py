@@ -14,21 +14,29 @@ from stablespline.kernels import JITTER_BASE, JITTER_MAX, build_kernel_derivativ
 
 
 class TestBuildKernel:
+    def test_returns_read_only_array(self):
+        for order in ("first", "second"):
+            K = build_kernel(KernelSpec(order, 0.7, 6))
+            assert type(K) is np.ndarray and K.dtype == float and K.shape == (6, 6)
+            assert not K.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                K[0, 0] = 1.0
+
     def test_first_order_entries(self):
-        K = build_kernel(KernelSpec("first", 0.5, 2)).K
+        K = build_kernel(KernelSpec("first", 0.5, 2))
         assert np.array_equal(K, [[0.5, 0.25], [0.25, 0.25]])
 
     def test_first_order_beta_zero_is_zero_matrix(self):
-        K = build_kernel(KernelSpec("first", 0.0, 5)).K
+        K = build_kernel(KernelSpec("first", 0.0, 5))
         assert np.array_equal(K, np.zeros((5, 5)))
 
     def test_second_order_beta_near_one_limit(self):
-        K = build_kernel(KernelSpec("second", 1.0 - 1e-9, 5)).K
+        K = build_kernel(KernelSpec("second", 1.0 - 1e-9, 5))
         assert np.allclose(K, 1.0 / 3.0, atol=1e-7)
 
     def test_second_order_formula(self):
         beta, n = 0.7, 4
-        K = build_kernel(KernelSpec("second", beta, n)).K
+        K = build_kernel(KernelSpec("second", beta, n))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 m = max(i, j)
@@ -37,7 +45,7 @@ class TestBuildKernel:
 
     def test_symmetry_bitwise(self):
         for order in ("first", "second"):
-            K = build_kernel(KernelSpec(order, 0.83, 17)).K
+            K = build_kernel(KernelSpec(order, 0.83, 17))
             assert np.array_equal(K, K.T)
 
     def test_rejects_beta_out_of_range(self):
@@ -47,7 +55,7 @@ class TestBuildKernel:
             KernelSpec("first", -0.1, 3)
 
     def test_first_order_diagonal_strictly_decreasing(self):
-        K = build_kernel(KernelSpec("first", 0.9, 30)).K
+        K = build_kernel(KernelSpec("first", 0.9, 30))
         d = np.diag(K)
         assert np.all(np.diff(d) < 0)
 
@@ -57,7 +65,7 @@ class TestBuildKernel:
             order = KernelOrder.FIRST if rng.random() < 0.5 else KernelOrder.SECOND
             beta = rng.uniform(0.01, 0.99)
             n = int(rng.integers(1, 61))
-            K = build_kernel(KernelSpec(order, beta, n)).K
+            K = build_kernel(KernelSpec(order, beta, n))
             floor = -1e-10 * np.trace(K) / n
             assert np.linalg.eigvalsh(K).min() >= floor
 
@@ -71,8 +79,8 @@ class TestBuildKernel:
             m = np.maximum.outer(idx, idx)
             s = np.add.outer(idx, idx)
             for beta in betas:
-                first = build_kernel(KernelSpec("first", beta, n)).K
-                second = build_kernel(KernelSpec("second", beta, n)).K
+                first = build_kernel(KernelSpec("first", beta, n))
+                second = build_kernel(KernelSpec("second", beta, n))
                 assert np.array_equal(first, np.float_power(beta, m))
                 assert np.array_equal(
                     second,
@@ -81,7 +89,7 @@ class TestBuildKernel:
 
     def test_second_order_entries_nonnegative(self):
         for beta in np.linspace(0.0, 0.99, 34):
-            K = build_kernel(KernelSpec("second", beta, 25)).K
+            K = build_kernel(KernelSpec("second", beta, 25))
             assert np.all(K >= 0.0)
 
 
@@ -91,8 +99,8 @@ class TestBuildKernelDerivative:
         for order in ("first", "second"):
             for beta in (0.01, 0.3, 0.75, 0.99 - h):
                 dK = build_kernel_derivative(KernelSpec(order, beta, 12))
-                hi = build_kernel(KernelSpec(order, beta + h, 12)).K
-                lo = build_kernel(KernelSpec(order, beta - h, 12)).K
+                hi = build_kernel(KernelSpec(order, beta + h, 12))
+                lo = build_kernel(KernelSpec(order, beta - h, 12))
                 assert np.allclose(dK, (hi - lo) / (2 * h), rtol=1e-6, atol=1e-10)
 
     def test_entries(self):
@@ -124,7 +132,7 @@ class TestKernelFactor:
         assert np.all(np.triu(L, 1) == 0.0)
 
     def test_reconstruction_within_jitter(self):
-        K = build_kernel(KernelSpec("second", 0.6, 40)).K
+        K = build_kernel(KernelSpec("second", 0.6, 40))
         L = kernel_factor(K)
         eps_max = JITTER_MAX * np.trace(K) / 40
         dev = np.abs(L @ L.T - K).max()
@@ -133,7 +141,7 @@ class TestKernelFactor:
     def test_first_order_large_n_strictly_pd(self):
         # first-order kernel is strictly PD for 0 < beta < 1, so the base
         # jitter suffices: the plain Cholesky already succeeds
-        K = build_kernel(KernelSpec("first", 0.9, 50)).K
+        K = build_kernel(KernelSpec("first", 0.9, 50))
         np.linalg.cholesky(K)
         L = kernel_factor(K)
         eps_base = JITTER_BASE * np.trace(K) / 50
@@ -158,7 +166,7 @@ class TestKernelQuadraticForm:
     def test_matches_dense_solve_oracle(self):
         K = build_kernel(KernelSpec("first", 0.5, 2))
         g = np.array([1.0, 1.0])
-        x = np.linalg.solve(K.K, g)
+        x = np.linalg.solve(K, g)
         assert kernel_quadratic_form(K, g) == pytest.approx(float(g @ x), rel=1e-10)
 
     def test_dense_oracle_random_specs(self):
@@ -170,7 +178,7 @@ class TestKernelQuadraticForm:
             beta = rng.uniform(0.55, 0.95)
             K = build_kernel(KernelSpec("first", beta, n))
             g = rng.standard_normal(n)
-            oracle = float(g @ np.linalg.solve(K.K, g))
+            oracle = float(g @ np.linalg.solve(K, g))
             assert kernel_quadratic_form(K, g) == pytest.approx(oracle, rel=1e-8)
 
     def test_nonnegative(self):

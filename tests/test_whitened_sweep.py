@@ -82,7 +82,7 @@ def covariance_factor_sweep(dataset, n, config, init, sweeps):
     """
     y = dataset.y
     U = build_regressor(dataset.u, dataset.N, n)
-    K = build_kernel(KernelSpec("first", init.hyper.beta, n)).K
+    K = build_kernel(KernelSpec("first", init.hyper.beta, n))
     L_K = kernel_factor(K)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(config.seed)
