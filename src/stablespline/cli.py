@@ -33,9 +33,12 @@ ESTIMATORS = ("ssml", "ssgs", "both")
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=50, help="impulse response length (default 50)")
+    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+
+
+def _add_kernel(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", choices=["first", "second"], default="first",
                    help="stable spline kernel order (default first)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
 
 def _add_gibbs(p: argparse.ArgumentParser) -> None:
@@ -74,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_id.add_argument("--output", required=True, help="result document to write")
     p_id.add_argument("--estimator", choices=ESTIMATORS, default="both")
     _add_common(p_id)
+    _add_kernel(p_id)
     _add_gibbs(p_id)
 
     p_sim = sub.add_parser("simulate", help="generate a random dataset and its truth document")
@@ -87,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bm.add_argument("--runs", type=int, default=20, help="Monte Carlo runs (default 20)")
     p_bm.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
     _add_common(p_bm)
+    _add_kernel(p_bm)
     _add_gibbs(p_bm)
     _add_experiment(p_bm)
 

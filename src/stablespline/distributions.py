@@ -124,32 +124,39 @@ def sample_gig_half(a: float, b, rng, size=None):
 
     scalar = b_arr.ndim == 0 and size is None
     shape = b_arr.shape if b_arr.ndim else ((size,) if size is not None else (1,))
-    b_full = np.broadcast_to(b_arr, shape)
-    out = np.empty(shape, dtype=float)
-
     floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
-    low = b_full < floor
-    n_low = int(low.sum())
-    if n_low:
-        out[low] = gen.gamma(0.5, scale=2.0 / a, size=n_low)
-    if n_low < b_full.size:
-        bb = b_full[~low]
-        mu = np.sqrt(a / bb)
-        out[~low] = 1.0 / _inverse_gaussian(mu, a, gen, bb.shape)
+    if lo >= floor:
+        # no b below the floor: every entry is one inverse-Gaussian draw, the
+        # same draws as the masked path below makes for them
+        out = 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, gen, shape)
+    else:
+        b_full = np.broadcast_to(b_arr, shape)
+        out = np.empty(shape, dtype=float)
+        low = b_full < floor
+        n_low = int(low.sum())
+        if n_low:
+            out[low] = gen.gamma(0.5, scale=2.0 / a, size=n_low)
+        if n_low < b_full.size:
+            bb = b_full[~low]
+            mu = np.sqrt(a / bb)
+            out[~low] = 1.0 / _inverse_gaussian(mu, a, gen, bb.shape)
     return float(out[0]) if scalar else out
 
 
 def sample_mvn(mean, cov_factor, rng) -> np.ndarray:
-    """mean + L z with z i.i.d. standard normal; draw covariance is L L^T."""
+    """mean + L z with z i.i.d. standard normal; draw covariance is L L^T.
+
+    ``cov_factor=None`` stands for L = I: the draw is mean + z.
+    """
     m = np.asarray(mean, dtype=float)
-    L = np.asarray(cov_factor, dtype=float)
-    if m.ndim != 1 or L.ndim != 2 or L.shape != (m.size, m.size):
+    L = None if cov_factor is None else np.asarray(cov_factor, dtype=float)
+    if m.ndim != 1 or (L is not None and L.shape != (m.size, m.size)):
         raise ConfigError(
-            f"dimension mismatch: mean {m.shape}, cov_factor {L.shape}"
+            f"dimension mismatch: mean {m.shape}, cov_factor {np.shape(cov_factor)}"
         )
     gen = as_generator(rng)
     z = gen.standard_normal(m.size)
-    return m + L @ z
+    return m + z if L is None else m + L @ z
 
 
 def sample_laplace(sigma2: float, rng, size=None):

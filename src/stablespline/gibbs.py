@@ -9,10 +9,14 @@ Each sweep draws, in order and each conditioned on the latest values:
 3. g from its Gaussian conditional given (lambda, tau).
 
 The sweep runs in whitened coordinates w = L_K^{-1} g, with K = L_K L_K'
-and Phi = U L_K formed once per chain: the residual is y - Phi w, the
-lambda rate uses g'K^{-1}g = w'w, and the g draw is a w draw from
-:func:`stablespline.ssml.posterior_moments` mapped back by g = L_K w.
-The exported conditionals wrap the same three step functions.
+and X' = [Phi y]', Phi = U L_K, formed once per chain: the residual is
+y - Phi w, the lambda rate uses g'K^{-1}g = w'w, and the g draw is a w draw
+mapped back by g = L_K w.  The w draw takes one Cholesky of the bordered
+information matrix of X (:func:`stablespline.ssml.information_factor`),
+[[L_A, 0], [u', l]], and one solve: w = L_A^{-T}(u + z) with z standard
+normal (Rue, JRSS-B 2001), whose mean is the posterior mean L_A^{-T} u and
+whose covariance is A^{-1}.  The exported conditionals wrap the same three
+step functions.
 
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), discards a burn-in prefix, and
@@ -37,7 +41,13 @@ from .kernels import (
     kernel_quadratic_form,
 )
 from .model import Dataset, build_regressor
-from .ssml import IllConditionedWarning, SsmlResult, posterior_moments
+from .ssml import (
+    IllConditionedWarning,
+    SsmlResult,
+    _noise_diag,
+    information_factor,
+    posterior_moments,
+)
 
 __all__ = [
     "GibbsConfig",
@@ -138,10 +148,14 @@ def _at(sweep: int | None) -> str:
     return "" if sweep is None else f" at sweep {sweep}"
 
 
-def _whiten(K, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_K, Phi = U L_K) for the kernel K = L_K L_K'."""
+def _whiten(K, U: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'."""
     L_K = kernel_factor(K)
-    return L_K, np.asarray(U, dtype=float) @ L_K
+    U = np.asarray(U, dtype=float)
+    Xt = np.empty((U.shape[1] + 1, U.shape[0]))
+    np.matmul(L_K.T, U.T, out=Xt[:-1])  # straight into X': no n x N temporary
+    Xt[-1] = y
+    return L_K, Xt
 
 
 def _draw_tau(
@@ -194,14 +208,20 @@ def _draw_g(
     lam: float,
     tau: np.ndarray,
     L_K: np.ndarray,
-    Phi: np.ndarray,
-    y: np.ndarray,
+    Xt: np.ndarray,
     gen: np.random.Generator,
     sweep: int | None = None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """G step: w from its whitened Gaussian conditional; returns (w, L_K w)."""
-    mean, R = posterior_moments(lam, Phi, y, tau)
-    w = sample_mvn(mean, R, gen)
+    """G step: w from its whitened Gaussian conditional; returns (w, L_K w).
+
+    With [[L_A, 0], [u', l]] the bordered factor of X = [Phi y] under
+    D = diag(tau), w = L_A^{-T}(u + z).  ``tau`` must be positive and
+    finite; ``work``, shaped like Xt = X', is scratch space for (D^{-1/2} X)'.
+    """
+    L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), work)
+    n = L_K.shape[0]
+    w = np.linalg.solve(L[:n, :n].T, sample_mvn(L[n, :n], None, gen))
     g = L_K @ w
     if not np.all(np.isfinite(g)):
         raise NumericError(
@@ -257,8 +277,8 @@ def conditional_g_moments(
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
     the whitened information form and mapped back through L_K.
     """
-    L_K, Phi = _whiten(K, U)
-    mean, R = posterior_moments(lam, Phi, y, tau)
+    L_K = kernel_factor(K)
+    mean, R = posterior_moments(lam, np.asarray(U, dtype=float) @ L_K, y, tau)
     return L_K @ mean, L_K @ R
 
 
@@ -273,8 +293,8 @@ def conditional_g(
     """Draw g from its Gaussian full conditional given (lambda, tau)."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
-    L_K, Phi = _whiten(K, U)
-    _, g = _draw_g(lam, tau, L_K, Phi, y, as_generator(rng))
+    L_K, Xt = _whiten(K, U, y)
+    _, g = _draw_g(lam, _noise_diag(tau, Xt.shape[1]), L_K, Xt, as_generator(rng))
     return g
 
 
@@ -299,7 +319,8 @@ def run_gibbs(
     N = dataset.N
     U = build_regressor(dataset.u, N, n)
     K = build_kernel(KernelSpec(order, init.hyper.beta, n))
-    L_K, Phi = _whiten(K, U)
+    L_K, Xt = _whiten(K, U, dataset.y)
+    Phi, work = Xt[:n].T, np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(config.seed)
 
@@ -319,7 +340,7 @@ def run_gibbs(
     for k in range(1, M + 1):
         tau = _draw_tau(Phi, w, dataset.y, a_gig, gen, k)
         lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor, k)
-        w, g = _draw_g(lam, tau, L_K, Phi, dataset.y, gen, k)
+        w, g = _draw_g(lam, tau, L_K, Xt, gen, k, work)
 
         g_samples[k - 1] = g
         lambda_samples[k - 1] = lam

@@ -29,10 +29,12 @@ that slope.
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
 N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  The Gibbs
-sampler reuses that step with Phi formed once per chain.  One Cholesky
-of the 2n x 2n matrix [[A, I], [I, 2 lam I]], A the posterior information
-matrix, yields the posterior covariance factor L_A^{-T} as its lower-left
-block, so a step needs neither a triangular solve nor an inverse.  Every
+sampler reuses that step with X' = [Phi y]' formed once per chain.  One
+Cholesky of the bordered (n+1) x (n+1) matrix [[A, c], [c', 2 y'D^{-1}y + 1]],
+A the posterior information matrix and c = Phi'D^{-1}y, gives L_A and, as
+its last row, u = L_A^{-1} c (``information_factor``).  The posterior mean
+is L_A^{-T} u and the covariance factor L_A^{-T}: one solve against L_A'
+gives either, or both at once, with no inverse formed.  Every
 factorization goes through ``numpy.linalg``: numpy and scipy bundle
 separate OpenBLAS builds, and alternating between them on a hot path makes
 their thread pools compete.
@@ -61,6 +63,7 @@ __all__ = [
     "MarglikObjective",
     "SsmlResult",
     "estimate_sigma2",
+    "information_factor",
     "neg_log_marglik",
     "optimize_hyperparams",
     "posterior_moments",
@@ -399,46 +402,30 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
     return d
 
 
-def posterior_moments(
-    lam: float,
-    Phi: np.ndarray,
-    y: np.ndarray,
-    noise_cov_diag,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
+def information_factor(lam: float, Xt: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
+    """Lower Cholesky factor of the bordered information matrix of X = [Phi y].
 
-    ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
-    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} Phi'D^{-1}y,
-    A^{-1}) with A = I/lam + Phi'D^{-1}Phi.  Returns the mean and the
-    upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
-    A = L_A L_A'.
+    ``Xt`` is X', (n+1) x N, so the scaling by D^{-1/2} = diag(s) runs
+    along contiguous rows.  The factored matrix is the Gram of D^{-1/2} X
+    with I/lam added to its leading n x n block and its last pivot
+    y'D^{-1}y replaced by 2 y'D^{-1}y + 1:
 
-    Mapping back through L_K gives the posterior of g: mean L_K m and
-    covariance factor L_K R.  By the Woodbury identity these equal the
-    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
-    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
+        M = [[A, c], [c', 2 y'D^{-1}y + 1]],  A = I/lam + Phi'D^{-1}Phi,  c = Phi'D^{-1}y.
+
+    Its factor is [[L_A, 0], [u', l]] with L_A L_A' = A and L_A u = c, so
+    the posterior of w is N(L_A^{-T} u, L_A^{-T} L_A^{-1}).  Since
+    c'A^{-1}c <= y'D^{-1}y, the Schur complement l^2 is at least
+    y'D^{-1}y + 1: M factors whenever A does, y = 0 included.
+
+    ``lam`` must be positive and ``s`` positive and finite; callers check
+    both.  ``out``, an array shaped like Xt, receives (D^{-1/2} X)'.
     """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
-    Phi = np.asarray(Phi, dtype=float)
-    y = np.asarray(y, dtype=float)
-    N, n = Phi.shape
-    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, N))
-    W = Phi * s[:, None]  # D^{-1/2} Phi, so that W'W is one symmetric product
-    # numpy has no triangular solve, so R comes from one Cholesky of the
-    # augmented M = [[A, I], [I, 2 lam I]], whose lower factor is
-    # [[L_A, 0], [R, L_S]]: R L_A' = I gives R = L_A^{-T}, exactly
-    # upper-triangular because forward substitution on e_i leaves exact
-    # zeros.  A >= I/lam bounds the Schur complement L_S L_S' =
-    # 2 lam I - A^{-1} below by lam I, so M factors whenever A does.
-    # numpy's Cholesky reads the lower triangle only: the upper-right I is
-    # left out.
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = W.T @ W
+    Xs = np.multiply(Xt, s, out=out)
+    M = Xs @ Xs.T
+    n = M.shape[0] - 1
     i = np.arange(n)
     M[i, i] += 1.0 / lam
-    M[i + n, i] = 1.0
-    M[i + n, i + n] = 2.0 * lam
+    M[n, n] = 2.0 * M[n, n] + 1.0
     try:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError as exc:
@@ -453,9 +440,43 @@ def posterior_moments(
             "information-form system not finite",
             context="ssml.posterior_moments",
         )
-    R = L[n:, :n]
-    mean = R @ (R.T @ (W.T @ (s * y)))
-    return mean, R
+    return L
+
+
+def _data_factor(lam: float, Phi, y, noise_cov_diag) -> np.ndarray:
+    """``information_factor`` of [Phi y] under the noise variances given."""
+    Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
+    return information_factor(lam, Xt, 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1])))
+
+
+def posterior_moments(
+    lam: float,
+    Phi: np.ndarray,
+    y: np.ndarray,
+    noise_cov_diag,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
+
+    ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
+    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} Phi'D^{-1}y,
+    A^{-1}) with A = I/lam + Phi'D^{-1}Phi.  Returns the mean and the
+    upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
+    A = L_A L_A'.  Both come from the bordered factor of
+    :func:`information_factor`, [[L_A, 0], [u', l]], by one solve of
+    L_A' [m R] = [u I]: back substitution on e_i leaves exact zeros, so R is
+    exactly upper-triangular.
+
+    Mapping back through L_K gives the posterior of g: mean L_K m and
+    covariance factor L_K R.  By the Woodbury identity these equal the
+    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
+    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
+    """
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
+    L = _data_factor(lam, Phi, y, noise_cov_diag)
+    n = L.shape[0] - 1
+    mR = np.linalg.solve(L[:n, :n].T, np.column_stack([L[n, :n], np.eye(n)]))
+    return mR[:, 0], mR[:, 1:]
 
 
 def posterior_mean(
@@ -469,8 +490,9 @@ def posterior_mean(
 
     ``noise_cov_diag`` is the diagonal of D: a scalar sigma2 for the
     Gaussian-noise estimator, or the per-sample variances tau inside the
-    Gibbs sweep.  Computed by the whitened information form of
-    ``posterior_moments``, which holds for any N and n when lam > 0;
+    Gibbs sweep.  Computed by the whitened information form: L_K times
+    L_A^{-T} u, one solve against the bordered factor of
+    :func:`information_factor`, which holds for any N and n when lam > 0;
     lam = 0 gives the zero response.  Under a scalar sigma2 the mean
     depends on U and y only through U'U and U'y, so the n x n pair (R, b)
     of ``LeastSquares`` gives the same mean as (U, y).
@@ -481,8 +503,9 @@ def posterior_mean(
     if lam == 0.0:
         return np.zeros(U.shape[1])
     L_K = kernel_factor(K)
-    mean, _ = posterior_moments(lam, U @ L_K, y, noise_cov_diag)
-    return L_K @ mean
+    L = _data_factor(lam, U @ L_K, y, noise_cov_diag)
+    n = L.shape[0] - 1
+    return L_K @ np.linalg.solve(L[:n, :n].T, L[n, :n])
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,17 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err == "error: need N > n, got N=10, n=20\n"
 
+    def test_kernel_flag_rejected(self, tmp_path, capsys):
+        # simulation draws no kernel: the flag belongs to identify and benchmark
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                *SIM_ARGS, "--kernel", "first",
+                "--output", str(tmp_path / "d.csv"), "--truth", str(tmp_path / "t.json"),
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel first" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
     def test_writes_the_benchmark_simulation(self, tmp_path):
         # one simulation routine: the command's dataset is simulate()'s
         for seed, kind in ((11, "wn"), (4, "lp")):

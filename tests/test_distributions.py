@@ -254,6 +254,15 @@ class TestSampleMvn:
         cov = np.cov(draws.T)
         assert np.abs(cov - np.eye(2)).max() <= 0.08
 
+    def test_none_factor_is_identity(self):
+        # the Gibbs g step draws u + z this way: the same draw as L = I
+        mean = np.array([1.5, -2.0, 0.25])
+        assert np.array_equal(
+            sample_mvn(mean, None, RngHandle(44)), sample_mvn(mean, np.eye(3), RngHandle(44))
+        )
+        with pytest.raises(ConfigError):
+            sample_mvn(np.zeros((2, 2)), None, RngHandle(0))
+
     def test_mean_recovery(self):
         gen = RngHandle(42).generator()
         mean = np.array([3.0, -1.0])

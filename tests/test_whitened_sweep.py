@@ -1,12 +1,14 @@
 """The whitened Gibbs step: Woodbury identity, sampler equivalence, guards.
 
-The sweep draws w = L_K^{-1} g with Phi = U L_K (see
-:func:`stablespline.ssml.posterior_moments`).  These tests hold it to the
-covariance-form posterior, to a copy of the earlier g-space sweep, and at
-the edges of the guards it carries.
+The sweep draws w = L_K^{-1} g with Phi = U L_K, from one bordered Cholesky
+of X = [Phi y] per draw (see :func:`stablespline.ssml.information_factor`).
+These tests hold it to the covariance-form posterior, to a copy of the
+earlier g-space sweep, to its budget of factorizations, and at the edges of
+the guards it carries.
 """
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,7 +43,7 @@ from stablespline.distributions import (
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
 from stablespline.kernels import kernel_factor
 from stablespline.model import Hyperparameters
-from stablespline.ssml import IllConditionedWarning, SsmlResult
+from stablespline.ssml import IllConditionedWarning, SsmlResult, information_factor
 
 
 @settings(max_examples=60, deadline=None)
@@ -71,6 +73,40 @@ def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
     assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
     assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
     assert np.array_equal(R, np.triu(R))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    order=st.sampled_from(["first", "second"]),
+    beta=st.floats(0.05, 0.99),
+    log_lam=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@pytest.mark.parametrize("N", [5, 30])
+def test_bordered_factor_identity(N, order, beta, log_lam, seed):
+    # N = 5 < n leaves Phi'D^{-1}Phi singular; N = 30 > n does not
+    rng = np.random.default_rng(seed)
+    n = 8
+    lam = 10.0**log_lam
+    Phi = build_regressor(rng.standard_normal(N), N, n) @ kernel_factor(
+        build_kernel(KernelSpec(order, beta, n))
+    )
+    y = rng.standard_normal(N)
+    tau = rng.uniform(0.1, 10.0, N)
+
+    L = information_factor(lam, np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau))
+
+    L_A, u, pivot = L[:n, :n], L[n, :n], L[n, n]
+    A = np.eye(n) / lam + Phi.T @ (Phi / tau[:, None])
+    c = Phi.T @ (y / tau)
+    yDy = float(y @ (y / tau))
+    # backward-error scales of a Cholesky: |L_A||L_A'| and |L_A||u|
+    assert np.linalg.norm(L_A @ L_A.T - A) <= 1e-12 * np.trace(A)
+    assert np.linalg.norm(L_A @ u - c) <= 1e-12 * np.linalg.norm(L_A) * np.linalg.norm(u)
+    assert np.array_equal(L_A, np.tril(L_A))
+    # the Schur complement of the border is at least y'D^{-1}y + 1
+    assert pivot > 0
+    assert pivot**2 >= (yDy + 1.0) * (1.0 - 1e-12)
 
 
 def covariance_factor_sweep(dataset, n, config, init, sweeps):
@@ -121,6 +157,58 @@ def test_sampler_matches_covariance_factor_oracle():
 
     gap = np.linalg.norm(chain.g_samples - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
     assert gap.max() <= 1e-9
+
+
+class TestFactorizationBudget:
+    """Each g draw makes one (n+1) x (n+1) Cholesky and one solve against a
+    single right-hand side, and the sweep makes no other numpy.linalg call:
+    counted inside run_gibbs."""
+
+    N, n = 60, 10
+
+    @staticmethod
+    def _linalg_calls(monkeypatch, run):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append((name, [np.shape(x) for x in args]))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                monkeypatch.setattr(np.linalg, name, counting(name, fn))
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def test_one_cholesky_and_one_solve_per_sweep(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        u = rng.standard_normal(self.N)
+        U = build_regressor(u, self.N, self.n)
+        ds = Dataset(u, U @ rng.standard_normal(self.n) + rng.laplace(0.0, 0.1, self.N))
+        init = run_ssml(ds, self.n)
+
+        def sweeps(M):
+            cfg = GibbsConfig(M=M, M0=1, seed=RngHandle(66))
+            return self._linalg_calls(
+                monkeypatch, lambda: run_gibbs(ds, self.n, "first", cfg, init)
+            )
+
+        short, long = sweeps(3), sweeps(8)
+        extra = Counter(name for name, _ in long)
+        extra.subtract(name for name, _ in short)
+        assert +extra == Counter(cholesky=5, solve=5)
+        assert -extra == Counter()
+        assert all(
+            max(shapes[0]) <= self.n + 1 for name, shapes in long if name == "cholesky"
+        )
+        # a solve against [u I] would form the whole covariance factor
+        assert all(len(shapes[1]) == 1 for name, shapes in long if name == "solve")
+        assert not {"qr", "eigh"} & {name for name, _ in long}
 
 
 class TestLambdaRateFloor:
@@ -187,8 +275,9 @@ def test_overflowed_information_form_raises():
 
 
 class TestPosteriorMomentsEdges:
-    """The augmented-Cholesky step at the ends of the lambda range, on a
-    low-pass regressor (ill-conditioned U'U) and slowly decaying kernels."""
+    """The bordered-Cholesky step at the ends of the lambda range, on a
+    low-pass regressor (ill-conditioned U'U) and slowly decaying kernels,
+    and at a zero output."""
 
     N, n = 40, 12
 
@@ -221,6 +310,24 @@ class TestPosteriorMomentsEdges:
         _, R = posterior_moments(lam, U @ L_K, np.ones(N), tau)
         assert np.all(np.tril(R, -1) == 0.0)
         assert np.all(np.diag(R) > 0)
+
+    @pytest.mark.parametrize("N", [40, 8])
+    def test_zero_output(self, N):
+        # y = 0 zeroes the border c = Phi'D^{-1}y and y'D^{-1}y; the last
+        # pivot stays positive, so the factor exists and the mean is exactly 0
+        rng = np.random.default_rng(65)
+        U = build_regressor(rng.standard_normal(N), N, self.n)
+        tau = rng.uniform(0.5, 3.0, N)
+        y = np.zeros(N)
+        K = build_kernel(KernelSpec("first", 0.9, self.n))
+        L_K = kernel_factor(K)
+        mean_w, R = posterior_moments(1.0, U @ L_K, y, tau)
+
+        assert np.all(mean_w == 0.0)
+        _, cov_ref = covariance_posterior(1.0, L_K @ L_K.T, U, y, tau)
+        F = L_K @ R
+        assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
+        assert np.all(np.isfinite(conditional_g(1.0, tau, K, U, y, RngHandle(65))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_noise_variance(self, bad):
