@@ -104,28 +104,29 @@ def _polynomials(tf: TransferFunction) -> tuple[np.ndarray, np.ndarray]:
     return b, a
 
 
-def _impulse_recursion(b: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """First n response samples of B/A via the direct difference equation.
+def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Zero-state response y = (B/A) x, with B and A in ascending powers of
+    z^{-1} and A monic: the FIR part B x, then the difference equation
+    y(t) = (B x)(t) - a_1 y(t-1) - ... - a_p y(t-p).
 
-    The pole radius bound of TransferFunction keeps the response of every
-    generated system bounded, but the unscaled samples of a stable system
-    can still reach 1e7 and more; only a response that overflows is
-    rejected.
+    This is the one filter of the package: it gives both the impulse
+    responses of the generated systems and the low-pass inputs.  The pole
+    radius bound of TransferFunction keeps the response of every generated
+    system bounded, but the unscaled samples of a stable system can still
+    reach 1e7 and more; only a response that overflows is rejected.
     """
-    h = np.zeros(n)
+    y = np.convolve(x, b)[: len(x)]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for t in range(n):
-            acc = b[t] if t < b.size else 0.0
+        for t in range(y.size):
             jmax = min(t, a.size - 1)
             if jmax >= 1:
-                acc -= a[1 : jmax + 1] @ h[t - 1 :: -1][:jmax]
-            if not np.isfinite(acc):
+                y[t] -= a[1 : jmax + 1] @ y[t - 1 :: -1][:jmax]
+            if not np.isfinite(y[t]):
                 raise NumericError(
                     f"response sample {t + 1} is not finite before scaling",
                     context="benchmark.impulse_response",
                 )
-            h[t] = acc
-    return h
+    return y
 
 
 def generate_system(rng, n: int = 50) -> TransferFunction:
@@ -147,7 +148,7 @@ def generate_system(rng, n: int = 50) -> TransferFunction:
         gain=1.0,
     )
     b, a = _polynomials(tf)
-    h = _impulse_recursion(b, a, n)
+    h = _filter(b, a, np.eye(1, n)[0])  # response to a unit impulse
     norm = float(np.linalg.norm(h))
     if norm == 0.0:
         raise NumericError(
@@ -159,14 +160,14 @@ def generate_system(rng, n: int = 50) -> TransferFunction:
 
 def impulse_response(tf: TransferFunction, n: int) -> np.ndarray:
     """First n samples after the unit delay: g(k) = gain * h(k-1), where h
-    is the recursion response of B/A.  The finiteness guard applies to
-    the unscaled recursion."""
+    is the impulse response of B/A.  The finiteness guard of the filter
+    applies to the unscaled response."""
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
     if tf.delay != 1:
         raise ConfigError("only unit input-output delay is supported")
     b, a = _polynomials(tf)
-    return tf.gain * _impulse_recursion(b, a, n)
+    return tf.gain * _filter(b, a, np.eye(1, n)[0])
 
 
 def generate_input(kind, N: int, rng) -> np.ndarray:
@@ -188,9 +189,7 @@ def generate_input(kind, N: int, rng) -> np.ndarray:
 
 def lowpass_filter(e: np.ndarray, rho: float) -> np.ndarray:
     """x(t) = 2 rho x(t-1) - rho^2 x(t-2) + (1-rho)^2 e(t), zero initial state."""
-    from scipy.signal import lfilter
-
-    return lfilter([(1.0 - rho) ** 2], [1.0, -2.0 * rho, rho**2], e)
+    return _filter(np.array([(1.0 - rho) ** 2]), np.array([1.0, -2.0 * rho, rho**2]), e)
 
 
 @dataclass(frozen=True)

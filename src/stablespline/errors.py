@@ -13,5 +13,6 @@ class NumericError(RuntimeError):
     """
 
     def __init__(self, message: str, context: str | None = None):
+        self.message = message
         self.context = context
         super().__init__(f"{context}: {message}" if context else message)

@@ -219,7 +219,12 @@ def _draw_g(
     D = diag(tau), w = L_A^{-T}(u + z).  ``tau`` must be positive and
     finite; ``work``, shaped like Xt = X', is scratch space for (D^{-1/2} X)'.
     """
-    L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), work)
+    try:
+        L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), work)
+    except NumericError as exc:
+        raise NumericError(
+            f"{exc.message}{_at(sweep)}", context="gibbs.conditional_g"
+        ) from exc
     n = L_K.shape[0]
     w = np.linalg.solve(L[:n, :n].T, sample_mvn(L[n, :n], None, gen))
     g = L_K @ w

@@ -16,7 +16,7 @@ from stablespline import (
     run_experiment,
     summarize,
 )
-from stablespline.benchmark import POLE_RADIUS, _impulse_recursion, _single_run, lowpass_filter, simulate
+from stablespline.benchmark import POLE_RADIUS, _filter, _single_run, lowpass_filter, simulate
 from stablespline.distributions import RngHandle
 from stablespline.fileio import write_runs_csv
 
@@ -122,7 +122,7 @@ class TestImpulseResponse:
     def test_instability_guard(self):
         # only a response that overflows is rejected
         with pytest.raises(NumericError):
-            _impulse_recursion(np.array([1.0]), np.array([1.0, -1e200]), 5)
+            _filter(np.array([1.0]), np.array([1.0, -1e200]), np.eye(1, 5)[0])
 
 
 class TestGenerateInput:
@@ -149,6 +149,17 @@ class TestGenerateInput:
             x = generate_input("lp", 2000, RngHandle(212, stream=i))
             v = x.var()
             assert np.isfinite(v) and v > 0.0
+
+    @pytest.mark.parametrize("N", [500, 4000])
+    @pytest.mark.parametrize("rho", [0.75, 0.85, 0.95])
+    def test_lowpass_matches_lfilter(self, rho, N):
+        # scipy's direct-form filter is an independently coded oracle; a
+        # tolerance rather than bit equality, so a scipy upgrade cannot
+        # break the test
+        e = RngHandle(213, stream=N).generator().standard_normal(N)
+        oracle = lfilter([(1.0 - rho) ** 2], [1.0, -2.0 * rho, rho**2], e)
+        x = lowpass_filter(e, rho)
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(x))
 
     def test_unit_dc_gain(self):
         rho = 0.8

@@ -8,6 +8,7 @@ from stablespline import (
     GibbsChain,
     GibbsConfig,
     KernelSpec,
+    NumericError,
     build_kernel,
     build_regressor,
     conditional_g,
@@ -291,6 +292,25 @@ class TestRunGibbs:
         batch_means = post[: nb * bs].reshape(nb, bs, n).mean(axis=1)
         se = batch_means.std(axis=0, ddof=1) / np.sqrt(nb)
         assert np.all(np.abs(g_fix - ssml.g_hat) <= 8.0 * se)
+
+    def test_failed_g_step_names_sweep(self, monkeypatch):
+        # tau = 1e-320 passes the tau guard (positive, finite) but scales
+        # [Phi y] by 1e160, so the information matrix overflows
+        ds, _, ssml = self._fit_inputs()
+        real, calls = gibbs.sample_gig_half, []
+
+        def tiny_from_sweep_3(a, b, rng):
+            calls.append(None)
+            tau = real(a, b, rng)
+            return np.full_like(tau, 1e-320) if len(calls) >= 3 else tau
+
+        monkeypatch.setattr(gibbs, "sample_gig_half", tiny_from_sweep_3)
+        cfg = GibbsConfig(M=50, M0=10, seed=RngHandle(105))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="not (positive definite|finite)") as info:
+                run_gibbs(ds, 10, "first", cfg, ssml)
+        assert info.value.context == "gibbs.conditional_g"
+        assert "at sweep 3" in str(info.value)
 
     def test_aborts_on_missing_seed(self):
         ds, _, ssml = self._fit_inputs()

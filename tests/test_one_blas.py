@@ -1,11 +1,17 @@
-"""Tooling rule: the library's dense algebra goes through numpy.linalg only.
+"""Tooling rules: numpy is the library's one runtime dependency, and its
+dense algebra goes through numpy.linalg only.
 
-numpy and scipy bundle separate OpenBLAS builds.  Alternating between them
-on a hot path makes their thread pools compete, which made the Gibbs sweep
-about 18x slower at N=500 under default threading.  The library imports no
-``scipy.linalg`` name, and must not paper over the fight with thread
-settings.  Importing the package loads no scipy module at all: scipy's
-import time would land in every command's start-up.
+Every module that ``src/stablespline`` imports, at the top of a file or
+inside a function, is part of the standard library, ``numpy`` or the
+package itself, and pyproject's runtime ``dependencies`` name numpy alone
+(scipy is a test-only oracle).  Two libraries with dense algebra would
+bring two OpenBLAS builds: numpy and scipy bundle separate ones, and
+alternating between them on a hot path makes their thread pools compete,
+which made the Gibbs sweep about 18x slower at N=500 under default
+threading.  The library must not paper over that fight with thread
+settings either.  Neither importing the package nor simulating a
+low-pass dataset loads any scipy module: scipy's import time would land
+in every command's start-up.
 
 The library also calls no ``numpy.linalg.inv``: an explicit inverse is an
 LU with n right-hand sides where a factorization already holds the answer
@@ -18,14 +24,18 @@ and an n x n triangle whose condition is that of U.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stablespline
 
 SOURCES = sorted(Path(stablespline.__file__).parent.glob("*.py"))
-ALLOWED_SCIPY_LINALG = set()
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy"}
 SVD_ROUTES = {"lstsq", "cond"}
 THREAD_SETTINGS = (
     "threadpoolctl",
@@ -35,22 +45,19 @@ THREAD_SETTINGS = (
 )
 
 
-def _scipy_linalg_imports(tree):
-    """(line, name) of every scipy.linalg import outside the allowed names."""
+def _foreign_imports(tree):
+    """(line, module) of every absolute import, at any depth, whose top-level
+    module is neither in the standard library nor numpy."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("scipy.linalg"):
-                    yield node.lineno, alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.startswith("scipy.linalg"):
-                for alias in node.names:
-                    if node.module != "scipy.linalg" or alias.name not in ALLOWED_SCIPY_LINALG:
-                        yield node.lineno, f"{node.module}.{alias.name}"
-            elif node.module == "scipy":
-                for alias in node.names:
-                    if alias.name == "linalg":
-                        yield node.lineno, "scipy.linalg"
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] not in ALLOWED_IMPORTS:
+                yield node.lineno, module
 
 
 def _numpy_linalg_uses(tree, names):
@@ -68,26 +75,40 @@ def _numpy_linalg_uses(tree, names):
                     yield node.lineno, f"from numpy.linalg import {alias.name}"
 
 
-def test_no_scipy_linalg():
-    assert {p.name for p in SOURCES} >= {"gibbs.py", "ssml.py", "kernels.py"}
+def test_imports_only_stdlib_and_numpy():
+    assert {p.name for p in SOURCES} >= {"benchmark.py", "gibbs.py", "ssml.py", "kernels.py"}
     bad = [
-        f"{path.name}:{line}: {name}"
+        f"{path.name}:{line}: {module}"
         for path in SOURCES
-        for line, name in _scipy_linalg_imports(ast.parse(path.read_text(), str(path)))
+        for line, module in _foreign_imports(ast.parse(path.read_text(), str(path)))
     ]
-    assert not bad, "scipy.linalg imports: " + ", ".join(bad)
+    assert not bad, "imports outside the standard library and numpy: " + ", ".join(bad)
 
 
 def test_rule_catches_each_import_form():
     src = (
-        "import scipy.linalg\n"
+        "import scipy\n"
         "from scipy import linalg\n"
         "from scipy.linalg import solve_triangular, toeplitz\n"
-        "from scipy.linalg.lapack import dpotrf\n"
-        "from scipy.linalg import toeplitz\n"
+        "import os, scipy.linalg as sl\n"
+        "def lowpass(e):\n"
+        "    from scipy.signal import lfilter\n"
+        "    return lfilter([1.0], [1.0, -0.5], e)\n"
+        "import numpy as np, numpy.linalg\n"
+        "from . import errors\n"
+        "from .errors import NumericError\n"
+        "from __future__ import annotations\n"
+        "import warnings, dataclasses\n"
     )
-    found = [line for line, _ in _scipy_linalg_imports(ast.parse(src))]
-    assert found == [1, 2, 3, 3, 4, 5]
+    found = [line for line, _ in _foreign_imports(ast.parse(src))]
+    assert found == [1, 2, 3, 4, 6]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 def test_no_numpy_inv():
@@ -135,16 +156,25 @@ def test_lstsq_cond_rule_catches_each_form():
     assert found == [1, 2, 3, 4, 5, 7, 7]
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(tmp_path):
     code = (
-        "import sys, stablespline; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import sys, stablespline\n"
+        "from stablespline import cli, generate_input\n"
+        "from stablespline.distributions import RngHandle\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        "generate_input('lp', 500, RngHandle(1))\n"
+        "code = cli.main(['simulate', '--input-kind', 'lp', '--N', '500', '--seed', '1',\n"
+        "                 '--output', sys.argv[1], '--truth', sys.argv[2]])\n"
+        "print(code, loaded())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(stablespline.__file__).parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", code, str(tmp_path / "d.csv"), str(tmp_path / "t.json")],
+        capture_output=True, text=True, check=True, env=env,
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
 def test_no_thread_settings():
