@@ -107,10 +107,15 @@ def cmd_identify(args) -> int:
     truth_g = None
     if args.truth:
         truth_doc = read_document(args.truth)
-        truth_g = np.asarray(truth_doc.get("impulse_response", []), dtype=float)
-        if truth_g.size != args.n:
+        try:
+            truth_g = np.asarray(truth_doc.get("impulse_response", []), dtype=float)
+        except (AttributeError, TypeError, ValueError):
             raise ConfigError(
-                f"truth response has length {truth_g.size}, expected n={args.n}"
+                f"{args.truth}: not a truth document with a numeric impulse_response"
+            ) from None
+        if truth_g.shape != (args.n,):
+            raise ConfigError(
+                f"{args.truth}: truth response has length {truth_g.size}, expected n={args.n}"
             )
 
     ssml = run_ssml(dataset, args.n, order)

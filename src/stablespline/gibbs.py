@@ -16,7 +16,9 @@ information matrix of X (:func:`stablespline.ssml.information_factor`),
 [[L_A, 0], [u', l]], and one solve: w = L_A^{-T}(u + z) with z standard
 normal (Rue, JRSS-B 2001), whose mean is the posterior mean L_A^{-T} u and
 whose covariance is A^{-1}.  The exported conditionals wrap the same three
-step functions.
+step functions.  A failed step raises NumericError under the name of its
+conditional (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and
+:func:`run_gibbs` adds the sweep it failed at to the message.
 
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), discards a burn-in prefix, and
@@ -144,10 +146,6 @@ class GibbsChain:
         return self.g_samples[self.burn_in - 1 :]
 
 
-def _at(sweep: int | None) -> str:
-    return "" if sweep is None else f" at sweep {sweep}"
-
-
 def _whiten(K, U: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'."""
     L_K = kernel_factor(K)
@@ -164,14 +162,13 @@ def _draw_tau(
     y: np.ndarray,
     a_gig: float,
     gen: np.random.Generator,
-    sweep: int | None = None,
 ) -> np.ndarray:
     """Tau step: tau_i ~ GIG(a_gig, r_i^2, 1/2) with r = y - Phi w."""
     r = y - Phi @ w
     tau = sample_gig_half(a_gig, r * r, gen)
     if not (tau.min() > 0 and tau.max() < np.inf):
         raise NumericError(
-            f"non-positive/non-finite tau{_at(sweep)}",
+            "non-positive/non-finite tau",
             context="gibbs.conditional_tau",
         )
     return tau
@@ -183,7 +180,6 @@ def _draw_lambda(
     gen: np.random.Generator,
     convention: str,
     rate_floor: float,
-    sweep: int | None = None,
 ) -> float:
     """Lambda step: lambda^{-1} ~ Gamma(n/2 + 1, rate) from quad = g'K^{-1}g,
     which is w'w in the sweep."""
@@ -198,7 +194,7 @@ def _draw_lambda(
     lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
     if not (lam > 0 and np.isfinite(lam)):
         raise NumericError(
-            f"non-positive/non-finite lambda{_at(sweep)}",
+            "non-positive/non-finite lambda",
             context="gibbs.conditional_lambda",
         )
     return lam
@@ -210,7 +206,6 @@ def _draw_g(
     L_K: np.ndarray,
     Xt: np.ndarray,
     gen: np.random.Generator,
-    sweep: int | None = None,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G step: w from its whitened Gaussian conditional; returns (w, L_K w).
@@ -219,18 +214,13 @@ def _draw_g(
     D = diag(tau), w = L_A^{-T}(u + z).  ``tau`` must be positive and
     finite; ``work``, shaped like Xt = X', is scratch space for (D^{-1/2} X)'.
     """
-    try:
-        L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), work)
-    except NumericError as exc:
-        raise NumericError(
-            f"{exc.message}{_at(sweep)}", context="gibbs.conditional_g"
-        ) from exc
+    L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), "gibbs.conditional_g", work)
     n = L_K.shape[0]
     w = np.linalg.solve(L[:n, :n].T, sample_mvn(L[n, :n], None, gen))
     g = L_K @ w
     if not np.all(np.isfinite(g)):
         raise NumericError(
-            f"non-finite g draw{_at(sweep)}",
+            "non-finite g draw",
             context="gibbs.conditional_g",
         )
     return w, g
@@ -343,9 +333,12 @@ def run_gibbs(
     tau_stored = []
 
     for k in range(1, M + 1):
-        tau = _draw_tau(Phi, w, dataset.y, a_gig, gen, k)
-        lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor, k)
-        w, g = _draw_g(lam, tau, L_K, Xt, gen, k, work)
+        try:
+            tau = _draw_tau(Phi, w, dataset.y, a_gig, gen)
+            lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor)
+            w, g = _draw_g(lam, tau, L_K, Xt, gen, work)
+        except NumericError as exc:
+            raise NumericError(f"{exc.message} at sweep {k}", context=exc.context) from exc
 
         g_samples[k - 1] = g
         lambda_samples[k - 1] = lam

@@ -402,7 +402,9 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
     return d
 
 
-def information_factor(lam: float, Xt: np.ndarray, s: np.ndarray, out=None) -> np.ndarray:
+def information_factor(
+    lam: float, Xt: np.ndarray, s: np.ndarray, context: str, out=None
+) -> np.ndarray:
     """Lower Cholesky factor of the bordered information matrix of X = [Phi y].
 
     ``Xt`` is X', (n+1) x N, so the scaling by D^{-1/2} = diag(s) runs
@@ -418,10 +420,13 @@ def information_factor(lam: float, Xt: np.ndarray, s: np.ndarray, out=None) -> n
     y'D^{-1}y + 1: M factors whenever A does, y = 0 included.
 
     ``lam`` must be positive and ``s`` positive and finite; callers check
-    both.  ``out``, an array shaped like Xt, receives (D^{-1/2} X)'.
+    both.  A failed factorization raises NumericError under ``context``,
+    the caller's name.  ``out``, an array shaped like Xt, receives
+    (D^{-1/2} X)'.
     """
     Xs = np.multiply(Xt, s, out=out)
-    M = Xs @ Xs.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        M = Xs @ Xs.T
     n = M.shape[0] - 1
     i = np.arange(n)
     M[i, i] += 1.0 / lam
@@ -431,22 +436,23 @@ def information_factor(lam: float, Xt: np.ndarray, s: np.ndarray, out=None) -> n
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "information-form system not positive definite",
-            context="ssml.posterior_moments",
+            context=context,
         ) from exc
     # numpy's Cholesky returns an infinite or NaN factor rather than raising
     # once A has overflowed
     if not L.diagonal().max() < np.inf:
         raise NumericError(
             "information-form system not finite",
-            context="ssml.posterior_moments",
+            context=context,
         )
     return L
 
 
-def _data_factor(lam: float, Phi, y, noise_cov_diag) -> np.ndarray:
+def _data_factor(lam: float, Phi, y, noise_cov_diag, context: str) -> np.ndarray:
     """``information_factor`` of [Phi y] under the noise variances given."""
     Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
-    return information_factor(lam, Xt, 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1])))
+    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
+    return information_factor(lam, Xt, s, context)
 
 
 def posterior_moments(
@@ -473,7 +479,7 @@ def posterior_moments(
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
-    L = _data_factor(lam, Phi, y, noise_cov_diag)
+    L = _data_factor(lam, Phi, y, noise_cov_diag, "ssml.posterior_moments")
     n = L.shape[0] - 1
     mR = np.linalg.solve(L[:n, :n].T, np.column_stack([L[n, :n], np.eye(n)]))
     return mR[:, 0], mR[:, 1:]
@@ -503,7 +509,7 @@ def posterior_mean(
     if lam == 0.0:
         return np.zeros(U.shape[1])
     L_K = kernel_factor(K)
-    L = _data_factor(lam, U @ L_K, y, noise_cov_diag)
+    L = _data_factor(lam, U @ L_K, y, noise_cov_diag, "ssml.posterior_mean")
     n = L.shape[0] - 1
     return L_K @ np.linalg.solve(L[:n, :n].T, L[n, :n])
 

@@ -1,16 +1,15 @@
 """Test-only oracles for the GIG(a, b, 1/2) law: its density, and a copy of
-the sampler's draw order.
+the sampler's draw for b at or above the b-floor.
 
-Every call of ``masked_sample_gig_half`` broadcasts ``b``, masks the entries below the b-floor, draws
-their Gamma limits first and then the inverse-Gaussian draws of the rest.
-``sample_gig_half`` must reproduce these draws, and the generator position
-after them, bit for bit, so that a rewrite of it cannot silently change
-the chains the Gibbs sampler runs.
+``inverse_gaussian_gig_half`` makes the one draw 1 / IG(sqrt(a/b), a) for
+every entry of ``b``.  ``sample_gig_half`` must reproduce these draws, and
+the generator position after them, bit for bit, so that a rewrite of it
+cannot silently change the chains the Gibbs sampler runs.
 """
 
 import numpy as np
 
-from stablespline.distributions import GIG_B_FLOOR_FACTOR, _inverse_gaussian, as_generator
+from stablespline.distributions import _inverse_gaussian, as_generator
 from stablespline.errors import ConfigError
 
 
@@ -33,21 +32,9 @@ def gig_pdf_half(tau, a: float, b: float):
     return norm * t ** (-0.5) * np.exp(-0.5 * (a * t + b / t))
 
 
-def masked_sample_gig_half(a, b, rng, size=None):
+def inverse_gaussian_gig_half(a, b, rng, size=None):
     b_arr = np.asarray(b, dtype=float)
-    gen = as_generator(rng)
     scalar = b_arr.ndim == 0 and size is None
     shape = b_arr.shape if b_arr.ndim else ((size,) if size is not None else (1,))
-    b_full = np.broadcast_to(b_arr, shape)
-    out = np.empty(shape, dtype=float)
-
-    floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
-    low = b_full < floor
-    n_low = int(low.sum())
-    if n_low:
-        out[low] = gen.gamma(0.5, scale=2.0 / a, size=n_low)
-    if n_low < b_full.size:
-        bb = b_full[~low]
-        mu = np.sqrt(a / bb)
-        out[~low] = 1.0 / _inverse_gaussian(mu, a, gen, bb.shape)
+    out = 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, as_generator(rng), shape)
     return float(out[0]) if scalar else out

@@ -179,6 +179,25 @@ class TestIdentify:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["[1, 2]", '{"impulse_response": ["x"' + ', 0.5' * 19 + "]}"],
+        ids=["not_an_object", "non_numeric_response"],
+    )
+    def test_malformed_truth_exits_2(self, sim_files, tmp_path, capsys, doc):
+        ds, _ = sim_files
+        truth = tmp_path / "bad_truth.json"
+        truth.write_text(doc)
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "identify", "--input", str(ds), "--truth", str(truth),
+            "--output", str(out), "--estimator", "ssml", "--n", "20",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(truth) in err
+        assert not out.exists()
+
     def test_n_too_large_exits_2(self, sim_files, tmp_path):
         ds, _ = sim_files
         code = run_cli(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from gig_oracle import gig_pdf_half, masked_sample_gig_half
+from gig_oracle import gig_pdf_half, inverse_gaussian_gig_half
 from scipy import integrate, stats
 
 from stablespline import ConfigError
@@ -125,12 +125,12 @@ class TestSampleGigHalf:
             sample_gig_half(1.0, -1.0, RngHandle(0))
 
 
-def _same_draws(a, b, seed, size=None):
-    """The sampler and its frozen oracle agree bit for bit, and leave the
-    generator at the same point."""
+def _same_draws(a, b, seed, size=None, b_ref=None):
+    """The sampler at ``b`` and its frozen oracle at ``b_ref`` (default
+    ``b``) agree bit for bit, and leave the generator at the same point."""
     gen, ref_gen = RngHandle(seed).generator(), RngHandle(seed).generator()
     x = sample_gig_half(a, b, gen, size=size)
-    ref = masked_sample_gig_half(a, b, ref_gen, size=size)
+    ref = inverse_gaussian_gig_half(a, b if b_ref is None else b_ref, ref_gen, size=size)
     assert type(x) is type(ref)
     assert np.array_equal(x, ref)
     assert np.array_equal(gen.random(4), ref_gen.random(4))
@@ -152,28 +152,29 @@ class TestSampleGigHalfPaths:
         assert _same_draws(self.a, 0.3, 45, size=0).shape == (0,)
 
     def test_b_at_floor_takes_inverse_gaussian_draw(self):
-        b = np.full(200, self.floor)
-        x = _same_draws(self.a, b, 46)
-        # b equal to the floor is not below it, so no entry is a Gamma draw
-        gamma = RngHandle(46).generator().gamma(0.5, scale=2.0 / self.a, size=200)
-        assert not np.any(x == gamma)
+        _same_draws(self.a, np.full(200, self.floor), 46)
 
-    def test_b_just_below_floor_takes_gamma_limit(self):
-        b = np.full(200, np.nextafter(self.floor, 0.0))
-        x = _same_draws(self.a, b, 47)
-        gamma = RngHandle(47).generator().gamma(0.5, scale=2.0 / self.a, size=200)
-        assert np.array_equal(x, gamma)
+    @pytest.mark.parametrize(
+        "b",
+        [0.0, 0.5 * floor, np.nextafter(floor, 0.0)],
+        ids=["zero", "half_floor", "below_floor"],
+    )
+    def test_b_below_floor_draws_as_floor(self, b):
+        _same_draws(self.a, b, 47, size=200, b_ref=self.floor)
+        _same_draws(self.a, b, 47, b_ref=self.floor)
+        _same_draws(self.a, np.full(200, b), 47, b_ref=np.full(200, self.floor))
 
     def test_mixed_arrays_match_oracle(self):
+        # entries below the floor draw as the floor; the others are untouched
         rng = np.random.default_rng(48)
         for i, n_low in enumerate([1, 17, 199]):
             b = rng.exponential(size=200)
             b[rng.choice(200, n_low, replace=False)] = rng.choice(
                 [0.0, 0.5 * self.floor, np.nextafter(self.floor, 0.0)], n_low
             )
-            _same_draws(self.a, b, 49 + i)
-        _same_draws(self.a, np.array([[0.0, self.floor], [2.0, 0.0]]), 52)
-        _same_draws(self.a, 0.0, 53, size=50)
+            _same_draws(self.a, b, 49 + i, b_ref=np.maximum(b, self.floor))
+        b = np.array([[0.0, self.floor], [2.0, 0.0]])
+        _same_draws(self.a, b, 52, b_ref=np.maximum(b, self.floor))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
     def test_rejects_non_finite_or_negative_b(self, bad):

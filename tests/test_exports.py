@@ -1,7 +1,10 @@
 """Every exported name resolves: a name left in an ``__all__`` after its
 definition was deleted or moved would break ``from stablespline import *``
-and the documented API."""
+and the documented API.  Likewise every attribute that the benchmark's
+tracer patches must exist, or ``perfbench/run.py --trace 1`` fails at
+install."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -28,3 +31,25 @@ def test_submodule_exports_resolve(name):
     if hasattr(module, "__all__"):
         assert _missing(module) == []
 
+
+def _traced_attributes():
+    """The (module, attribute) pairs of ``PATCHES`` in perfbench/layers.py,
+    read from its source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PATCHES" for t in node.targets
+        ):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError("perfbench/layers.py defines no PATCHES list")
+
+
+def test_traced_attributes_resolve():
+    pairs = _traced_attributes()
+    assert pairs
+    missing = [
+        (module, attr)
+        for module, attr in pairs
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

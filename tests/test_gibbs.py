@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -293,24 +295,41 @@ class TestRunGibbs:
         se = batch_means.std(axis=0, ddof=1) / np.sqrt(nb)
         assert np.all(np.abs(g_fix - ssml.g_hat) <= 8.0 * se)
 
-    def test_failed_g_step_names_sweep(self, monkeypatch):
-        # tau = 1e-320 passes the tau guard (positive, finite) but scales
-        # [Phi y] by 1e160, so the information matrix overflows
+    # From sweep 3 on, each fault breaks one step of the sweep: a zero tau
+    # fails the tau guard; an infinite Gamma draw makes lambda 0; tau = 1e-320
+    # passes the tau guard but scales [Phi y] by 1e160, so the information
+    # matrix of the g step overflows.
+    FAULTS = {
+        "tau": (
+            "sample_gig_half",
+            lambda tau: np.concatenate([[0.0], tau[1:]]),
+            "non-positive/non-finite tau",
+        ),
+        "lambda": ("sample_gamma", lambda x: np.inf, "non-positive/non-finite lambda"),
+        "g": (
+            "sample_gig_half",
+            lambda tau: np.full_like(tau, 1e-320),
+            "information-form system not (positive definite|finite)",
+        ),
+    }
+
+    @pytest.mark.parametrize("step", ["tau", "lambda", "g"])
+    def test_failed_step_names_sweep(self, monkeypatch, step):
+        name, fault, message = self.FAULTS[step]
         ds, _, ssml = self._fit_inputs()
-        real, calls = gibbs.sample_gig_half, []
+        real, calls = getattr(gibbs, name), []
 
-        def tiny_from_sweep_3(a, b, rng):
+        def faulty_from_sweep_3(*args):
             calls.append(None)
-            tau = real(a, b, rng)
-            return np.full_like(tau, 1e-320) if len(calls) >= 3 else tau
+            x = real(*args)
+            return fault(x) if len(calls) >= 3 else x
 
-        monkeypatch.setattr(gibbs, "sample_gig_half", tiny_from_sweep_3)
+        monkeypatch.setattr(gibbs, name, faulty_from_sweep_3)
         cfg = GibbsConfig(M=50, M0=10, seed=RngHandle(105))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="not (positive definite|finite)") as info:
-                run_gibbs(ds, 10, "first", cfg, ssml)
-        assert info.value.context == "gibbs.conditional_g"
-        assert "at sweep 3" in str(info.value)
+        with pytest.raises(NumericError) as info:
+            run_gibbs(ds, 10, "first", cfg, ssml)
+        assert info.value.context == f"gibbs.conditional_{step}"
+        assert re.fullmatch(f"{message} at sweep 3", info.value.message)
 
     def test_aborts_on_missing_seed(self):
         ds, _, ssml = self._fit_inputs()

@@ -28,6 +28,7 @@ from stablespline import (
     conditional_g,
     conditional_lambda,
     conditional_tau,
+    posterior_mean,
     posterior_moments,
     run_gibbs,
     run_ssml,
@@ -94,7 +95,7 @@ def test_bordered_factor_identity(N, order, beta, log_lam, seed):
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
 
-    L = information_factor(lam, np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau))
+    L = information_factor(lam, np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau), "test")
 
     L_A, u, pivot = L[:n, :n], L[n, :n], L[n, n]
     A = np.eye(n) / lam + Phi.T @ (Phi / tau[:, None])
@@ -272,6 +273,23 @@ def test_overflowed_information_form_raises():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="not finite"):
             posterior_moments(1.0, Phi, np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "call, context",
+    [
+        (lambda U: posterior_mean(1.0, np.eye(2), U, np.ones(2), 1.0), "ssml.posterior_mean"),
+        (lambda U: posterior_moments(1.0, U, np.ones(2), 1.0), "ssml.posterior_moments"),
+    ],
+    ids=["posterior_mean", "posterior_moments"],
+)
+def test_failed_factor_names_its_caller(call, context):
+    # the Gram overflows; the failure is reported once, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite") as info:
+            call(np.array([[1e200, 0.0], [0.0, 1.0]]))
+    assert info.value.context == context
 
 
 class TestPosteriorMomentsEdges:
