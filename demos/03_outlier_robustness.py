@@ -41,7 +41,7 @@ spikes = gen.normal(0.0, np.sqrt(100 * sigma2), 5)
 def estimate_both(y, seed_child):
     ds = Dataset(u, y)
     ssml = run_ssml(ds, n)
-    g_gs, _ = run_gibbs(ds, n, "first", GibbsConfig(seed=seed_child), ssml)
+    g_gs, _ = run_gibbs(ds, GibbsConfig(), ssml, seed_child)
     return fit_score(g_true, ssml.g_hat), fit_score(g_true, g_gs)
 
 

@@ -37,8 +37,8 @@ ds = Dataset(u, y0 + v)
 print(f"dataset: N={N}, {outliers.sum()} outlier samples (100x variance)")
 
 ssml = run_ssml(ds, n)
-cfg = GibbsConfig(M=1500, M0=500, seed=handle.child(3))
-g_hat, chain = run_gibbs(ds, n, "first", cfg, ssml)
+cfg = GibbsConfig(M=1500, M0=500)
+g_hat, chain = run_gibbs(ds, cfg, ssml, handle.child(3))
 
 lam = chain.lambda_samples
 print("\nlambda trace (prior scale, sampled each sweep):")

@@ -277,8 +277,7 @@ def _single_run(config: ExperimentConfig, run_index: int) -> RunResult:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ssml = run_ssml(sim.dataset, config.n, config.order)
-        gibbs_cfg = replace(config.gibbs, seed=handle.child(3))
-        g_gs, _chain = run_gibbs(sim.dataset, config.n, config.order, gibbs_cfg, ssml)
+        g_gs, _chain = run_gibbs(sim.dataset, config.gibbs, ssml, handle.child(3))
 
     return RunResult(
         run_index=run_index,
@@ -342,10 +341,6 @@ def run_experiment(
             f"{len(failures)}/{config.runs} runs failed "
             f"(limit {MAX_FAILURE_FRACTION:.0%}); first: {failures[0]['reason']}",
             context="benchmark.run_experiment",
-        )
-    if not results:
-        raise NumericError(
-            "no runs completed", context="benchmark.run_experiment"
         )
     summary = summarize(results)
     summary["failures"] = failures

@@ -25,7 +25,7 @@ from .fileio import (
 )
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
-from .model import fit_score
+from .model import _as_finite_vector, fit_score
 from .ssml import run_ssml
 
 ESTIMATORS = ("ssml", "ssgs", "both")
@@ -72,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_id = sub.add_parser("identify", help="estimate an impulse response from a dataset file")
+    p_id.set_defaults(run=cmd_identify)
     p_id.add_argument("--input", required=True, help="dataset file (t,u,y)")
     p_id.add_argument("--truth", help="truth document for FIT scoring (optional)")
     p_id.add_argument("--output", required=True, help="result document to write")
@@ -81,12 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gibbs(p_id)
 
     p_sim = sub.add_parser("simulate", help="generate a random dataset and its truth document")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--output", required=True, help="dataset file to write")
     p_sim.add_argument("--truth", required=True, help="truth document to write")
     _add_common(p_sim)
     _add_experiment(p_sim)
 
     p_bm = sub.add_parser("benchmark", help="run the Monte Carlo comparison")
+    p_bm.set_defaults(run=cmd_benchmark)
     p_bm.add_argument("--output", required=True, help="per-run results CSV to write")
     p_bm.add_argument("--runs", type=int, default=20, help="Monte Carlo runs (default 20)")
     p_bm.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
@@ -117,6 +120,7 @@ def cmd_identify(args) -> int:
             raise ConfigError(
                 f"{args.truth}: truth response has length {truth_g.size}, expected n={args.n}"
             )
+        _as_finite_vector(truth_g, f"{args.truth}: truth response")
 
     ssml = run_ssml(dataset, args.n, order)
     doc = {
@@ -150,10 +154,9 @@ def cmd_identify(args) -> int:
         cfg = GibbsConfig(
             M=args.iters,
             M0=args.burnin,
-            seed=RngHandle(args.seed),
             rate_convention=args.gamma_rate_convention,
         )
-        g_gs, chain = run_gibbs(dataset, args.n, order, cfg, ssml)
+        g_gs, chain = run_gibbs(dataset, cfg, ssml, RngHandle(args.seed))
         diag = chain.diagnostics
         doc["ssgs"] = {
             "g_hat": g_gs,
@@ -282,13 +285,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "identify":
-            return cmd_identify(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

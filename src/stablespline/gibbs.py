@@ -21,8 +21,9 @@ conditional (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and
 :func:`run_gibbs` adds the sweep it failed at to the message.
 
 The chain starts from the Gaussian-noise estimate (see
-:func:`stablespline.ssml.run_ssml`), discards a burn-in prefix, and
-averages the remaining g draws.
+:func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
+order, beta and sigma2; it draws from the caller's stream, discards a
+burn-in prefix, and averages the remaining g draws.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .distributions import RngHandle, as_generator, sample_gamma, sample_gig_half, sample_mvn
+from .distributions import as_generator, sample_gamma, sample_gig_half, sample_mvn
 from .errors import ConfigError, NumericError
 from .kernels import (
-    KernelOrder,
     KernelSpec,
     _kernel_array,
     build_kernel,
@@ -83,16 +83,16 @@ TAU_THIN = 10  # store every TAU_THIN-th tau vector; the estimate needs none
 
 @dataclass(frozen=True)
 class GibbsConfig:
-    """Sampler settings: M total sweeps, M0 burn-in, seeded stream and the
-    rate convention of the lambda conditional.
+    """Sampler settings: M total sweeps, M0 burn-in and the rate convention
+    of the lambda conditional.
 
-    beta and sigma2 are not settings: the sampler holds both fixed at the
-    values of the initializing SS-ML result (see :func:`run_gibbs`).
+    The model (n, kernel order, beta, sigma2) is not a setting: the sampler
+    takes it from the initializing SS-ML result, and its random stream from
+    the caller (see :func:`run_gibbs`).
     """
 
     M: int = 1500
     M0: int = 500
-    seed: RngHandle | None = None
     rate_convention: str = "half"
 
     def __post_init__(self):
@@ -228,8 +228,8 @@ def _draw_g(
 
 def conditional_tau(
     g: np.ndarray,
-    dataset: Dataset,
     U: np.ndarray,
+    y: np.ndarray,
     sigma2: float,
     rng,
 ) -> np.ndarray:
@@ -241,7 +241,7 @@ def conditional_tau(
     if not (sigma2 > 0 and np.isfinite(sigma2)):
         raise ConfigError(f"sigma2 must be positive, got {sigma2}")
     U, g = np.asarray(U, dtype=float), np.asarray(g, dtype=float)
-    return _draw_tau(U, g, dataset.y, 2.0 / sigma2, as_generator(rng))
+    return _draw_tau(U, g, np.asarray(y, dtype=float), 2.0 / sigma2, as_generator(rng))
 
 
 def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> float:
@@ -295,36 +295,27 @@ def conditional_g(
 
 def run_gibbs(
     dataset: Dataset,
-    n: int,
-    order: KernelOrder,
     config: GibbsConfig,
     init: SsmlResult,
+    rng,
 ) -> tuple[np.ndarray, GibbsChain]:
     """Run the full sampler and return (g_hat, chain).
 
-    ``init`` supplies the starting point (g0 = SS-ML estimate) and the
-    fixed beta and sigma2 of its ``hyper``, which are held through the
-    chain; the first sweep draws lambda afresh.  The estimate is the mean
-    of the g draws from sweep M0 through M inclusive.
+    ``init`` is the model: the chain starts at g0 = ``init.g_hat``, n is its
+    length, and the kernel order, beta and sigma2 are ``init``'s, held
+    through the chain; the first sweep draws lambda afresh.  ``rng`` (an
+    RngHandle or a numpy Generator) is the chain's one random stream.  The
+    estimate is the mean of the g draws from sweep M0 through M inclusive.
     """
-    if config.seed is None:
-        raise ConfigError("GibbsConfig.seed must be set to run the sampler")
-    order = KernelOrder.parse(order)
-
-    N = dataset.N
-    U = build_regressor(dataset.u, N, n)
-    K = build_kernel(KernelSpec(order, init.hyper.beta, n))
+    n = init.g_hat.size
+    U = build_regressor(dataset.u, dataset.N, n)
+    K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K, Xt = _whiten(K, U, dataset.y)
     Phi, work = Xt[:n].T, np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
-    gen = as_generator(config.seed)
+    gen = as_generator(rng)
 
-    g0 = np.asarray(init.g_hat, dtype=float)
-    if g0.shape != (n,):
-        raise ConfigError(
-            f"init.g_hat must have length n={n}, got shape {g0.shape}"
-        )
-    w = np.linalg.solve(L_K, g0)
+    w = np.linalg.solve(L_K, init.g_hat)
     a_gig = 2.0 / init.hyper.sigma2
 
     M, M0 = config.M, config.M0

@@ -518,18 +518,23 @@ def posterior_mean(
 class SsmlResult:
     """Posterior-mean estimate with fitted hyperparameters.
 
-    ``objective`` is the negative log marginal likelihood at the optimum;
-    the result carries everything the Gibbs sampler needs to start.
+    ``objective`` is the negative log marginal likelihood at the optimum.
+    The result is the whole model the Gibbs sampler starts from: n is
+    ``g_hat.size``, and the kernel is ``order`` at ``hyper.beta``.
     """
 
     g_hat: np.ndarray
     hyper: Hyperparameters
     objective: float
+    order: KernelOrder
 
     def __post_init__(self):
         g = np.array(self.g_hat, dtype=float)
+        if g.ndim != 1 or g.size == 0:
+            raise ConfigError(f"g_hat must be a non-empty vector, got shape {g.shape}")
         g.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
+        object.__setattr__(self, "order", KernelOrder.parse(self.order))
 
 
 def run_ssml(
@@ -574,4 +579,5 @@ def run_ssml(
         g_hat=g_hat,
         hyper=Hyperparameters(lam=lam_hat, beta=beta_hat, sigma2=sigma2),
         objective=value,
+        order=order,
     )

@@ -200,9 +200,9 @@ def test_criterion_5_determinism_and_burn_in_contract():
     v = sample_noise_mixture(200, sigma2, 0.7, 100.0, h.child(2))
     ds = Dataset(u, y0 + v)
     ssml = run_ssml(ds, 50)
-    cfg = GibbsConfig(M=1500, M0=500, seed=h.child(3))
-    g1, chain1 = run_gibbs(ds, 50, "first", cfg, ssml)
-    g2, _ = run_gibbs(ds, 50, "first", cfg, ssml)
+    cfg = GibbsConfig(M=1500, M0=500)
+    g1, chain1 = run_gibbs(ds, cfg, ssml, h.child(3))
+    g2, _ = run_gibbs(ds, cfg, ssml, h.child(3))
     bitwise = np.array_equal(g1, g2)
     recomputed = chain1.g_samples[cfg.M0 - 1 :].mean(axis=0)
     exact = np.array_equal(g1, recomputed)
@@ -257,7 +257,7 @@ def test_criterion_7_forced_outlier_scenario():
         v[idx] = gen.normal(0.0, np.sqrt(100.0 * sigma2), 5)
         ds = Dataset(u, y0 + v)
         ssml = run_ssml(ds, 50)
-        g_gs, _ = run_gibbs(ds, 50, "first", GibbsConfig(seed=h.child(3)), ssml)
+        g_gs, _ = run_gibbs(ds, GibbsConfig(), ssml, h.child(3))
         fm = fit_score(g_true, ssml.g_hat)
         fg = fit_score(g_true, g_gs)
         per_seed.append((fm, fg))

@@ -181,13 +181,22 @@ class TestIdentify:
 
     @pytest.mark.parametrize(
         "doc",
-        ["[1, 2]", '{"impulse_response": ["x"' + ', 0.5' * 19 + "]}"],
-        ids=["not_an_object", "non_numeric_response"],
+        [
+            "[1, 2]",
+            '{"impulse_response": ["x"' + ', 0.5' * 19 + "]}",
+            '{"impulse_response": [null' + ', null' * 19 + "]}",
+        ],
+        ids=["not_an_object", "non_numeric_response", "non_finite_response"],
     )
-    def test_malformed_truth_exits_2(self, sim_files, tmp_path, capsys, doc):
+    def test_malformed_truth_exits_2(self, sim_files, tmp_path, capsys, monkeypatch, doc):
         ds, _ = sim_files
         truth = tmp_path / "bad_truth.json"
         truth.write_text(doc)
+
+        def no_fit(*args):
+            pytest.fail("the truth document must be checked before fitting")
+
+        monkeypatch.setattr("stablespline.cli.run_ssml", no_fit)
         out = tmp_path / "r.json"
         code = run_cli(
             "identify", "--input", str(ds), "--truth", str(truth),

@@ -45,7 +45,7 @@ class TestConditionalTau:
         N = 100_000
         ds = Dataset(np.zeros(N), np.zeros(N))
         U = np.zeros((N, 3))
-        tau = conditional_tau(np.zeros(3), ds, U, sigma2, RngHandle(70))
+        tau = conditional_tau(np.zeros(3), U, ds.y, sigma2, RngHandle(70))
         assert tau.shape == (N,)
         assert abs(tau.mean() - sigma2 / 2) <= 0.02 * (sigma2 / 2)
 
@@ -55,7 +55,7 @@ class TestConditionalTau:
         N = 100_000
         ds = Dataset(np.zeros(N), np.full(N, r))
         U = np.zeros((N, 2))
-        tau = conditional_tau(np.zeros(2), ds, U, sigma2, RngHandle(71))
+        tau = conditional_tau(np.zeros(2), U, ds.y, sigma2, RngHandle(71))
         a, b = 2.0 / sigma2, r * r
         target = np.sqrt(b / a) * (1 + 1 / np.sqrt(a * b))
         assert abs(tau.mean() - target) <= 0.01 * target
@@ -65,7 +65,7 @@ class TestConditionalTau:
         ds, U, g = small_dataset(rng, N=5, n=3)
         gen = RngHandle(73).generator()
         draws = np.array(
-            [conditional_tau(g, ds, U, 0.5, gen) for _ in range(10_000)]
+            [conditional_tau(g, U, ds.y, 0.5, gen) for _ in range(10_000)]
         )
         corr = np.corrcoef(draws.T)
         off = corr[~np.eye(5, dtype=bool)]
@@ -213,24 +213,24 @@ class TestRunGibbs:
 
     def test_bitwise_determinism(self):
         ds, _, ssml = self._fit_inputs()
-        cfg = GibbsConfig(M=150, M0=50, seed=RngHandle(101))
-        g1, c1 = run_gibbs(ds, 10, "first", cfg, ssml)
-        g2, c2 = run_gibbs(ds, 10, "first", cfg, ssml)
+        cfg = GibbsConfig(M=150, M0=50)
+        g1, c1 = run_gibbs(ds, cfg, ssml, RngHandle(101))
+        g2, c2 = run_gibbs(ds, cfg, ssml, RngHandle(101))
         assert np.array_equal(g1, g2)
         assert np.array_equal(c1.g_samples, c2.g_samples)
         assert np.array_equal(c1.lambda_samples, c2.lambda_samples)
 
     def test_estimate_is_post_burn_in_mean(self):
         ds, _, ssml = self._fit_inputs()
-        cfg = GibbsConfig(M=250, M0=100, seed=RngHandle(102))
-        g_hat, chain = run_gibbs(ds, 10, "first", cfg, ssml)
+        cfg = GibbsConfig(M=250, M0=100)
+        g_hat, chain = run_gibbs(ds, cfg, ssml, RngHandle(102))
         recomputed = chain.g_samples[cfg.M0 - 1 :].mean(axis=0)
         assert np.array_equal(g_hat, recomputed)
 
     def test_estimate_ignores_pre_burn_in_samples(self):
         ds, _, ssml = self._fit_inputs()
-        cfg = GibbsConfig(M=250, M0=100, seed=RngHandle(103))
-        g_hat, chain = run_gibbs(ds, 10, "first", cfg, ssml)
+        cfg = GibbsConfig(M=250, M0=100)
+        g_hat, chain = run_gibbs(ds, cfg, ssml, RngHandle(103))
         mutated = chain.g_samples.copy()
         mutated[: cfg.M0 - 1] = 1e9
         alt = GibbsChain(
@@ -243,8 +243,8 @@ class TestRunGibbs:
 
     def test_chain_positivity(self):
         ds, _, ssml = self._fit_inputs()
-        cfg = GibbsConfig(M=120, M0=20, seed=RngHandle(104))
-        _, chain = run_gibbs(ds, 10, "first", cfg, ssml)
+        cfg = GibbsConfig(M=120, M0=20)
+        _, chain = run_gibbs(ds, cfg, ssml, RngHandle(104))
         assert np.all(chain.lambda_samples > 0)
         assert chain.tau_samples is not None
         assert np.all(chain.tau_samples > 0)
@@ -262,7 +262,7 @@ class TestRunGibbs:
         s2 = 1e-4 * float(np.var(y0))
         ds = Dataset(u, y0 + sample_laplace(s2, h.child(1), size=N))
         ssml = run_ssml(ds, n)
-        g_gs, _ = run_gibbs(ds, n, "first", GibbsConfig(seed=h.child(2)), ssml)
+        g_gs, _ = run_gibbs(ds, GibbsConfig(), ssml, h.child(2))
         assert fit_score(g_true, g_gs) >= 95.0
 
     def test_degenerate_chain_approaches_ssml_estimate(self, monkeypatch):
@@ -282,12 +282,12 @@ class TestRunGibbs:
         s2 = float(np.var(y0)) / 100
         ds = Dataset(u, y0 + gen.normal(0.0, np.sqrt(s2), N))
         ssml = run_ssml(ds, n)
-        cfg = GibbsConfig(M=3000, M0=500, seed=h.child(1))
+        cfg = GibbsConfig(M=3000, M0=500)
         sigma2 = ssml.hyper.sigma2
         monkeypatch.setattr(
             gibbs, "sample_gig_half", lambda a, b, rng: np.full(b.shape, sigma2)
         )
-        g_fix, chain = run_gibbs(ds, n, "first", cfg, ssml)
+        g_fix, chain = run_gibbs(ds, cfg, ssml, h.child(1))
         post = chain.post_burn_in()
         nb = 25
         bs = post.shape[0] // nb
@@ -325,16 +325,11 @@ class TestRunGibbs:
             return fault(x) if len(calls) >= 3 else x
 
         monkeypatch.setattr(gibbs, name, faulty_from_sweep_3)
-        cfg = GibbsConfig(M=50, M0=10, seed=RngHandle(105))
+        cfg = GibbsConfig(M=50, M0=10)
         with pytest.raises(NumericError) as info:
-            run_gibbs(ds, 10, "first", cfg, ssml)
+            run_gibbs(ds, cfg, ssml, RngHandle(105))
         assert info.value.context == f"gibbs.conditional_{step}"
         assert re.fullmatch(f"{message} at sweep 3", info.value.message)
-
-    def test_aborts_on_missing_seed(self):
-        ds, _, ssml = self._fit_inputs()
-        with pytest.raises(ConfigError):
-            run_gibbs(ds, 10, "first", GibbsConfig(M=50, M0=10), ssml)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

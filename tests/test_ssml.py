@@ -27,13 +27,15 @@ from stablespline import ssml
 from stablespline.benchmark import generate_input
 from stablespline.cli import main as cli_main
 from stablespline.fileio import read_dataset
-from stablespline.kernels import kernel_factor
+from stablespline.kernels import KernelOrder, kernel_factor
+from stablespline.model import Hyperparameters
 from stablespline.ssml import (
     LAMBDA_POINTS,
     LAMBDA_SPAN,
     RIDGE_CONDITION_LIMIT,
     SIGMA2_FLOOR_FACTOR,
     IllConditionedWarning,
+    SsmlResult,
     default_beta_grid,
 )
 
@@ -534,6 +536,29 @@ class TestPosteriorMean:
             2.0, K, U, y2, 0.8
         )
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
+
+
+class TestSsmlResult:
+    HYPER = Hyperparameters(lam=1.0, beta=0.8, sigma2=0.5)
+
+    def test_order_is_parsed(self):
+        res = SsmlResult(np.ones(4), self.HYPER, 0.0, "SECOND")
+        assert res.order is KernelOrder.SECOND
+
+    @pytest.mark.parametrize(
+        "g_hat, order",
+        [(np.ones(4), "bogus"), (np.ones((2, 2)), "first"), (np.ones(0), "first")],
+        ids=["unknown_order", "matrix_g_hat", "empty_g_hat"],
+    )
+    def test_rejects_malformed_model(self, g_hat, order):
+        with pytest.raises(ConfigError):
+            SsmlResult(g_hat, self.HYPER, 0.0, order)
+
+    def test_run_ssml_records_its_order(self):
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal(60)
+        ds = Dataset(u, build_regressor(u, 60, 6) @ rng.standard_normal(6) + rng.standard_normal(60))
+        assert run_ssml(ds, 6, "second").order is KernelOrder.SECOND
 
 
 class TestRunSsml:

@@ -110,19 +110,19 @@ def test_bordered_factor_identity(N, order, beta, log_lam, seed):
     assert pivot**2 >= (yDy + 1.0) * (1.0 - 1e-12)
 
 
-def covariance_factor_sweep(dataset, n, config, init, sweeps):
+def covariance_factor_sweep(dataset, init, rng, sweeps):
     """Oracle: the g-space sweep the whitened one replaced.
 
     Same conditionals and RNG order (tau, then lambda, then g), with the
     g draw mean F t + F z for F = L_K L_A^{-T} and a triangular solve for
-    g'K^{-1}g on every sweep.
+    g'K^{-1}g on every sweep.  n and the kernel order are ``init``'s.
     """
-    y = dataset.y
+    y, n = dataset.y, init.g_hat.size
     U = build_regressor(dataset.u, dataset.N, n)
-    K = build_kernel(KernelSpec("first", init.hyper.beta, n))
+    K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K = kernel_factor(K)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
-    gen = as_generator(config.seed)
+    gen = as_generator(rng)
     g = np.array(init.g_hat)
     draws = []
     for _ in range(sweeps):
@@ -141,20 +141,21 @@ def covariance_factor_sweep(dataset, n, config, init, sweeps):
     return np.array(draws)
 
 
-def test_sampler_matches_covariance_factor_oracle():
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_sampler_matches_covariance_factor_oracle(order):
     N, n, sweeps = 120, 15, 20
     rng = np.random.default_rng(9)
     u = rng.standard_normal(N)
     U = build_regressor(u, N, n)
-    g_true = kernel_factor(build_kernel(KernelSpec("first", 0.8, n))) @ rng.standard_normal(n)
+    g_true = kernel_factor(build_kernel(KernelSpec(order, 0.8, n))) @ rng.standard_normal(n)
     # Laplace noise: the draws the sweep is built for
     y = U @ g_true + rng.laplace(0.0, 0.1, N)
     ds = Dataset(u, y)
-    init = run_ssml(ds, n)
-    cfg = GibbsConfig(M=sweeps, M0=10, seed=RngHandle(9))
+    init = run_ssml(ds, n, order)
+    cfg = GibbsConfig(M=sweeps, M0=10)
 
-    _, chain = run_gibbs(ds, n, "first", cfg, init)
-    oracle = covariance_factor_sweep(ds, n, cfg, init, sweeps)
+    _, chain = run_gibbs(ds, cfg, init, RngHandle(9))
+    oracle = covariance_factor_sweep(ds, init, RngHandle(9), sweeps)
 
     gap = np.linalg.norm(chain.g_samples - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
     assert gap.max() <= 1e-9
@@ -194,9 +195,9 @@ class TestFactorizationBudget:
         init = run_ssml(ds, self.n)
 
         def sweeps(M):
-            cfg = GibbsConfig(M=M, M0=1, seed=RngHandle(66))
+            cfg = GibbsConfig(M=M, M0=1)
             return self._linalg_calls(
-                monkeypatch, lambda: run_gibbs(ds, self.n, "first", cfg, init)
+                monkeypatch, lambda: run_gibbs(ds, cfg, init, RngHandle(66))
             )
 
         short, long = sweeps(3), sweeps(8)
@@ -249,10 +250,11 @@ class TestLambdaRateFloor:
             g_hat=np.zeros(n),
             hyper=Hyperparameters(lam=1.0, beta=0.8, sigma2=0.5),
             objective=0.0,
+            order="first",
         )
-        cfg = GibbsConfig(M=3, M0=1, seed=RngHandle(123))
+        cfg = GibbsConfig(M=3, M0=1)
         with pytest.warns(IllConditionedWarning, match="floored"):
-            _, chain = run_gibbs(ds, n, "first", cfg, init)
+            _, chain = run_gibbs(ds, cfg, init, RngHandle(123))
         assert np.all(np.isfinite(chain.g_samples))
         assert np.all(chain.lambda_samples > 0)
 
@@ -380,7 +382,7 @@ class TestSweepGuards:
 
         monkeypatch.setattr("stablespline.gibbs.sample_gig_half", draw)
         with pytest.raises(NumericError, match="tau"):
-            conditional_tau(np.zeros(self.n), ds, U, 1.0, RngHandle(63))
+            conditional_tau(np.zeros(self.n), U, ds.y, 1.0, RngHandle(63))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_g_draw_raises(self, problem, monkeypatch, bad):
