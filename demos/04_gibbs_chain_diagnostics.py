@@ -15,6 +15,7 @@ from stablespline import (
     generate_input,
     generate_system,
     impulse_response,
+    quantile_diagnostics,
     run_gibbs,
     run_ssml,
     sample_noise_mixture,
@@ -56,7 +57,7 @@ print(f"  mean tau over clean samples:   {mean_tau[~outliers].mean():.4g}")
 print(f"  mean tau over outlier samples: {mean_tau[outliers].mean():.4g}")
 print("  -> outlier samples are assigned larger variances (down-weighted)")
 
-diag = chain.diagnostics
+diag = quantile_diagnostics(chain)
 print("\nsplit-half quantile diagnostic (0.25 / 0.50 / 0.75 per coordinate):")
 print(f"  max normalized discrepancy: {diag.discrepancy.max():.3f} "
       f"(flag threshold {diag.threshold})")

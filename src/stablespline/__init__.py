@@ -24,7 +24,6 @@ from .distributions import (
     RngHandle,
     sample_gamma,
     sample_gig_half,
-    sample_laplace,
     sample_mvn,
     sample_noise_mixture,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "sample_gamma",
     "sample_gig_half",
     "sample_mvn",
-    "sample_laplace",
     "sample_noise_mixture",
     "LeastSquares",
     "MarglikObjective",

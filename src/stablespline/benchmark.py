@@ -212,6 +212,8 @@ class ExperimentConfig:
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.n < 1:
+            raise ConfigError(f"n must be positive, got {self.n}")
         if not (0.0 <= self.c1 <= 1.0):
             raise ConfigError(f"c1 must lie in [0, 1], got {self.c1}")
         if self.N <= self.n:

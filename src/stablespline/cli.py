@@ -23,7 +23,7 @@ from .fileio import (
     write_document,
     write_runs_csv,
 )
-from .gibbs import GibbsConfig, run_gibbs
+from .gibbs import GibbsConfig, quantile_diagnostics, run_gibbs
 from .kernels import KernelOrder
 from .model import _as_finite_vector, fit_score
 from .ssml import run_ssml
@@ -157,7 +157,7 @@ def cmd_identify(args) -> int:
             rate_convention=args.gamma_rate_convention,
         )
         g_gs, chain = run_gibbs(dataset, cfg, ssml, RngHandle(args.seed))
-        diag = chain.diagnostics
+        diag = quantile_diagnostics(chain) if args.iters - args.burnin >= 100 else None
         doc["ssgs"] = {
             "g_hat": g_gs,
             "iters": args.iters,

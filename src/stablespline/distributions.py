@@ -24,7 +24,6 @@ __all__ = [
     "sample_gamma",
     "sample_gig_half",
     "sample_mvn",
-    "sample_laplace",
     "sample_noise_mixture",
     "GIG_B_FLOOR_FACTOR",
 ]
@@ -146,17 +145,6 @@ def sample_mvn(mean, cov_factor, rng) -> np.ndarray:
     gen = as_generator(rng)
     z = gen.standard_normal(m.size)
     return m + z if L is None else m + L @ z
-
-
-def sample_laplace(sigma2: float, rng, size=None):
-    """Zero-mean Laplace draw(s) with density (1/(sqrt(2) sigma)) e^{-sqrt(2)|v|/sigma}.
-
-    The scale is chosen so the variance equals sigma2 exactly.
-    """
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    gen = as_generator(rng)
-    return gen.laplace(0.0, np.sqrt(sigma2 / 2.0), size=size)
 
 
 def sample_noise_mixture(

@@ -9,27 +9,31 @@ Each sweep draws, in order and each conditioned on the latest values:
 3. g from its Gaussian conditional given (lambda, tau).
 
 The sweep runs in whitened coordinates w = L_K^{-1} g, with K = L_K L_K'
-and X' = [Phi y]', Phi = U L_K, formed once per chain: the residual is
-y - Phi w, the lambda rate uses g'K^{-1}g = w'w, and the g draw is a w draw
-mapped back by g = L_K w.  The w draw takes one Cholesky of the bordered
-information matrix of X (:func:`stablespline.ssml.information_factor`),
-[[L_A, 0], [u', l]], and one solve: w = L_A^{-T}(u + z) with z standard
-normal (Rue, JRSS-B 2001), whose mean is the posterior mean L_A^{-T} u and
-whose covariance is A^{-1}.  The exported conditionals wrap the same three
-step functions.  A failed step raises NumericError under the name of its
-conditional (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and
-:func:`run_gibbs` adds the sweep it failed at to the message.
+and X' = [Phi y]', Phi = U L_K, formed once per chain by
+:func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
+uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
+and the g draw is a w draw mapped back by g = L_K w.  The w draw takes one
+Cholesky of the bordered information matrix of X
+(:func:`stablespline.ssml.information_factor`), [[L_A, 0], [u', l]], and
+one solve: w = L_A^{-T}(u + z) with z standard normal (Rue, JRSS-B 2001),
+whose mean is the posterior mean L_A^{-T} u and whose covariance is A^{-1}.
+The exported conditionals wrap the same three step functions.  A failed
+step raises NumericError under the name of its conditional
+(``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and :func:`run_gibbs`
+adds the sweep it failed at to the message.
 
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
 order, beta and sigma2; it draws from the caller's stream, discards a
-burn-in prefix, and averages the remaining g draws.
+burn-in prefix, and averages the remaining g draws.  Mixing diagnostics
+(:func:`quantile_diagnostics`) are computed by whoever reads them, from the
+returned chain.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +51,7 @@ from .ssml import (
     IllConditionedWarning,
     SsmlResult,
     _noise_diag,
+    _whiten,
     information_factor,
     posterior_moments,
 )
@@ -140,20 +145,9 @@ class GibbsChain:
     lambda_samples: np.ndarray
     tau_samples: np.ndarray | None
     burn_in: int
-    diagnostics: "QuantileReport | None" = None
 
     def post_burn_in(self) -> np.ndarray:
         return self.g_samples[self.burn_in - 1 :]
-
-
-def _whiten(K, U: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'."""
-    L_K = kernel_factor(K)
-    U = np.asarray(U, dtype=float)
-    Xt = np.empty((U.shape[1] + 1, U.shape[0]))
-    np.matmul(L_K.T, U.T, out=Xt[:-1])  # straight into X': no n x N temporary
-    Xt[-1] = y
-    return L_K, Xt
 
 
 def _draw_tau(
@@ -342,8 +336,6 @@ def run_gibbs(
         tau_samples=np.array(tau_stored) if tau_stored else None,
         burn_in=M0,
     )
-    if M - M0 >= 100:
-        chain = replace(chain, diagnostics=quantile_diagnostics(chain))
     g_hat = chain.post_burn_in().mean(axis=0)
     return g_hat, chain
 

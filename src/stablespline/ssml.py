@@ -28,8 +28,10 @@ that slope.
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
-N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  The Gibbs
-sampler reuses that step with X' = [Phi y]' formed once per chain.  One
+N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  One
+function, ``_whiten``, forms X' = [Phi y]' from K, U and y, by the product
+U @ L_K: for the posterior mean here and once per chain in the Gibbs
+sampler, so both give the same bits under any BLAS thread count.  One
 Cholesky of the bordered (n+1) x (n+1) matrix [[A, c], [c', 2 y'D^{-1}y + 1]],
 A the posterior information matrix and c = Phi'D^{-1}y, gives L_A and, as
 its last row, u = L_A^{-1} c (``information_factor``).  The posterior mean
@@ -113,10 +115,13 @@ class LeastSquares:
         if U.ndim != 2 or y.shape != (U.shape[0],):
             raise ConfigError(f"shape mismatch: U {U.shape}, y {y.shape}")
         self.N, n = U.shape
+        with np.errstate(over="ignore"):  # reported below
+            self.yy = float(y @ y)
+        if not self.yy < np.inf:
+            raise NumericError("y'y overflows (output too large?)", context="ssml.LeastSquares")
         Ra = np.linalg.qr(np.column_stack([U, y]), mode="r")
         self.R, self.b = Ra[:n, :n], Ra[:n, n]
         self.rss = float(Ra[n:, n] @ Ra[n:, n])
-        self.yy = float(y @ y)
 
     @property
     def n(self) -> int:
@@ -188,7 +193,17 @@ class MarglikObjective:
         if hit is None:
             R = self.data.R
             K = build_kernel(KernelSpec(self.order, key, self.data.n))
-            s, W = np.linalg.eigh(R @ K @ R.T)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                RKR = R @ K @ R.T
+            try:
+                if not np.isfinite(RKR).all():
+                    raise np.linalg.LinAlgError("R K R' is not finite")
+                s, W = np.linalg.eigh(RKR)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(
+                    f"no eigendecomposition of R K R' at beta={key:g} (input too large?)",
+                    context="ssml.MarglikObjective",
+                ) from exc
             hit = (np.maximum(s, 0.0), W.T @ self.data.b, W)
             self._beta_cache[key] = hit
         return hit
@@ -448,9 +463,16 @@ def information_factor(
     return L
 
 
-def _data_factor(lam: float, Phi, y, noise_cov_diag, context: str) -> np.ndarray:
-    """``information_factor`` of [Phi y] under the noise variances given."""
-    Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
+def _whiten(K, U, y) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'; X' is
+    (n+1) x N and C-contiguous.  The one builder of X' (module docstring)."""
+    L_K = kernel_factor(K)
+    Xt = np.vstack([(np.asarray(U, dtype=float) @ L_K).T, np.asarray(y, dtype=float)])
+    return L_K, Xt
+
+
+def _data_factor(lam: float, Xt: np.ndarray, noise_cov_diag, context: str) -> np.ndarray:
+    """``information_factor`` of X = [Phi y] under the noise variances given."""
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
     return information_factor(lam, Xt, s, context)
 
@@ -479,7 +501,8 @@ def posterior_moments(
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
-    L = _data_factor(lam, Phi, y, noise_cov_diag, "ssml.posterior_moments")
+    Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
+    L = _data_factor(lam, Xt, noise_cov_diag, "ssml.posterior_moments")
     n = L.shape[0] - 1
     mR = np.linalg.solve(L[:n, :n].T, np.column_stack([L[n, :n], np.eye(n)]))
     return mR[:, 0], mR[:, 1:]
@@ -508,8 +531,8 @@ def posterior_mean(
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0.0:
         return np.zeros(U.shape[1])
-    L_K = kernel_factor(K)
-    L = _data_factor(lam, U @ L_K, y, noise_cov_diag, "ssml.posterior_mean")
+    L_K, Xt = _whiten(K, U, y)
+    L = _data_factor(lam, Xt, noise_cov_diag, "ssml.posterior_mean")
     n = L.shape[0] - 1
     return L_K @ np.linalg.solve(L[:n, :n].T, L[n, :n])
 

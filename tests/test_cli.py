@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stablespline
 from stablespline.benchmark import ExperimentConfig, simulate
 from stablespline.cli import main
 from stablespline.distributions import RngHandle
@@ -68,6 +72,12 @@ class TestSimulate:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: need N > n, got N=10, n=20\n"
+        for command in ("simulate", "benchmark"):
+            paths = ["--output", str(tmp_path / "d.csv")]
+            if command == "simulate":
+                paths += ["--truth", str(tmp_path / "t.json")]
+            assert run_cli(command, "--n", "0", *paths) == 2
+            assert capsys.readouterr().err == "error: n must be positive, got 0\n"
 
     def test_kernel_flag_rejected(self, tmp_path, capsys):
         # simulation draws no kernel: the flag belongs to identify and benchmark
@@ -178,6 +188,29 @@ class TestIdentify:
         assert err.startswith("numeric failure:") and "all-zero input" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("u", 1e200), ("y", 1e300)],
+        ids=["huge_input", "huge_output"],
+    )
+    def test_overflowing_data_exits_3(self, tmp_path, column, value):
+        # R K R' overflows for the input, y'y for the output: each is one
+        # numeric-failure line, with no traceback and no raw RuntimeWarning
+        ds = tmp_path / "huge.csv"
+        u, y = np.random.default_rng(0).standard_normal((2, 30))
+        huge = np.full(30, value)
+        write_dataset(ds, huge if column == "u" else u, huge if column == "y" else y)
+        env = dict(os.environ, PYTHONPATH=str(Path(stablespline.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "stablespline", "identify", "--input", str(ds),
+             "--output", str(tmp_path / "r.json"), "--n", "5", "--estimator", "ssml"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.startswith("numeric failure:")
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "doc",

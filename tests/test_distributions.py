@@ -9,7 +9,6 @@ from stablespline.distributions import (
     RngHandle,
     sample_gamma,
     sample_gig_half,
-    sample_laplace,
     sample_mvn,
     sample_noise_mixture,
 )
@@ -287,28 +286,6 @@ class TestSampleMvn:
             sample_mvn(np.zeros(2), np.zeros((3, 3)), RngHandle(0))
 
 
-class TestSampleLaplace:
-    def test_variance_is_sigma2(self):
-        x = sample_laplace(1.0, RngHandle(50), size=100_000)
-        assert abs(x.var() - 1.0) <= 0.03
-
-    def test_mean_zero(self):
-        x = sample_laplace(2.0, RngHandle(51), size=100_000)
-        se = np.sqrt(2.0 / x.size)
-        assert abs(x.mean()) <= 4 * se
-
-    def test_median_of_abs(self):
-        # |v| is exponential with rate sqrt(2)/sigma: median sigma*ln2/sqrt2
-        sigma = 1.5
-        x = sample_laplace(sigma**2, RngHandle(52), size=200_000)
-        target = sigma * np.log(2.0) / np.sqrt(2.0)
-        assert abs(np.median(np.abs(x)) - target) <= 0.02 * target
-
-    def test_rejects_nonpositive_sigma2(self):
-        with pytest.raises(ConfigError):
-            sample_laplace(0.0, RngHandle(0))
-
-
 class TestNoiseMixture:
     def test_single_nominal_component(self):
         v = sample_noise_mixture(100_000, 1.0, 1.0, 100.0, RngHandle(60))
@@ -348,9 +325,6 @@ class TestDeterminism:
         )
         assert np.array_equal(
             sample_gig_half(2.0, 1.0, h, size=100), sample_gig_half(2.0, 1.0, h, size=100)
-        )
-        assert np.array_equal(
-            sample_laplace(1.0, h, size=100), sample_laplace(1.0, h, size=100)
         )
         assert np.array_equal(
             sample_noise_mixture(100, 1.0, 0.7, 100.0, h),

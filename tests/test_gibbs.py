@@ -22,7 +22,6 @@ from stablespline import (
     quantile_diagnostics,
     run_gibbs,
     run_ssml,
-    sample_laplace,
 )
 from stablespline import gibbs
 from stablespline.distributions import RngHandle
@@ -260,7 +259,7 @@ class TestRunGibbs:
         U = build_regressor(u, N, n)
         y0 = U @ g_true
         s2 = 1e-4 * float(np.var(y0))
-        ds = Dataset(u, y0 + sample_laplace(s2, h.child(1), size=N))
+        ds = Dataset(u, y0 + h.child(1).generator().laplace(0.0, np.sqrt(s2 / 2.0), size=N))
         ssml = run_ssml(ds, n)
         g_gs, _ = run_gibbs(ds, GibbsConfig(), ssml, h.child(2))
         assert fit_score(g_true, g_gs) >= 95.0
