@@ -157,7 +157,7 @@ def cmd_identify(args) -> int:
             rate_convention=args.gamma_rate_convention,
         )
         g_gs, chain = run_gibbs(dataset, cfg, ssml, RngHandle(args.seed))
-        diag = quantile_diagnostics(chain) if args.iters - args.burnin >= 100 else None
+        diag = quantile_diagnostics(chain) if chain.post_burn_in().shape[0] >= 100 else None
         doc["ssgs"] = {
             "g_hat": g_gs,
             "iters": args.iters,

@@ -12,11 +12,13 @@ The sweep runs in whitened coordinates w = L_K^{-1} g, with K = L_K L_K'
 and X' = [Phi y]', Phi = U L_K, formed once per chain by
 :func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
 uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
-and the g draw is a w draw mapped back by g = L_K w.  The w draw takes one
-Cholesky of the bordered information matrix of X
-(:func:`stablespline.ssml.information_factor`), [[L_A, 0], [u', l]], and
-one solve: w = L_A^{-T}(u + z) with z standard normal (Rue, JRSS-B 2001),
-whose mean is the posterior mean L_A^{-T} u and whose covariance is A^{-1}.
+and the g draw is a w draw mapped back by g = L_K w.  The w draw is a
+perturbed posterior mean (Papandreou & Yuille, NIPS 2010): with e standard
+normal of length N + n, the output y + D^{1/2} e_N replaces y in X, so the
+information form A w = c of :func:`stablespline.ssml.information_system`
+gets a right-hand side c~ ~ N(c, Phi'D^{-1}Phi), and one solve gives
+w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
+A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.
 The exported conditionals wrap the same three step functions.  A failed
 step raises NumericError under the name of its conditional
 (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and :func:`run_gibbs`
@@ -51,8 +53,9 @@ from .ssml import (
     IllConditionedWarning,
     SsmlResult,
     _noise_diag,
+    _solve,
     _whiten,
-    information_factor,
+    information_system,
     posterior_moments,
 )
 
@@ -199,24 +202,26 @@ def _draw_g(
     tau: np.ndarray,
     L_K: np.ndarray,
     Xt: np.ndarray,
+    y: np.ndarray,
     gen: np.random.Generator,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G step: w from its whitened Gaussian conditional; returns (w, L_K w).
 
-    With [[L_A, 0], [u', l]] the bordered factor of X = [Phi y] under
-    D = diag(tau), w = L_A^{-T}(u + z).  ``tau`` must be positive and
-    finite; ``work``, shaped like Xt = X', is scratch space for (D^{-1/2} X)'.
+    The perturbation draw of the module docstring: the last row of
+    Xt = [Phi y]' is overwritten with y + D^{1/2} e_N, D = diag(tau), and
+    w solves A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and
+    finite; ``work``, shaped like Xt, is scratch space for (D^{-1/2} X)'.
     """
-    L = information_factor(lam, Xt, 1.0 / np.sqrt(tau), "gibbs.conditional_g", work)
-    n = L_K.shape[0]
-    w = np.linalg.solve(L[:n, :n].T, sample_mvn(L[n, :n], None, gen))
+    N, n = tau.size, L_K.shape[0]
+    sd = np.sqrt(tau)
+    e = sample_mvn(np.zeros(N + n), None, gen)
+    Xt[n] = y + sd * e[:N]
+    A, c = information_system(lam, Xt, 1.0 / sd, "gibbs.conditional_g", work)
+    w = _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
     g = L_K @ w
     if not np.all(np.isfinite(g)):
-        raise NumericError(
-            "non-finite g draw",
-            context="gibbs.conditional_g",
-        )
+        raise NumericError("non-finite g draw", context="gibbs.conditional_g")
     return w, g
 
 
@@ -283,7 +288,8 @@ def conditional_g(
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
     L_K, Xt = _whiten(K, U, y)
-    _, g = _draw_g(lam, _noise_diag(tau, Xt.shape[1]), L_K, Xt, as_generator(rng))
+    tau = _noise_diag(tau, Xt.shape[1])
+    _, g = _draw_g(lam, tau, L_K, Xt, Xt[-1].copy(), as_generator(rng))
     return g
 
 
@@ -321,7 +327,7 @@ def run_gibbs(
         try:
             tau = _draw_tau(Phi, w, dataset.y, a_gig, gen)
             lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor)
-            w, g = _draw_g(lam, tau, L_K, Xt, gen, work)
+            w, g = _draw_g(lam, tau, L_K, Xt, dataset.y, gen, work)
         except NumericError as exc:
             raise NumericError(f"{exc.message} at sweep {k}", context=exc.context) from exc
 

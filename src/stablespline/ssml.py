@@ -32,14 +32,14 @@ N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  One
 function, ``_whiten``, forms X' = [Phi y]' from K, U and y, by the product
 U @ L_K: for the posterior mean here and once per chain in the Gibbs
 sampler, so both give the same bits under any BLAS thread count.  One
-Cholesky of the bordered (n+1) x (n+1) matrix [[A, c], [c', 2 y'D^{-1}y + 1]],
-A the posterior information matrix and c = Phi'D^{-1}y, gives L_A and, as
-its last row, u = L_A^{-1} c (``information_factor``).  The posterior mean
-is L_A^{-T} u and the covariance factor L_A^{-T}: one solve against L_A'
-gives either, or both at once, with no inverse formed.  Every
-factorization goes through ``numpy.linalg``: numpy and scipy bundle
-separate OpenBLAS builds, and alternating between them on a hot path makes
-their thread pools compete.
+Gram of D^{-1/2} X gives the information form A w = c of the posterior,
+A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (``information_system``).
+The posterior mean is one solve of that system, and a Gibbs draw is one
+solve of it with a perturbed right-hand side; only the covariance factor
+L_A^{-T} of ``posterior_moments`` takes a Cholesky A = L_A L_A', and no
+inverse is formed.  Every factorization goes through ``numpy.linalg``:
+numpy and scipy bundle separate OpenBLAS builds, and alternating between
+them on a hot path makes their thread pools compete.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ __all__ = [
     "MarglikObjective",
     "SsmlResult",
     "estimate_sigma2",
-    "information_factor",
+    "information_system",
     "neg_log_marglik",
     "optimize_hyperparams",
     "posterior_moments",
@@ -311,13 +311,15 @@ def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, b
             context="ssml.optimize_hyperparams",
         )
     x = np.log10(obj.data.yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
-    v = obj._values(10.0**x, beta)
+    # lam as evaluated: numpy's array and scalar powers may differ by an ulp
+    lams = 10.0**x
+    v = obj._values(lams, beta)
     i = int(np.argmin(v))
     lo, hi = x[max(i - 1, 0)] * _LN10, x[min(i + 1, LAMBDA_POINTS - 1)] * _LN10
     lam = float(np.exp(_newton_log_lambda(s, p, obj.sigma2, lo, hi, x[i] * _LN10)))
     value = float(obj._values(lam, beta))
     if v[i] <= value:
-        lam, value = float(10.0 ** x[i]), float(v[i])
+        lam, value = float(lams[i]), float(v[i])
     return value, lam, i in (0, LAMBDA_POINTS - 1)
 
 
@@ -417,50 +419,28 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
     return d
 
 
-def information_factor(
+def information_system(
     lam: float, Xt: np.ndarray, s: np.ndarray, context: str, out=None
-) -> np.ndarray:
-    """Lower Cholesky factor of the bordered information matrix of X = [Phi y].
+) -> tuple[np.ndarray, np.ndarray]:
+    """The information form (A, c) of the whitened posterior of X = [Phi y].
 
     ``Xt`` is X', (n+1) x N, so the scaling by D^{-1/2} = diag(s) runs
-    along contiguous rows.  The factored matrix is the Gram of D^{-1/2} X
-    with I/lam added to its leading n x n block and its last pivot
-    y'D^{-1}y replaced by 2 y'D^{-1}y + 1:
-
-        M = [[A, c], [c', 2 y'D^{-1}y + 1]],  A = I/lam + Phi'D^{-1}Phi,  c = Phi'D^{-1}y.
-
-    Its factor is [[L_A, 0], [u', l]] with L_A L_A' = A and L_A u = c, so
-    the posterior of w is N(L_A^{-T} u, L_A^{-T} L_A^{-1}).  Since
-    c'A^{-1}c <= y'D^{-1}y, the Schur complement l^2 is at least
-    y'D^{-1}y + 1: M factors whenever A does, y = 0 included.
-
-    ``lam`` must be positive and ``s`` positive and finite; callers check
-    both.  A failed factorization raises NumericError under ``context``,
-    the caller's name.  ``out``, an array shaped like Xt, receives
-    (D^{-1/2} X)'.
+    along contiguous rows.  One Gram of D^{-1/2} X, with I/lam added to its
+    leading n x n block, holds A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y,
+    and the posterior of w is N(A^{-1} c, A^{-1}).  ``lam`` must be
+    positive and ``s`` positive and finite; callers check both.  A Gram
+    that is not finite raises NumericError under ``context``, the caller's
+    name.  ``out``, an array shaped like Xt, receives (D^{-1/2} X)'.
     """
     Xs = np.multiply(Xt, s, out=out)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         M = Xs @ Xs.T
+    if not np.isfinite(M).all():
+        raise NumericError("information-form system not finite", context=context)
     n = M.shape[0] - 1
     i = np.arange(n)
     M[i, i] += 1.0 / lam
-    M[n, n] = 2.0 * M[n, n] + 1.0
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "information-form system not positive definite",
-            context=context,
-        ) from exc
-    # numpy's Cholesky returns an infinite or NaN factor rather than raising
-    # once A has overflowed
-    if not L.diagonal().max() < np.inf:
-        raise NumericError(
-            "information-form system not finite",
-            context=context,
-        )
-    return L
+    return M[:n, :n], M[:n, n]
 
 
 def _whiten(K, U, y) -> tuple[np.ndarray, np.ndarray]:
@@ -471,10 +451,12 @@ def _whiten(K, U, y) -> tuple[np.ndarray, np.ndarray]:
     return L_K, Xt
 
 
-def _data_factor(lam: float, Xt: np.ndarray, noise_cov_diag, context: str) -> np.ndarray:
-    """``information_factor`` of X = [Phi y] under the noise variances given."""
-    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
-    return information_factor(lam, Xt, s, context)
+def _solve(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
+    """A^{-1} b by LU; a singular A raises NumericError under ``context``."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("information-form system singular", context=context) from exc
 
 
 def posterior_moments(
@@ -486,13 +468,13 @@ def posterior_moments(
     """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
 
     ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
-    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} Phi'D^{-1}y,
-    A^{-1}) with A = I/lam + Phi'D^{-1}Phi.  Returns the mean and the
+    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} c, A^{-1})
+    with A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y
+    (:func:`information_system`).  Returns the mean and the
     upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
-    A = L_A L_A'.  Both come from the bordered factor of
-    :func:`information_factor`, [[L_A, 0], [u', l]], by one solve of
-    L_A' [m R] = [u I]: back substitution on e_i leaves exact zeros, so R is
-    exactly upper-triangular.
+    A = L_A L_A' is the one Cholesky: R solves L_A' R = I, whose back
+    substitution on e_i leaves exact zeros, so R is exactly
+    upper-triangular, and the mean is R (R' c).
 
     Mapping back through L_K gives the posterior of g: mean L_K m and
     covariance factor L_K R.  By the Woodbury identity these equal the
@@ -502,10 +484,17 @@ def posterior_moments(
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
     Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
-    L = _data_factor(lam, Xt, noise_cov_diag, "ssml.posterior_moments")
-    n = L.shape[0] - 1
-    mR = np.linalg.solve(L[:n, :n].T, np.column_stack([L[n, :n], np.eye(n)]))
-    return mR[:, 0], mR[:, 1:]
+    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
+    A, c = information_system(lam, Xt, s, "ssml.posterior_moments")
+    try:
+        L_A = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "information-form system not positive definite",
+            context="ssml.posterior_moments",
+        ) from exc
+    R = np.linalg.solve(L_A.T, np.eye(A.shape[0]))
+    return R @ (R.T @ c), R
 
 
 def posterior_mean(
@@ -520,11 +509,11 @@ def posterior_mean(
     ``noise_cov_diag`` is the diagonal of D: a scalar sigma2 for the
     Gaussian-noise estimator, or the per-sample variances tau inside the
     Gibbs sweep.  Computed by the whitened information form: L_K times
-    L_A^{-T} u, one solve against the bordered factor of
-    :func:`information_factor`, which holds for any N and n when lam > 0;
-    lam = 0 gives the zero response.  Under a scalar sigma2 the mean
-    depends on U and y only through U'U and U'y, so the n x n pair (R, b)
-    of ``LeastSquares`` gives the same mean as (U, y).
+    A^{-1} c, one solve of the system of :func:`information_system`, which
+    holds for any N and n when lam > 0; lam = 0 gives the zero response.
+    Under a scalar sigma2 the mean depends on U and y only through U'U and
+    U'y, so the n x n pair (R, b) of ``LeastSquares`` gives the same mean
+    as (U, y).
     """
     U = np.asarray(U, dtype=float)
     if not (lam >= 0 and np.isfinite(lam)):
@@ -532,9 +521,9 @@ def posterior_mean(
     if lam == 0.0:
         return np.zeros(U.shape[1])
     L_K, Xt = _whiten(K, U, y)
-    L = _data_factor(lam, Xt, noise_cov_diag, "ssml.posterior_mean")
-    n = L.shape[0] - 1
-    return L_K @ np.linalg.solve(L[:n, :n].T, L[n, :n])
+    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
+    A, c = information_system(lam, Xt, s, "ssml.posterior_mean")
+    return L_K @ _solve(A, c, "ssml.posterior_mean")
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,20 @@ class TestIdentify:
         assert "ssml" in doc and "ssgs" in doc
         assert "hyperparameters" in doc  # single shared block
 
+    @pytest.mark.parametrize("iters, present", [(199, True), (198, False)])
+    def test_diagnostics_need_100_kept_draws(self, sim_files, tmp_path, iters, present):
+        # a chain keeps sweeps M0..M, iters - burnin + 1 draws
+        ds, _ = sim_files
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "identify", "--input", str(ds), "--output", str(out), "--estimator", "ssgs",
+            "--n", "20", "--iters", str(iters), "--burnin", "100", "--seed", "3",
+        ) == 0
+        diag = read_document(out)["ssgs"]["diagnostics"]
+        assert (diag is not None) == present
+        if present:
+            assert set(diag) == {"flagged_count", "max_normalized_discrepancy", "threshold"}
+
     def test_missing_input_exits_2_without_output(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(

@@ -14,9 +14,9 @@ low-pass dataset loads any scipy module: scipy's import time would land
 in every command's start-up.
 
 The library also calls no ``numpy.linalg.inv``: an explicit inverse is an
-LU with n right-hand sides where a factorization already holds the answer
-(the Gibbs step draws w = L_A^{-T}(u + z) by one solve against the factor
-L_A of one bordered Cholesky, which also gives u).  Nor does it call
+LU with n right-hand sides where one right-hand side holds the answer (the
+Gibbs step draws w by one solve of its information system with a perturbed
+right-hand side, and the posterior mean is the same solve).  Nor does it call
 ``numpy.linalg.lstsq`` or ``numpy.linalg.cond``: each is an SVD of its
 argument, where one QR of the data already gives the least-squares residual
 and an n x n triangle whose condition is that of U.

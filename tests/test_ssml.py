@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik, lstsq_sigma2
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stablespline import (
@@ -274,10 +274,23 @@ class TestLambdaProfile:
         sigma2=st.floats(1e-4, 1e4),
         rss=st.floats(0.0, 1e4),
     )
+    # a grid point wins here, at a lambda whose scalar power 10.0**x[i]
+    # differs by one ulp from the array power the grid was evaluated at
+    @example(
+        terms=[(361.8823285864371, 0.0), (361.8823285864371, 674.9977906608353)],
+        sigma2=0.0001,
+        rss=0.0,
+    )
+    # y'y = 5e-324 is positive, but y'y / trace underflows to 0: no grid
+    @example(terms=[(2.0, 0.0)], sigma2=1.0, rss=5e-324)
     def test_profile_reaches_dense_grid_minimum(self, terms, sigma2, rss):
         s, p = (np.array(v) for v in zip(*terms))
         assume(s.sum() > 0 and rss + p @ p > 0)
         obj = objective_with_spectrum(s, p, sigma2, rss)
+        if not obj.data.yy / s.sum() > 0:
+            with pytest.raises(NumericError, match="no lambda scale"):
+                ssml._profile_lambda(obj, 0.5)
+            return
         value, lam, _ = ssml._profile_lambda(obj, 0.5)
         assert value == float(obj._values(lam, 0.5))
         # the same 81-point grid, and 4001 points across its best cell

@@ -1,10 +1,11 @@
 """The whitened Gibbs step: Woodbury identity, sampler equivalence, guards.
 
-The sweep draws w = L_K^{-1} g with Phi = U L_K, from one bordered Cholesky
-of X = [Phi y] per draw (see :func:`stablespline.ssml.information_factor`).
-These tests hold it to the covariance-form posterior, to a copy of the
-earlier g-space sweep, to its budget of factorizations, and at the edges of
-the guards it carries.
+The sweep draws w = L_K^{-1} g with Phi = U L_K by one solve of the
+information form A w = c of X = [Phi y] per draw, with a perturbed
+right-hand side (see :func:`stablespline.ssml.information_system`).  These
+tests hold it to the covariance-form posterior, to a g-space copy of the
+sweep, to its budget of factorizations, and at the edges of the guards it
+carries.
 """
 
 import warnings
@@ -28,6 +29,7 @@ from stablespline import (
     conditional_g,
     conditional_lambda,
     conditional_tau,
+    gibbs,
     posterior_mean,
     posterior_moments,
     run_gibbs,
@@ -44,7 +46,7 @@ from stablespline.distributions import (
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
 from stablespline.kernels import kernel_factor
 from stablespline.model import Hyperparameters
-from stablespline.ssml import IllConditionedWarning, SsmlResult, information_factor
+from stablespline.ssml import IllConditionedWarning, SsmlResult, information_system
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,7 +86,7 @@ def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 @pytest.mark.parametrize("N", [5, 30])
-def test_bordered_factor_identity(N, order, beta, log_lam, seed):
+def test_information_system_identity(N, order, beta, log_lam, seed):
     # N = 5 < n leaves Phi'D^{-1}Phi singular; N = 30 > n does not
     rng = np.random.default_rng(seed)
     n = 8
@@ -94,82 +96,111 @@ def test_bordered_factor_identity(N, order, beta, log_lam, seed):
     )
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
+    Xt, s = np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau)
+    out = np.empty_like(Xt)
 
-    L = information_factor(lam, np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau), "test")
+    A, c = information_system(lam, Xt, s, "test", out)
 
-    L_A, u, pivot = L[:n, :n], L[n, :n], L[n, n]
-    A = np.eye(n) / lam + Phi.T @ (Phi / tau[:, None])
-    c = Phi.T @ (y / tau)
-    yDy = float(y @ (y / tau))
-    # backward-error scales of a Cholesky: |L_A||L_A'| and |L_A||u|
-    assert np.linalg.norm(L_A @ L_A.T - A) <= 1e-12 * np.trace(A)
-    assert np.linalg.norm(L_A @ u - c) <= 1e-12 * np.linalg.norm(L_A) * np.linalg.norm(u)
-    assert np.array_equal(L_A, np.tril(L_A))
-    # the Schur complement of the border is at least y'D^{-1}y + 1
-    assert pivot > 0
-    assert pivot**2 >= (yDy + 1.0) * (1.0 - 1e-12)
+    assert np.array_equal(out, Xt * s)
+    A_ref = np.eye(n) / lam + Phi.T @ (Phi / tau[:, None])
+    c_ref = Phi.T @ (y / tau)
+    # rounding scales of a Gram: |D^{-1/2}Phi|^2 and |D^{-1/2}Phi||D^{-1/2}y|
+    assert np.linalg.norm(A - A_ref) <= 1e-12 * np.trace(A_ref)
+    assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(out[:n]) * np.linalg.norm(out[n])
+    assert np.array_equal(A, A.T)
+    # positive definite for any N: the I/lam term
+    assert np.all(np.linalg.eigvalsh(A) > 0)
 
 
-def covariance_factor_sweep(dataset, init, rng, sweeps):
-    """Oracle: the g-space sweep the whitened one replaced.
+def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
+    """Oracle: the g-space sweep through the posterior covariance factor.
 
-    Same conditionals and RNG order (tau, then lambda, then g), with the
-    g draw mean F t + F z for F = L_K L_A^{-T} and a triangular solve for
-    g'K^{-1}g on every sweep.  n and the kernel order are ``init``'s.
+    Same conditionals and RNG order (tau, then lambda, then e ~ N(0, I_{N+n}))
+    as the whitened sweep, with g'K^{-1}g by a triangular solve against L_K
+    and the g draw F t + F z for F = L_K L_A^{-T}: F t is the posterior mean
+    and z = F'b, with b = U'D^{-1/2} e_N + L_K^{-T} e_n / sqrt(lam), is
+    standard normal, since F'(U'D^{-1}U + K^{-1}/lam) F = I.  So F z is the
+    perturbed mean's offset, formed without the perturbed system.  n and the
+    kernel order are ``init``'s.  With ``restart`` (the chain's g draws),
+    sweep k > 1 starts from the chain's draw k - 1 instead of the oracle's
+    own, so rounding does not compound.
     """
-    y, n = dataset.y, init.g_hat.size
-    U = build_regressor(dataset.u, dataset.N, n)
+    y, N, n = dataset.y, dataset.N, init.g_hat.size
+    U = build_regressor(dataset.u, N, n)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K = kernel_factor(K)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(rng)
     g = np.array(init.g_hat)
     draws = []
-    for _ in range(sweeps):
+    for k in range(sweeps):
+        if restart is not None and k:
+            g = restart[k - 1]
         r = y - U @ g
         tau = sample_gig_half(2.0 / init.hyper.sigma2, r * r, gen)
         w = solve_triangular(L_K, g, lower=True)
         rate = max(float(w @ w) / 2.0, rate_floor)
         lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
+        e = gen.standard_normal(N + n)
         W = U / tau[:, None]
         A = np.eye(n) / lam + L_K.T @ (U.T @ W) @ L_K
         L_A = np.linalg.cholesky(A)
         t = solve_triangular(L_A, L_K.T @ (W.T @ y), lower=True)
         F = solve_triangular(L_A, L_K.T, lower=True).T
-        g = sample_mvn(F @ t, F, gen)
+        b = U.T @ (e[:N] / np.sqrt(tau))
+        b += solve_triangular(L_K.T, e[N:], lower=False) / np.sqrt(lam)
+        g = F @ (t + F.T @ b)
         draws.append(g)
     return np.array(draws)
 
 
-@pytest.mark.parametrize("order", ["first", "second"])
-def test_sampler_matches_covariance_factor_oracle(order):
-    N, n, sweeps = 120, 15, 20
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal(N)
+def _laplace_problem(order, input_kind, seed, N=120, n=15):
+    rng = np.random.default_rng(seed)
+    u = generate_input(input_kind, N, RngHandle(seed))
     U = build_regressor(u, N, n)
     g_true = kernel_factor(build_kernel(KernelSpec(order, 0.8, n))) @ rng.standard_normal(n)
     # Laplace noise: the draws the sweep is built for
-    y = U @ g_true + rng.laplace(0.0, 0.1, N)
-    ds = Dataset(u, y)
-    init = run_ssml(ds, n, order)
-    cfg = GibbsConfig(M=sweeps, M0=10)
+    ds = Dataset(u, U @ g_true + rng.laplace(0.0, 0.1, N))
+    return ds, run_ssml(ds, n, order)
 
-    _, chain = run_gibbs(ds, cfg, init, RngHandle(9))
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_sampler_matches_covariance_factor_oracle(order):
+    # white-noise input: the chained oracle follows the chain for 20 sweeps
+    sweeps = 20
+    ds, init = _laplace_problem(order, "wn", 9)
+
+    _, chain = run_gibbs(ds, GibbsConfig(M=sweeps, M0=10), init, RngHandle(9))
     oracle = covariance_factor_sweep(ds, init, RngHandle(9), sweeps)
 
     gap = np.linalg.norm(chain.g_samples - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
     assert gap.max() <= 1e-9
 
 
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_lowpass_step_matches_covariance_factor_oracle(order):
+    # low-pass input: A is ill-conditioned, so each sweep is compared from
+    # the chain's own state rather than along a chained oracle
+    sweeps = 20
+    ds, init = _laplace_problem(order, "lp", 10)
+
+    _, chain = run_gibbs(ds, GibbsConfig(M=sweeps, M0=10), init, RngHandle(10))
+    oracle = covariance_factor_sweep(ds, init, RngHandle(10), sweeps, restart=chain.g_samples)
+
+    gap = np.linalg.norm(chain.g_samples - oracle, axis=1) / np.linalg.norm(oracle, axis=1)
+    assert gap.max() <= 1e-9
+
+
 class TestFactorizationBudget:
-    """Each g draw makes one (n+1) x (n+1) Cholesky and one solve against a
-    single right-hand side, and the sweep makes no other numpy.linalg call:
-    counted inside run_gibbs."""
+    """Each g draw makes one solve of an n x n system against a single
+    right-hand side and no Cholesky, the sweep makes no other numpy.linalg
+    call, and it draws once each from the tau, lambda and g samplers that
+    the traced benchmark times: counted inside run_gibbs."""
 
     N, n = 60, 10
+    SAMPLERS = ("sample_gig_half", "sample_gamma", "sample_mvn")
 
-    @staticmethod
-    def _linalg_calls(monkeypatch, run):
+    def _calls(self, monkeypatch, run):
         calls = []
 
         def counting(name, fn):
@@ -183,11 +214,13 @@ class TestFactorizationBudget:
             fn = getattr(np.linalg, name)
             if callable(fn) and not isinstance(fn, type):
                 monkeypatch.setattr(np.linalg, name, counting(name, fn))
+        for name in self.SAMPLERS:
+            monkeypatch.setattr(gibbs, name, counting(name, getattr(gibbs, name)))
         run()
         monkeypatch.undo()
         return calls
 
-    def test_one_cholesky_and_one_solve_per_sweep(self, monkeypatch):
+    def test_one_solve_and_no_cholesky_per_sweep(self, monkeypatch):
         rng = np.random.default_rng(66)
         u = rng.standard_normal(self.N)
         U = build_regressor(u, self.N, self.n)
@@ -196,20 +229,16 @@ class TestFactorizationBudget:
 
         def sweeps(M):
             cfg = GibbsConfig(M=M, M0=1)
-            return self._linalg_calls(
-                monkeypatch, lambda: run_gibbs(ds, cfg, init, RngHandle(66))
-            )
+            return self._calls(monkeypatch, lambda: run_gibbs(ds, cfg, init, RngHandle(66)))
 
         short, long = sweeps(3), sweeps(8)
         extra = Counter(name for name, _ in long)
         extra.subtract(name for name, _ in short)
-        assert +extra == Counter(cholesky=5, solve=5)
+        assert +extra == Counter(solve=5, **dict.fromkeys(self.SAMPLERS, 5))
         assert -extra == Counter()
-        assert all(
-            max(shapes[0]) <= self.n + 1 for name, shapes in long if name == "cholesky"
-        )
-        # a solve against [u I] would form the whole covariance factor
-        assert all(len(shapes[1]) == 1 for name, shapes in long if name == "solve")
+        solves = [shapes for name, shapes in long if name == "solve"]
+        # one solve starts the chain at w = L_K^{-1} g0; every other is a draw
+        assert all(shapes == [(self.n, self.n), (self.n,)] for shapes in solves)
         assert not {"qr", "eigh"} & {name for name, _ in long}
 
 
@@ -268,9 +297,25 @@ def test_non_pd_information_form_raises():
         posterior_moments(2.0**30, Phi, np.ones(16), np.full(16, 2.0**-40))
 
 
+@pytest.mark.parametrize(
+    "call, context",
+    [
+        (lambda *a: posterior_mean(*a[:4], a[4]), "ssml.posterior_mean"),
+        (lambda *a: conditional_g(a[0], a[4], *a[1:4], RngHandle(67)), "gibbs.conditional_g"),
+    ],
+    ids=["posterior_mean", "conditional_g"],
+)
+def test_singular_information_form_raises(call, context):
+    # the system of test_non_pd_information_form_raises: A rounds to a
+    # multiple of ones(3, 3), on which the LU solve meets a zero pivot
+    with pytest.raises(NumericError, match="singular") as info:
+        call(2.0**30, np.eye(3), np.ones((16, 3)), np.ones(16), np.full(16, 2.0**-40))
+    assert info.value.context == context
+
+
 def test_overflowed_information_form_raises():
-    # one column of squared norm 1e400 overflows A to diag(inf, 2); numpy's
-    # Cholesky returns diag(inf, sqrt(2)) for it instead of raising
+    # one column of squared norm 1e400 overflows the Gram's leading entry,
+    # which the builder reports before any factorization
     Phi = np.array([[1e200, 0.0], [0.0, 1.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="not finite"):
@@ -295,9 +340,9 @@ def test_failed_factor_names_its_caller(call, context):
 
 
 class TestPosteriorMomentsEdges:
-    """The bordered-Cholesky step at the ends of the lambda range, on a
-    low-pass regressor (ill-conditioned U'U) and slowly decaying kernels,
-    and at a zero output."""
+    """The Cholesky of A at the ends of the lambda range, on a low-pass
+    regressor (ill-conditioned U'U) and slowly decaying kernels, and at a
+    zero output."""
 
     N, n = 40, 12
 
@@ -333,8 +378,7 @@ class TestPosteriorMomentsEdges:
 
     @pytest.mark.parametrize("N", [40, 8])
     def test_zero_output(self, N):
-        # y = 0 zeroes the border c = Phi'D^{-1}y and y'D^{-1}y; the last
-        # pivot stays positive, so the factor exists and the mean is exactly 0
+        # y = 0 zeroes c = Phi'D^{-1}y, so the mean R (R'c) is exactly 0
         rng = np.random.default_rng(65)
         U = build_regressor(rng.standard_normal(N), N, self.n)
         tau = rng.uniform(0.5, 3.0, N)
@@ -386,9 +430,11 @@ class TestSweepGuards:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_g_draw_raises(self, problem, monkeypatch, bad):
+        # a bad entry of e_n, the prior's part of the N + n perturbation,
+        # passes the Gram and reaches w through the right-hand side
         ds, U = problem
-        w = np.ones(self.n)
-        w[2] = bad
-        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda m, R, gen: w)
+        e = np.ones(self.N + self.n)
+        e[self.N + 2] = bad
+        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda m, R, gen: e)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite g"):
             conditional_g(1.0, np.ones(self.N), np.eye(self.n), U, ds.y, RngHandle(64))
