@@ -214,6 +214,8 @@ class ExperimentConfig:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.n < 1:
             raise ConfigError(f"n must be positive, got {self.n}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         if not (0.0 <= self.c1 <= 1.0):
             raise ConfigError(f"c1 must lie in [0, 1], got {self.c1}")
         if self.N <= self.n:

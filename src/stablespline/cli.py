@@ -122,6 +122,15 @@ def cmd_identify(args) -> int:
             )
         _as_finite_vector(truth_g, f"{args.truth}: truth response")
 
+    sampling = args.estimator in ("ssgs", "both")
+    if sampling:
+        cfg = GibbsConfig(
+            M=args.iters,
+            M0=args.burnin,
+            rate_convention=args.gamma_rate_convention,
+        )
+        rng = RngHandle(args.seed)
+
     ssml = run_ssml(dataset, args.n, order)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -150,13 +159,8 @@ def cmd_identify(args) -> int:
         }
         if truth_g is not None:
             fit["ssml"] = fit_score(truth_g, ssml.g_hat)
-    if args.estimator in ("ssgs", "both"):
-        cfg = GibbsConfig(
-            M=args.iters,
-            M0=args.burnin,
-            rate_convention=args.gamma_rate_convention,
-        )
-        g_gs, chain = run_gibbs(dataset, cfg, ssml, RngHandle(args.seed))
+    if sampling:
+        g_gs, chain = run_gibbs(dataset, cfg, ssml, rng)
         diag = quantile_diagnostics(chain) if chain.post_burn_in().shape[0] >= 100 else None
         doc["ssgs"] = {
             "g_hat": g_gs,

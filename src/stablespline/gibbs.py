@@ -14,11 +14,13 @@ and X' = [Phi y]', Phi = U L_K, formed once per chain by
 uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
 and the g draw is a w draw mapped back by g = L_K w.  The w draw is a
 perturbed posterior mean (Papandreou & Yuille, NIPS 2010): with e standard
-normal of length N + n, the output y + D^{1/2} e_N replaces y in X, so the
+normal of length N + n, the output y + D^{1/2} e_N stands for y in X, so the
 information form A w = c of :func:`stablespline.ssml.information_system`
 gets a right-hand side c~ ~ N(c, Phi'D^{-1}Phi), and one solve gives
 w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
-A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.
+A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
+read-only and holds [Phi y]' for the whole chain: the g step scales it into
+its own buffer and writes the perturbed output row there.
 The exported conditionals wrap the same three step functions.  A failed
 step raises NumericError under the name of its conditional
 (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and :func:`run_gibbs`
@@ -27,9 +29,17 @@ adds the sweep it failed at to the message.
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
 order, beta and sigma2; it draws from the caller's stream, discards a
-burn-in prefix, and averages the remaining g draws.  Mixing diagnostics
-(:func:`quantile_diagnostics`) are computed by whoever reads them, from the
-returned chain.
+burn-in prefix, and averages the remaining g draws.  It runs on data
+scaled by powers of two, u 2^-m and y 2^-k with max|u 2^-m| and
+max|y 2^-k| in [1/2, 1): g scales by 2^(m-k), lambda by 4^(m-k) and tau
+and sigma2 by 4^-k, exactly, so the draws mapped back are those of the
+unscaled chain wherever that chain neither underflows nor overflows.  The
+lambda-rate floor, LAMBDA_RATE_FLOOR_FACTOR trace(K), thus holds in units of
+(max|y| / max|u|)^2 for g'K^{-1}g, whatever the scale of either signal.
+The exported conditionals take and return data units, and
+:func:`conditional_lambda`'s floor holds in them.
+Mixing diagnostics (:func:`quantile_diagnostics`) are computed by whoever
+reads them, from the returned chain.
 """
 
 from __future__ import annotations
@@ -182,9 +192,10 @@ def _draw_lambda(
     which is w'w in the sweep."""
     rate = quad / 2.0 if convention == "half" else quad
     if rate < rate_floor:
+        # a ratio: run_gibbs's rate and floor are in its scaled units
         warnings.warn(
-            f"lambda conditional rate {rate:.3g} floored to {rate_floor:.3g} "
-            "(near-zero g'K^{-1}g)",
+            f"lambda conditional rate floored: it was {rate / rate_floor:.3g} "
+            "times the floor (near-zero g'K^{-1}g)",
             IllConditionedWarning,
         )
         rate = rate_floor
@@ -202,22 +213,24 @@ def _draw_g(
     tau: np.ndarray,
     L_K: np.ndarray,
     Xt: np.ndarray,
-    y: np.ndarray,
     gen: np.random.Generator,
     work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """G step: w from its whitened Gaussian conditional; returns (w, L_K w).
 
-    The perturbation draw of the module docstring: the last row of
-    Xt = [Phi y]' is overwritten with y + D^{1/2} e_N, D = diag(tau), and
-    w solves A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and
-    finite; ``work``, shaped like Xt, is scratch space for (D^{-1/2} X)'.
+    The perturbation draw of the module docstring.  Xt = [Phi y]' is only
+    read: it is scaled by D^{-1/2}, D = diag(tau), into ``work`` (shaped
+    like Xt; a new array if None), whose last row then becomes the scaled
+    perturbed output (y + D^{1/2} e_N) D^{-1/2}, and w solves
+    A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and finite.
     """
     N, n = tau.size, L_K.shape[0]
     sd = np.sqrt(tau)
+    s = 1.0 / sd
     e = sample_mvn(np.zeros(N + n), None, gen)
-    Xt[n] = y + sd * e[:N]
-    A, c = information_system(lam, Xt, 1.0 / sd, "gibbs.conditional_g", work)
+    Xs = np.multiply(Xt, s, out=work)
+    Xs[n] = (Xt[n] + sd * e[:N]) * s
+    A, c = information_system(lam, Xs, "gibbs.conditional_g")
     w = _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
     g = L_K @ w
     if not np.all(np.isfinite(g)):
@@ -247,7 +260,9 @@ def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> 
     """Draw lambda by sampling lambda^{-1} ~ Gamma(n/2 + 1, rate).
 
     ``rate_convention="half"`` uses rate g'K^{-1}g / 2 (flat prior on
-    lambda^{-1}); "literal" uses rate g'K^{-1}g.
+    lambda^{-1}); "literal" uses rate g'K^{-1}g.  A rate below
+    LAMBDA_RATE_FLOOR_FACTOR trace(K), in the units of g, is raised to it
+    with an IllConditionedWarning.
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"unknown rate convention {rate_convention!r}")
@@ -289,7 +304,7 @@ def conditional_g(
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
     L_K, Xt = _whiten(K, U, y)
     tau = _noise_diag(tau, Xt.shape[1])
-    _, g = _draw_g(lam, tau, L_K, Xt, Xt[-1].copy(), as_generator(rng))
+    _, g = _draw_g(lam, tau, L_K, Xt, as_generator(rng))
     return g
 
 
@@ -306,40 +321,53 @@ def run_gibbs(
     through the chain; the first sweep draws lambda afresh.  ``rng`` (an
     RngHandle or a numpy Generator) is the chain's one random stream.  The
     estimate is the mean of the g draws from sweep M0 through M inclusive.
+
+    The chain runs on u 2^-m and y 2^-k, with 2^(m-1) <= max|u| < 2^m and
+    2^(k-1) <= max|y| < 2^k, from g0 2^(m-k) and sigma2 4^-k; its stored
+    g, lambda and tau draws are mapped back by 2^(k-m), 4^(k-m) and 4^k
+    after the last sweep (module docstring).
     """
     n = init.g_hat.size
-    U = build_regressor(dataset.u, dataset.N, n)
+    m = int(np.frexp(np.max(np.abs(dataset.u)))[1])
+    k = int(np.frexp(np.max(np.abs(dataset.y)))[1])
+    U = build_regressor(np.ldexp(dataset.u, -m), dataset.N, n)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
-    L_K, Xt = _whiten(K, U, dataset.y)
-    Phi, work = Xt[:n].T, np.empty_like(Xt)
+    L_K, Xt = _whiten(K, U, np.ldexp(dataset.y, -k))
+    Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(rng)
 
-    w = np.linalg.solve(L_K, init.g_hat)
-    a_gig = 2.0 / init.hyper.sigma2
+    w = np.linalg.solve(L_K, np.ldexp(init.g_hat, m - k))
+    a_gig = 2.0 / np.ldexp(init.hyper.sigma2, -2 * k)
 
     M, M0 = config.M, config.M0
     g_samples = np.empty((M, n))
     lambda_samples = np.empty(M)
     tau_stored = []
 
-    for k in range(1, M + 1):
+    for sweep in range(1, M + 1):
         try:
-            tau = _draw_tau(Phi, w, dataset.y, a_gig, gen)
+            tau = _draw_tau(Phi, w, y, a_gig, gen)
             lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor)
-            w, g = _draw_g(lam, tau, L_K, Xt, dataset.y, gen, work)
+            w, g = _draw_g(lam, tau, L_K, Xt, gen, work)
         except NumericError as exc:
-            raise NumericError(f"{exc.message} at sweep {k}", context=exc.context) from exc
+            raise NumericError(f"{exc.message} at sweep {sweep}", context=exc.context) from exc
 
-        g_samples[k - 1] = g
-        lambda_samples[k - 1] = lam
-        if k % TAU_THIN == 0:
+        g_samples[sweep - 1] = g
+        lambda_samples[sweep - 1] = lam
+        if sweep % TAU_THIN == 0:
             tau_stored.append(tau)
 
+    # back to data units, in place: the chain's arrays are its largest
+    tau_samples = np.array(tau_stored) if tau_stored else None
+    np.ldexp(g_samples, k - m, out=g_samples)
+    np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
+    if tau_samples is not None:
+        np.ldexp(tau_samples, 2 * k, out=tau_samples)
     chain = GibbsChain(
         g_samples=g_samples,
         lambda_samples=lambda_samples,
-        tau_samples=np.array(tau_stored) if tau_stored else None,
+        tau_samples=tau_samples,
         burn_in=M0,
     )
     g_hat = chain.post_burn_in().mean(axis=0)

@@ -31,8 +31,9 @@ K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
 N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  One
 function, ``_whiten``, forms X' = [Phi y]' from K, U and y, by the product
 U @ L_K: for the posterior mean here and once per chain in the Gibbs
-sampler, so both give the same bits under any BLAS thread count.  One
-Gram of D^{-1/2} X gives the information form A w = c of the posterior,
+sampler, so both give the same bits under any BLAS thread count.  X' is
+read-only: each caller scales it into its own array.  One Gram of the
+scaled data D^{-1/2} X gives the information form A w = c of the posterior,
 A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (``information_system``).
 The posterior mean is one solve of that system, and a Gibbs draw is one
 solve of it with a perturbed right-hand side; only the covariance factor
@@ -135,7 +136,8 @@ def estimate_sigma2(ls: LeastSquares) -> float:
     cond(R)^2 above RIDGE_CONDITION_LIMIT, g solves
     (R'R + rho I) g = R'b with the ridge rho = RIDGE_SCALE * trace(U'U)/n,
     its residual is rss + |b - R g|^2, and an IllConditionedWarning is
-    recorded; a zero U'U (an all-zero input) raises NumericError.
+    recorded; a zero U'U (an all-zero input) or one that overflows raises
+    NumericError.
     """
     N, n = ls.N, ls.n
     if N <= n:
@@ -148,10 +150,17 @@ def estimate_sigma2(ls: LeastSquares) -> float:
         cond = (sv[0] / sv[-1]) ** 2
     rss = ls.rss
     if not np.isfinite(cond) or cond > RIDGE_CONDITION_LIMIT:
-        ridge = RIDGE_SCALE * float(sv @ sv) / n
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            ridge = RIDGE_SCALE * float(sv @ sv) / n
+            RR = ls.R.T @ ls.R
         if not ridge > 0:
             raise NumericError(
                 "normal matrix U'U is zero (all-zero input?)",
+                context="ssml.estimate_sigma2",
+            )
+        if not (ridge < np.inf and np.isfinite(RR).all()):
+            raise NumericError(
+                "normal matrix U'U overflows (input too large?)",
                 context="ssml.estimate_sigma2",
             )
         warnings.warn(
@@ -159,7 +168,7 @@ def estimate_sigma2(ls: LeastSquares) -> float:
             f"adding ridge {ridge:.3g} to the least-squares solve",
             IllConditionedWarning,
         )
-        g = np.linalg.solve(ls.R.T @ ls.R + ridge * np.eye(n), ls.R.T @ ls.b)
+        g = np.linalg.solve(RR + ridge * np.eye(n), ls.R.T @ ls.b)
         r = ls.b - ls.R @ g
         rss += float(r @ r)
     return rss / (N - n)
@@ -420,19 +429,18 @@ def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
 
 
 def information_system(
-    lam: float, Xt: np.ndarray, s: np.ndarray, context: str, out=None
+    lam: float, Xs: np.ndarray, context: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The information form (A, c) of the whitened posterior of X = [Phi y].
 
-    ``Xt`` is X', (n+1) x N, so the scaling by D^{-1/2} = diag(s) runs
-    along contiguous rows.  One Gram of D^{-1/2} X, with I/lam added to its
-    leading n x n block, holds A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y,
-    and the posterior of w is N(A^{-1} c, A^{-1}).  ``lam`` must be
-    positive and ``s`` positive and finite; callers check both.  A Gram
-    that is not finite raises NumericError under ``context``, the caller's
-    name.  ``out``, an array shaped like Xt, receives (D^{-1/2} X)'.
+    ``Xs`` is the scaled data (D^{-1/2} X)', (n+1) x N; callers form it from
+    X' by one product along its contiguous rows.  One Gram of D^{-1/2} X,
+    with I/lam added to its leading n x n block, holds
+    A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y, and the posterior of w is
+    N(A^{-1} c, A^{-1}).  ``lam`` must be positive and D positive and
+    finite; callers check both.  A Gram that is not finite raises
+    NumericError under ``context``, the caller's name.  ``Xs`` is only read.
     """
-    Xs = np.multiply(Xt, s, out=out)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         M = Xs @ Xs.T
     if not np.isfinite(M).all():
@@ -445,9 +453,11 @@ def information_system(
 
 def _whiten(K, U, y) -> tuple[np.ndarray, np.ndarray]:
     """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'; X' is
-    (n+1) x N and C-contiguous.  The one builder of X' (module docstring)."""
+    (n+1) x N, C-contiguous and read-only.  The one builder of X' (module
+    docstring)."""
     L_K = kernel_factor(K)
     Xt = np.vstack([(np.asarray(U, dtype=float) @ L_K).T, np.asarray(y, dtype=float)])
+    Xt.flags.writeable = False
     return L_K, Xt
 
 
@@ -485,7 +495,7 @@ def posterior_moments(
         raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
     Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
-    A, c = information_system(lam, Xt, s, "ssml.posterior_moments")
+    A, c = information_system(lam, Xt * s, "ssml.posterior_moments")
     try:
         L_A = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:
@@ -522,7 +532,7 @@ def posterior_mean(
         return np.zeros(U.shape[1])
     L_K, Xt = _whiten(K, U, y)
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
-    A, c = information_system(lam, Xt, s, "ssml.posterior_mean")
+    A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
     return L_K @ _solve(A, c, "ssml.posterior_mean")
 
 

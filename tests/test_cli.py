@@ -203,28 +203,59 @@ class TestIdentify:
         assert "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "column, value",
-        [("u", 1e200), ("y", 1e300)],
-        ids=["huge_input", "huge_output"],
-    )
-    def test_overflowing_data_exits_3(self, tmp_path, column, value):
-        # R K R' overflows for the input, y'y for the output: each is one
+    @staticmethod
+    def _huge_data(case):
+        """(u, y, n) of each overflow case."""
+        u, y = np.random.default_rng(0).standard_normal((2, 30))
+        if case == "huge_input":
+            return np.full(30, 1e200), y, 5
+        if case == "huge_output":
+            return u, np.full(30, 1e300), 5
+        # two spikes: U'U is rank-deficient, and its ridge and entries overflow
+        u = np.zeros(23)
+        u[14], u[19] = 1e160, 1e159
+        return u, np.random.default_rng(0).standard_normal(23), 12
+
+    @pytest.mark.parametrize("case", ["huge_input", "huge_output", "huge_normal_matrix"])
+    def test_overflowing_data_exits_3(self, tmp_path, case):
+        # R K R' overflows for the input, y'y for the output, and the ridged
+        # normal matrix of the sigma2 estimate for the spikes: each is one
         # numeric-failure line, with no traceback and no raw RuntimeWarning
         ds = tmp_path / "huge.csv"
-        u, y = np.random.default_rng(0).standard_normal((2, 30))
-        huge = np.full(30, value)
-        write_dataset(ds, huge if column == "u" else u, huge if column == "y" else y)
+        u, y, n = self._huge_data(case)
+        write_dataset(ds, u, y)
         env = dict(os.environ, PYTHONPATH=str(Path(stablespline.__file__).parents[1]))
         out = subprocess.run(
             [sys.executable, "-m", "stablespline", "identify", "--input", str(ds),
-             "--output", str(tmp_path / "r.json"), "--n", "5", "--estimator", "ssml"],
+             "--output", str(tmp_path / "r.json"), "--n", str(n), "--estimator", "ssml"],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == 3, out.stderr
         assert out.stderr.startswith("numeric failure:")
         assert "Traceback" not in out.stderr and "Warning" not in out.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "u_scale, y_scale",
+        [(1.0, 1e-80), (1.0, 1e100), (1e7, 1e7), (1e7, 1.0)],
+        ids=["tiny_output", "large_output", "large_both", "large_input"],
+    )
+    def test_data_scale_samples_cleanly(self, tmp_path, u_scale, y_scale):
+        # the chain samples on u 2^-m and y 2^-k: no lambda-rate floor and no
+        # GIG overflow at any of these scales, so no warning and no failure
+        sim = simulate(ExperimentConfig(N=200, n=20), RngHandle(4))
+        ds = tmp_path / "scaled.csv"
+        write_dataset(ds, sim.dataset.u * u_scale, sim.dataset.y * y_scale)
+        env = dict(os.environ, PYTHONPATH=str(Path(stablespline.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "stablespline", "identify", "--input", str(ds),
+             "--output", str(tmp_path / "r.json"), "--n", "20", "--estimator", "ssgs",
+             "--iters", "200", "--burnin", "100"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+        assert np.all(np.isfinite(read_document(tmp_path / "r.json")["ssgs"]["g_hat"]))
 
     @pytest.mark.parametrize(
         "doc",
@@ -252,6 +283,31 @@ class TestIdentify:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(truth) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["ssgs", "both"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--iters", "10", "--burnin", "20"], ["--seed", "-1"]],
+        ids=["burnin_past_iters", "negative_seed"],
+    )
+    def test_sampler_settings_checked_before_fitting(
+        self, sim_files, tmp_path, capsys, monkeypatch, estimator, flags
+    ):
+        ds, _ = sim_files
+
+        def no_fit(*args):
+            pytest.fail("the sampler settings must be checked before fitting")
+
+        monkeypatch.setattr("stablespline.cli.run_ssml", no_fit)
+        out = tmp_path / "r.json"
+        code = run_cli(
+            "identify", "--input", str(ds), "--output", str(out),
+            "--estimator", estimator, "--n", "20", *flags,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
     def test_n_too_large_exits_2(self, sim_files, tmp_path):
@@ -289,6 +345,21 @@ class TestBenchmarkCommand:
         wins = np.mean([float(r[2]) > float(r[1]) for r in rows])
         assert 0.0 <= summary["win_rate_ssgs"] <= 1.0
         assert summary["win_rate_ssgs"] == pytest.approx(wins)
+
+    def test_negative_seed_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args):
+            pytest.fail("the seed must be checked before any run")
+
+        monkeypatch.setattr("stablespline.benchmark._single_run", no_run)
+        args = [
+            "benchmark", "--runs", "2", "--N", "80", "--n", "10",
+            "--iters", "60", "--burnin", "20", "--seed", "-1",
+        ]
+        out = tmp_path / "runs.csv"
+        assert run_cli(*args, "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: master_seed must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.csv"

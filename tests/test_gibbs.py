@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,11 @@ from stablespline import (
     run_ssml,
 )
 from stablespline import gibbs
+from stablespline.benchmark import ExperimentConfig, simulate
 from stablespline.distributions import RngHandle
 from stablespline.kernels import kernel_factor
+from stablespline.model import Hyperparameters
+from stablespline.ssml import SsmlResult
 
 
 def small_dataset(rng, N=40, n=10, noise=0.1):
@@ -282,9 +286,9 @@ class TestRunGibbs:
         ds = Dataset(u, y0 + gen.normal(0.0, np.sqrt(s2), N))
         ssml = run_ssml(ds, n)
         cfg = GibbsConfig(M=3000, M0=500)
-        sigma2 = ssml.hyper.sigma2
+        # the chain's sigma2, 2/a: run_gibbs samples on scaled data
         monkeypatch.setattr(
-            gibbs, "sample_gig_half", lambda a, b, rng: np.full(b.shape, sigma2)
+            gibbs, "sample_gig_half", lambda a, b, rng: np.full(b.shape, 2.0 / a)
         )
         g_fix, chain = run_gibbs(ds, cfg, ssml, h.child(1))
         post = chain.post_burn_in()
@@ -329,6 +333,44 @@ class TestRunGibbs:
             run_gibbs(ds, cfg, ssml, RngHandle(105))
         assert info.value.context == f"gibbs.conditional_{step}"
         assert re.fullmatch(f"{message} at sweep 3", info.value.message)
+
+    @pytest.fixture(scope="class")
+    def scale_reference(self):
+        sim = simulate(ExperimentConfig(N=200, n=20), RngHandle(4))
+        init = run_ssml(sim.dataset, 20)
+        cfg = GibbsConfig(M=100, M0=50)
+        return sim.dataset, init, cfg, run_gibbs(sim.dataset, cfg, init, RngHandle(1))
+
+    @pytest.mark.parametrize(
+        "i, j",
+        [(0, -400), (0, -200), (0, 0), (0, 200), (0, 400),
+         (24, 24), (300, 0), (-300, 0), (200, -200)],
+    )
+    def test_chain_is_scale_equivariant(self, scale_reference, i, j):
+        # Input u 2^i and output y 2^j, started from g0 2^(j-i) and sigma2
+        # 4^j: the chain runs on the same power-of-two scaled data, so every
+        # draw maps exactly.  An unscaled chain floors the lambda rate at
+        # j - i <= -200 and overflows the GIG draw at |j| = 400.
+        ds, init, cfg, (g_ref, chain_ref) = scale_reference
+        hyper = init.hyper
+        scaled = SsmlResult(
+            g_hat=np.ldexp(init.g_hat, j - i),
+            hyper=Hyperparameters(
+                np.ldexp(hyper.lam, 2 * (j - i)), hyper.beta, np.ldexp(hyper.sigma2, 2 * j)
+            ),
+            objective=init.objective,
+            order=init.order,
+        )
+        data = Dataset(np.ldexp(ds.u, i), np.ldexp(ds.y, j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g_hat, chain = run_gibbs(data, cfg, scaled, RngHandle(1))
+        assert np.array_equal(g_hat, np.ldexp(g_ref, j - i))
+        assert np.array_equal(chain.g_samples, np.ldexp(chain_ref.g_samples, j - i))
+        assert np.array_equal(
+            chain.lambda_samples, np.ldexp(chain_ref.lambda_samples, 2 * (j - i))
+        )
+        assert np.array_equal(chain.tau_samples, np.ldexp(chain_ref.tau_samples, 2 * j))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

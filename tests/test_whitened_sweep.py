@@ -46,7 +46,7 @@ from stablespline.distributions import (
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
 from stablespline.kernels import kernel_factor
 from stablespline.model import Hyperparameters
-from stablespline.ssml import IllConditionedWarning, SsmlResult, information_system
+from stablespline.ssml import IllConditionedWarning, SsmlResult, _whiten, information_system
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,16 +97,17 @@ def test_information_system_identity(N, order, beta, log_lam, seed):
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
     Xt, s = np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau)
-    out = np.empty_like(Xt)
+    Xs = Xt * s
+    before = Xs.tobytes()
 
-    A, c = information_system(lam, Xt, s, "test", out)
+    A, c = information_system(lam, Xs, "test")
 
-    assert np.array_equal(out, Xt * s)
+    assert Xs.tobytes() == before
     A_ref = np.eye(n) / lam + Phi.T @ (Phi / tau[:, None])
     c_ref = Phi.T @ (y / tau)
     # rounding scales of a Gram: |D^{-1/2}Phi|^2 and |D^{-1/2}Phi||D^{-1/2}y|
     assert np.linalg.norm(A - A_ref) <= 1e-12 * np.trace(A_ref)
-    assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(out[:n]) * np.linalg.norm(out[n])
+    assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(Xs[:n]) * np.linalg.norm(Xs[n])
     assert np.array_equal(A, A.T)
     # positive definite for any N: the I/lam term
     assert np.all(np.linalg.eigvalsh(A) > 0)
@@ -129,7 +130,9 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
     U = build_regressor(dataset.u, N, n)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K = kernel_factor(K)
-    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
+    # run_gibbs's floor holds in units of (max|y| / max|u|)^2
+    m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (dataset.u, y))
+    rate_floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K)), 2 * (k - m))
     gen = as_generator(rng)
     g = np.array(init.g_hat)
     draws = []
@@ -240,6 +243,47 @@ class TestFactorizationBudget:
         # one solve starts the chain at w = L_K^{-1} g0; every other is a draw
         assert all(shapes == [(self.n, self.n), (self.n,)] for shapes in solves)
         assert not {"qr", "eigh"} & {name for name, _ in long}
+
+
+class TestDataNeverWritten:
+    """X' = [Phi y]' holds the data for the whole chain: ``_whiten`` returns
+    it read-only, and the g step scales it into its own array, so it leaves
+    every input as it found it, even a writable X'."""
+
+    N, n = 30, 5
+
+    @pytest.fixture
+    def problem(self):
+        rng = np.random.default_rng(68)
+        U = build_regressor(rng.standard_normal(self.N), self.N, self.n)
+        K = build_kernel(KernelSpec("first", 0.8, self.n))
+        return K, U, rng.standard_normal(self.N), rng.uniform(0.5, 2.0, self.N)
+
+    def test_whitened_data_is_read_only(self, problem):
+        K, U, y, _ = problem
+        _, Xt = _whiten(K, U, y)
+        with pytest.raises(ValueError, match="read-only"):
+            Xt[-1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            Xt *= 2.0
+
+    @pytest.mark.parametrize("work", [False, True], ids=["new_buffer", "work_buffer"])
+    def test_g_step_leaves_inputs_unchanged(self, problem, work):
+        K, U, y, tau = problem
+        L_K, Xt = _whiten(K, U, y)
+        Xt = Xt.copy()  # writable: a write would show, not raise
+        inputs = (tau, L_K, Xt)
+        before = [x.tobytes() for x in inputs]
+        buffer = np.empty_like(Xt) if work else None
+        gibbs._draw_g(0.7, tau, L_K, Xt, np.random.default_rng(69), buffer)
+        assert [x.tobytes() for x in inputs] == before
+
+    def test_conditional_g_leaves_inputs_unchanged(self, problem):
+        inputs = problem
+        before = [x.tobytes() for x in inputs]
+        K, U, y, tau = inputs
+        conditional_g(0.7, tau, K, U, y, RngHandle(69))
+        assert [x.tobytes() for x in inputs] == before
 
 
 class TestLambdaRateFloor:
