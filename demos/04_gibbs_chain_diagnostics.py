@@ -31,9 +31,7 @@ u = generate_input("wn", N, handle.child(1))
 U = build_regressor(u, N, n)
 y0 = U @ g_true
 sigma2 = np.var(y0) / 100
-v, outliers = sample_noise_mixture(
-    N, sigma2, 0.7, 100.0, handle.child(2), return_outlier_mask=True
-)
+v, outliers = sample_noise_mixture(N, sigma2, 0.7, 100.0, handle.child(2))
 ds = Dataset(u, y0 + v)
 print(f"dataset: N={N}, {outliers.sum()} outlier samples (100x variance)")
 

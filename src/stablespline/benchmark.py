@@ -62,16 +62,21 @@ class InputKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TransferFunction:
-    """Rational system G = gain * z^{-delay} B(z^{-1}) / A(z^{-1}).
+    """Rational system G = gain * z^{-1} B(z^{-1}) / A(z^{-1}), with the unit
+    delay that the regressor of :func:`stablespline.model.build_regressor`
+    encodes.
 
     Zeros/poles are the roots of B/A; both sets are closed under complex
-    conjugation and all poles lie strictly inside radius 0.95.
+    conjugation and all poles lie strictly inside radius 0.95.  ``num`` and
+    ``den`` are the real coefficients of B and A in ascending powers of
+    z^{-1}, expanded once from the roots; all four arrays are read-only.
     """
 
     zeros: np.ndarray
     poles: np.ndarray
     gain: float
-    delay: int = 1
+    num: np.ndarray = field(init=False, repr=False, compare=False)
+    den: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.array(self.zeros, dtype=complex)
@@ -80,12 +85,13 @@ class TransferFunction:
             raise ConfigError(
                 f"poles must satisfy |p| < {POLE_RADIUS}, got max {np.max(np.abs(p)):.4f}"
             )
-        if self.delay < 1:
-            raise ConfigError(f"delay must be >= 1, got {self.delay}")
-        for roots, name in ((z, "zeros"), (p, "poles")):
+        for roots, name, attr in ((z, "zeros", "num"), (p, "poles", "den")):
             coeffs = np.poly(roots) if roots.size else np.array([1.0])
             if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
                 raise ConfigError(f"{name} are not closed under conjugation")
+            real = coeffs.real
+            real.flags.writeable = False
+            object.__setattr__(self, attr, real)
         z.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "zeros", z)
@@ -95,13 +101,6 @@ class TransferFunction:
 def _conjugate_pairs(mags: np.ndarray, angles: np.ndarray) -> np.ndarray:
     roots = mags * np.exp(1j * angles)
     return np.concatenate([roots, np.conj(roots)])
-
-
-def _polynomials(tf: TransferFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Real coefficient arrays of B and A in ascending powers of z^{-1}."""
-    b = np.poly(tf.zeros).real if tf.zeros.size else np.array([1.0])
-    a = np.poly(tf.poles).real if tf.poles.size else np.array([1.0])
-    return b, a
 
 
 def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -121,11 +120,14 @@ def _filter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
             jmax = min(t, a.size - 1)
             if jmax >= 1:
                 y[t] -= a[1 : jmax + 1] @ y[t - 1 :: -1][:jmax]
-            if not np.isfinite(y[t]):
-                raise NumericError(
-                    f"response sample {t + 1} is not finite before scaling",
-                    context="benchmark.impulse_response",
-                )
+    # each sample depends only on earlier ones: the first non-finite one is
+    # the first sample that overflowed
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise NumericError(
+            f"response sample {bad[0] + 1} is not finite before scaling",
+            context="benchmark.impulse_response",
+        )
     return y
 
 
@@ -147,8 +149,7 @@ def generate_system(rng, n: int = 50) -> TransferFunction:
         poles=_conjugate_pairs(pole_mags, pole_angles),
         gain=1.0,
     )
-    b, a = _polynomials(tf)
-    h = _filter(b, a, np.eye(1, n)[0])  # response to a unit impulse
+    h = _filter(tf.num, tf.den, np.eye(1, n)[0])  # response to a unit impulse
     norm = float(np.linalg.norm(h))
     if norm == 0.0:
         raise NumericError(
@@ -164,10 +165,7 @@ def impulse_response(tf: TransferFunction, n: int) -> np.ndarray:
     applies to the unscaled response."""
     if n < 1:
         raise ConfigError(f"n must be positive, got {n}")
-    if tf.delay != 1:
-        raise ConfigError("only unit input-output delay is supported")
-    b, a = _polynomials(tf)
-    return tf.gain * _filter(b, a, np.eye(1, n)[0])
+    return tf.gain * _filter(tf.num, tf.den, np.eye(1, n)[0])
 
 
 def generate_input(kind, N: int, rng) -> np.ndarray:
@@ -268,8 +266,7 @@ def simulate(config: ExperimentConfig, handle: RngHandle) -> Simulation:
         )
     sigma2 = var0 / config.snr_divisor
     v, outliers = sample_noise_mixture(
-        config.N, sigma2, config.c1, config.variance_ratio, handle.child(2),
-        return_outlier_mask=True,
+        config.N, sigma2, config.c1, config.variance_ratio, handle.child(2)
     )
     return Simulation(tf, g_true, sigma2, outliers, Dataset(u, y0 + v))
 

@@ -214,7 +214,7 @@ def cmd_simulate(args) -> int:
             "impulse_response": sim.g_true,
             "system": {
                 "gain": tf.gain,
-                "delay": tf.delay,
+                "delay": 1,
                 "poles_re": tf.poles.real,
                 "poles_im": tf.poles.imag,
                 "zeros_re": tf.zeros.real,

@@ -96,21 +96,21 @@ def _inverse_gaussian(mu, lam: float, gen: np.random.Generator, size):
     return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
 
 
-def sample_gig_half(a: float, b, rng, size=None):
+def sample_gig_half(a: float, b, rng) -> np.ndarray:
     """Draw from GIG(a, b, p=1/2), density proportional to
-    tau^{-1/2} exp(-(a*tau + b/tau)/2) on tau > 0.
+    tau^{-1/2} exp(-(a*tau + b/tau)/2) on tau > 0, once per entry of ``b``.
 
     If X is inverse Gaussian with mean sqrt(a/b) and shape a, then 1/X has
     exactly this law.  A b below the floor GIG_B_FLOOR_FACTOR * (2/a) is
-    drawn as b at the floor, so every entry takes the same one draw.  ``b``
-    may be an array, in which case one draw per entry is returned.
+    drawn as b at the floor, so every entry takes the same one draw.
 
     Parameters
     ----------
     a : float
         Rate-like parameter, > 0.
-    b : float or array_like
-        Nonnegative parameter(s); squared residuals in the sampler.
+    b : array_like
+        Nonnegative parameters, squared residuals in the sampler; the draws
+        have its shape.
     """
     if not (a > 0 and np.isfinite(a)):
         raise ConfigError(f"GIG parameter a must be positive, got {a}")
@@ -118,48 +118,26 @@ def sample_gig_half(a: float, b, rng, size=None):
     lo, hi = (b_arr.min(), b_arr.max()) if b_arr.size else (0.0, 0.0)
     if not (lo >= 0 and hi < np.inf):
         raise ConfigError("GIG parameter b must be finite and >= 0")
-    if size is not None and b_arr.ndim != 0:
-        raise ConfigError("size may only be given with scalar b")
     gen = as_generator(rng)
 
-    scalar = b_arr.ndim == 0 and size is None
-    shape = b_arr.shape if b_arr.ndim else ((size,) if size is not None else (1,))
     floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
     if lo < floor:
         b_arr = np.maximum(b_arr, floor)
-    out = 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, gen, shape)
-    return float(out[0]) if scalar else out
+    return 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, gen, b_arr.shape)
 
 
-def sample_mvn(mean, cov_factor, rng) -> np.ndarray:
-    """mean + L z with z i.i.d. standard normal; draw covariance is L L^T.
-
-    ``cov_factor=None`` stands for L = I: the draw is mean + z.
-    """
-    m = np.asarray(mean, dtype=float)
-    L = None if cov_factor is None else np.asarray(cov_factor, dtype=float)
-    if m.ndim != 1 or (L is not None and L.shape != (m.size, m.size)):
-        raise ConfigError(
-            f"dimension mismatch: mean {m.shape}, cov_factor {np.shape(cov_factor)}"
-        )
-    gen = as_generator(rng)
-    z = gen.standard_normal(m.size)
-    return m + z if L is None else m + L @ z
+def sample_mvn(size: int, rng) -> np.ndarray:
+    """``size`` i.i.d. standard normal draws: one draw of N(0, I_size)."""
+    if size < 0:
+        raise ConfigError(f"size must be nonnegative, got {size}")
+    return as_generator(rng).standard_normal(size)
 
 
-def sample_noise_mixture(
-    N: int,
-    sigma2: float,
-    c1: float,
-    variance_ratio: float,
-    rng,
-    return_outlier_mask: bool = False,
-):
+def sample_noise_mixture(N: int, sigma2: float, c1: float, variance_ratio: float, rng):
     """Two-component Gaussian mixture noise: N(0, sigma2) with probability
     c1, else N(0, variance_ratio * sigma2), independently per sample.
 
-    With ``return_outlier_mask=True`` also returns the boolean mask of
-    high-variance draws (used for audit metadata).
+    Returns the noise and the boolean mask of its high-variance draws.
     """
     if N < 1:
         raise ConfigError(f"N must be positive, got {N}")
@@ -173,7 +151,4 @@ def sample_noise_mixture(
     z = gen.standard_normal(N)
     outlier = gen.uniform(size=N) >= c1
     scale = np.where(outlier, np.sqrt(variance_ratio * sigma2), np.sqrt(sigma2))
-    v = z * scale
-    if return_outlier_mask:
-        return v, outlier
-    return v
+    return z * scale, outlier

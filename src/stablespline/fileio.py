@@ -43,10 +43,11 @@ def write_dataset(path, u, y) -> None:
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape or u.ndim != 1:
         raise ConfigError(f"u and y must be equal-length vectors, got {u.shape}, {y.shape}")
-    lines = ["t,u,y"]
-    for t in range(u.size):
-        lines.append(f"{t + 1},{_format_float(u[t])},{_format_float(y[t])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        for x in np.column_stack([u, y]).flat:  # raises at the first, in file order
+            _format_float(x)
+    rows = zip(range(1, u.size + 1), u.tolist(), y.tolist())
+    Path(path).write_text("".join(["t,u,y\n", *(f"{t},{a:.17g},{b:.17g}\n" for t, a, b in rows)]))
 
 
 def read_dataset(path) -> Dataset:

@@ -29,15 +29,16 @@ adds the sweep it failed at to the message.
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
 order, beta and sigma2; it draws from the caller's stream, discards a
-burn-in prefix, and averages the remaining g draws.  It runs on data
-scaled by powers of two, u 2^-m and y 2^-k with max|u 2^-m| and
-max|y 2^-k| in [1/2, 1): g scales by 2^(m-k), lambda by 4^(m-k) and tau
-and sigma2 by 4^-k, exactly, so the draws mapped back are those of the
-unscaled chain wherever that chain neither underflows nor overflows.  The
-lambda-rate floor, LAMBDA_RATE_FLOOR_FACTOR trace(K), thus holds in units of
+burn-in prefix, and averages the remaining g draws.  Like SS-ML, it runs
+on data scaled by powers of two (:func:`stablespline.model.power_of_two_scaled`),
+u 2^-m and y 2^-k with max|u 2^-m| and max|y 2^-k| in [1/2, 1): g scales
+by 2^(m-k), lambda by 4^(m-k) and tau and sigma2 by 4^-k, exactly, so the
+draws mapped back are those of the unscaled chain wherever that chain
+neither underflows nor overflows.  The lambda-rate floor,
+LAMBDA_RATE_FLOOR_FACTOR trace(K), thus holds in units of
 (max|y| / max|u|)^2 for g'K^{-1}g, whatever the scale of either signal.
 The exported conditionals take and return data units, and
-:func:`conditional_lambda`'s floor holds in them.
+:func:`conditional_lambda`'s floor holds in units of max|g|^2.
 Mixing diagnostics (:func:`quantile_diagnostics`) are computed by whoever
 reads them, from the returned chain.
 """
@@ -58,7 +59,7 @@ from .kernels import (
     kernel_factor,
     kernel_quadratic_form,
 )
-from .model import Dataset, build_regressor
+from .model import Dataset, build_regressor, power_of_two_scaled
 from .ssml import (
     IllConditionedWarning,
     SsmlResult,
@@ -148,7 +149,8 @@ class QuantileReport:
 
 @dataclass(frozen=True)
 class GibbsChain:
-    """Stored draws of one chain: g (M x n), lambda (M,), thinned tau.
+    """Stored draws of one chain: g (M x n), lambda (M,) and tau
+    (M // TAU_THIN x N), every TAU_THIN-th sweep's.
 
     ``burn_in`` marks M0: the estimate averages 1-based sweeps
     M0..M, i.e. rows burn_in - 1 onward.
@@ -156,7 +158,7 @@ class GibbsChain:
 
     g_samples: np.ndarray
     lambda_samples: np.ndarray
-    tau_samples: np.ndarray | None
+    tau_samples: np.ndarray
     burn_in: int
 
     def post_burn_in(self) -> np.ndarray:
@@ -227,7 +229,7 @@ def _draw_g(
     N, n = tau.size, L_K.shape[0]
     sd = np.sqrt(tau)
     s = 1.0 / sd
-    e = sample_mvn(np.zeros(N + n), None, gen)
+    e = sample_mvn(N + n, gen)
     Xs = np.multiply(Xt, s, out=work)
     Xs[n] = (Xt[n] + sd * e[:N]) * s
     A, c = information_system(lam, Xs, "gibbs.conditional_g")
@@ -261,14 +263,16 @@ def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> 
 
     ``rate_convention="half"`` uses rate g'K^{-1}g / 2 (flat prior on
     lambda^{-1}); "literal" uses rate g'K^{-1}g.  A rate below
-    LAMBDA_RATE_FLOOR_FACTOR trace(K), in the units of g, is raised to it
-    with an IllConditionedWarning.
+    LAMBDA_RATE_FLOOR_FACTOR trace(K) 4^e, with 2^(e-1) <= max|g| < 2^e, is
+    raised to it with an IllConditionedWarning: the floor holds in units of
+    max|g|^2, so g 2^j draws lambda 4^j exactly.  A zero g takes e = 0.
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"unknown rate convention {rate_convention!r}")
     gv = np.asarray(g, dtype=float)
     quad = kernel_quadratic_form(K, gv)
-    floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(_kernel_array(K)))
+    e = int(np.frexp(np.max(np.abs(gv)))[1])
+    floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(_kernel_array(K))), 2 * e)
     return _draw_lambda(quad, gv.size, as_generator(rng), rate_convention, floor)
 
 
@@ -325,14 +329,14 @@ def run_gibbs(
     The chain runs on u 2^-m and y 2^-k, with 2^(m-1) <= max|u| < 2^m and
     2^(k-1) <= max|y| < 2^k, from g0 2^(m-k) and sigma2 4^-k; its stored
     g, lambda and tau draws are mapped back by 2^(k-m), 4^(k-m) and 4^k
-    after the last sweep (module docstring).
+    after the last sweep (module docstring); a draw or estimate that
+    overflows in data units raises NumericError.
     """
     n = init.g_hat.size
-    m = int(np.frexp(np.max(np.abs(dataset.u)))[1])
-    k = int(np.frexp(np.max(np.abs(dataset.y)))[1])
-    U = build_regressor(np.ldexp(dataset.u, -m), dataset.N, n)
+    m, k, scaled = power_of_two_scaled(dataset)
+    U = build_regressor(scaled.u, dataset.N, n)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
-    L_K, Xt = _whiten(K, U, np.ldexp(dataset.y, -k))
+    L_K, Xt = _whiten(K, U, scaled.y)
     Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(rng)
@@ -343,7 +347,7 @@ def run_gibbs(
     M, M0 = config.M, config.M0
     g_samples = np.empty((M, n))
     lambda_samples = np.empty(M)
-    tau_stored = []
+    tau_samples = np.empty((M // TAU_THIN, dataset.N))
 
     for sweep in range(1, M + 1):
         try:
@@ -356,22 +360,17 @@ def run_gibbs(
         g_samples[sweep - 1] = g
         lambda_samples[sweep - 1] = lam
         if sweep % TAU_THIN == 0:
-            tau_stored.append(tau)
+            tau_samples[sweep // TAU_THIN - 1] = tau
 
     # back to data units, in place: the chain's arrays are its largest
-    tau_samples = np.array(tau_stored) if tau_stored else None
-    np.ldexp(g_samples, k - m, out=g_samples)
-    np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
-    if tau_samples is not None:
+    with np.errstate(over="ignore"):  # reported below
+        np.ldexp(g_samples, k - m, out=g_samples)
+        np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
         np.ldexp(tau_samples, 2 * k, out=tau_samples)
-    chain = GibbsChain(
-        g_samples=g_samples,
-        lambda_samples=lambda_samples,
-        tau_samples=tau_samples,
-        burn_in=M0,
-    )
-    g_hat = chain.post_burn_in().mean(axis=0)
-    return g_hat, chain
+        g_hat = g_samples[M0 - 1 :].mean(axis=0)  # GibbsChain.post_burn_in's rows
+    if not all(np.isfinite(x).all() for x in (g_hat, g_samples, lambda_samples, tau_samples)):
+        raise NumericError("chain draws overflow in data units", context="gibbs.run_gibbs")
+    return g_hat, GibbsChain(g_samples, lambda_samples, tau_samples, burn_in=M0)
 
 
 def quantile_diagnostics(chain: GibbsChain) -> QuantileReport:

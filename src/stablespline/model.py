@@ -21,6 +21,7 @@ __all__ = [
     "Hyperparameters",
     "build_regressor",
     "fit_score",
+    "power_of_two_scaled",
 ]
 
 
@@ -79,6 +80,18 @@ class Hyperparameters:
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
         if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
             raise ConfigError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+
+
+def power_of_two_scaled(dataset: Dataset) -> tuple[int, int, Dataset]:
+    """(m, k, the dataset (u 2^-m, y 2^-k)), with 2^(m-1) <= max|u| < 2^m and
+    2^(k-1) <= max|y| < 2^k; a zero signal takes exponent 0.
+
+    Both estimators fit on the scaled data.  Scaling by a power of two is
+    exact, so a result in data units is the scaled one times a power of two:
+    g by 2^(k-m), lambda by 4^(k-m) and noise variances by 4^k.
+    """
+    m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (dataset.u, dataset.y))
+    return m, k, Dataset(np.ldexp(dataset.u, -m), np.ldexp(dataset.y, -k))
 
 
 def build_regressor(u, N: int, n: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 Pipeline: one QR of the data, the least-squares noise-variance estimate
 read off it, a marginal-likelihood fit of (lambda, beta), then the
 posterior-mean estimate, which also starts the Gibbs sampler in
-:mod:`stablespline.gibbs`.
+:mod:`stablespline.gibbs`.  :func:`run_ssml` fits on the data scaled by
+powers of two and maps its results back exactly, so the fit does not
+depend on the scale of the input or the output.
 
 A fit factors its data once.  One QR of [U y] gives R (U = Q_1 R),
 b = Q_1'y and rss = |y - Q_1 b|^2, the least-squares residual, so
@@ -58,7 +60,7 @@ from .kernels import (
     build_kernel_derivative,
     kernel_factor,
 )
-from .model import Dataset, Hyperparameters, build_regressor
+from .model import Dataset, Hyperparameters, build_regressor, power_of_two_scaled
 
 __all__ = [
     "IllConditionedWarning",
@@ -83,6 +85,10 @@ RIDGE_SCALE = 1e-8
 # Relative floor applied to the estimated noise variance so exact-fit
 # datasets keep a usable noise model.
 SIGMA2_FLOOR_FACTOR = 1e-12
+
+# 2^e is a normal float for _MIN_EXP <= e < _MAX_EXP; _TINY is the least one.
+_MIN_EXP, _MAX_EXP = np.finfo(float).minexp, np.finfo(float).maxexp
+_TINY = float(np.finfo(float).tiny)
 
 
 class IllConditionedWarning(UserWarning):
@@ -165,7 +171,7 @@ def estimate_sigma2(ls: LeastSquares) -> float:
             )
         warnings.warn(
             f"normal matrix condition {cond:.3g} exceeds {RIDGE_CONDITION_LIMIT:.0e}: "
-            f"adding ridge {ridge:.3g} to the least-squares solve",
+            f"adding ridge {RIDGE_SCALE:g} trace(U'U)/n to the least-squares solve",
             IllConditionedWarning,
         )
         g = np.linalg.solve(RR + ridge * np.eye(n), ls.R.T @ ls.b)
@@ -402,9 +408,12 @@ def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
     beta_hat = min(profiles, key=lambda beta: profiles[beta][0])
     _, lam_hat, on_edge = profiles[beta_hat]
     if on_edge:
+        # lambda relative to the grid's centre, which reads alike in any units
+        ratio = lam_hat * float(np.sum(obj._for_beta(beta_hat)[0])) / obj.data.yy
         warnings.warn(
-            f"marginal-likelihood optimum lambda={lam_hat:.3g} (beta={beta_hat:.4g}) "
-            f"lies on the edge of the {LAMBDA_SPAN:g}-decade search span",
+            f"marginal-likelihood optimum lambda={ratio:.3g} y'y/trace(UKU') "
+            f"(beta={beta_hat:.4g}) lies on the edge of the {LAMBDA_SPAN:g}-decade "
+            "search span",
             IllConditionedWarning,
         )
     for bound in (BETA_MIN, BETA_MAX):
@@ -566,24 +575,40 @@ def run_ssml(
 ) -> SsmlResult:
     """Full Gaussian-noise estimation pass on a dataset.
 
-    Builds the regressor and reduces it with the output by one QR
-    (``LeastSquares``), pre-estimates sigma2 from that QR (floored at
-    SIGMA2_FLOOR_FACTOR * var(y), with an IllConditionedWarning when the
-    floor engages), optimizes (lambda, beta) by marginal likelihood on the
-    same QR, and returns the posterior-mean response of length n, computed
-    from the n x n reduction.  Deterministic: no randomness is consumed.
+    The fit runs on the data scaled by powers of two,
+    (u 2^-m, y 2^-k) of :func:`stablespline.model.power_of_two_scaled`, so
+    it does not depend on the scale of u or y.  It builds the regressor and
+    reduces it with the output by one QR (``LeastSquares``), pre-estimates
+    sigma2 from that QR (floored at SIGMA2_FLOOR_FACTOR * var(y), with an
+    IllConditionedWarning when the floor engages), optimizes (lambda, beta)
+    by marginal likelihood on the same QR, and computes the posterior-mean
+    response of length n from the n x n reduction.  The results are mapped
+    back exactly: g by 2^(k-m), lambda by 4^(k-m) and sigma2 by 4^k, and the
+    objective gains N k ln 4.  A scale whose factors 4^(k-m) or 4^k are not
+    normal floats raises NumericError before the fit, and a lambda or sigma2
+    that is not a normal float in data units, or a g that overflows there,
+    after it.  Deterministic: no randomness is consumed.
     """
     order = KernelOrder.parse(order)
     N = dataset.N
     if N <= n:
         raise ConfigError(f"run_ssml needs N > n, got N={N}, n={n}")
-    ls = LeastSquares(build_regressor(dataset.u, N, n), dataset.y)
+    m, k, scaled = power_of_two_scaled(dataset)
+    # 4^(k-m) also bounds 2^(k-m), the unit factor of g
+    if not all(_MIN_EXP <= e < _MAX_EXP for e in (2 * (k - m), 2 * k)):
+        raise NumericError(
+            f"data units out of range: max|u| ~ 2^{m} and max|y| ~ 2^{k}, so "
+            f"lambda's unit 4^{k - m} or sigma2's 4^{k} is not a normal float",
+            context="ssml.run_ssml",
+        )
+    ls = LeastSquares(build_regressor(scaled.u, N, n), scaled.y)
     sigma2 = estimate_sigma2(ls)
-    floor = SIGMA2_FLOOR_FACTOR * float(np.var(dataset.y))
+    floor = SIGMA2_FLOOR_FACTOR * float(np.var(scaled.y))
     if sigma2 < floor:
         warnings.warn(
-            f"least-squares noise variance {sigma2:.3g} is below the floor "
-            f"{floor:.3g} ({SIGMA2_FLOOR_FACTOR:g} var(y)), so the floor is used",
+            f"least-squares noise variance {np.ldexp(sigma2, 2 * k):.3g} is below the "
+            f"floor {np.ldexp(floor, 2 * k):.3g} ({SIGMA2_FLOOR_FACTOR:g} var(y)), "
+            "so the floor is used",
             IllConditionedWarning,
         )
         sigma2 = floor
@@ -596,10 +621,20 @@ def run_ssml(
     lam_hat, beta_hat = optimize_hyperparams(obj)
     K = build_kernel(KernelSpec(order, beta_hat, n))
     g_hat = posterior_mean(lam_hat, K, ls.R, ls.b, sigma2)
-    value = neg_log_marglik(lam_hat, beta_hat, obj)
+    value = neg_log_marglik(lam_hat, beta_hat, obj) + N * k * np.log(4.0)
+    with np.errstate(over="ignore"):  # reported below
+        g_hat = np.ldexp(g_hat, k - m)
+        lam_hat, sigma2 = float(np.ldexp(lam_hat, 2 * (k - m))), float(np.ldexp(sigma2, 2 * k))
+    if not (_TINY <= min(lam_hat, sigma2) and max(lam_hat, sigma2) < np.inf
+            and np.isfinite(g_hat).all()):
+        raise NumericError(
+            f"fit not representable in data units: lambda={lam_hat:g}, "
+            f"sigma2={sigma2:g}, max|g|={np.max(np.abs(g_hat)):g}",
+            context="ssml.run_ssml",
+        )
     return SsmlResult(
         g_hat=g_hat,
         hyper=Hyperparameters(lam=lam_hat, beta=beta_hat, sigma2=sigma2),
-        objective=value,
+        objective=float(value),
         order=order,
     )

@@ -32,9 +32,6 @@ def gig_pdf_half(tau, a: float, b: float):
     return norm * t ** (-0.5) * np.exp(-0.5 * (a * t + b / t))
 
 
-def inverse_gaussian_gig_half(a, b, rng, size=None):
+def inverse_gaussian_gig_half(a, b, rng):
     b_arr = np.asarray(b, dtype=float)
-    scalar = b_arr.ndim == 0 and size is None
-    shape = b_arr.shape if b_arr.ndim else ((size,) if size is not None else (1,))
-    out = 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, as_generator(rng), shape)
-    return float(out[0]) if scalar else out
+    return 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, as_generator(rng), b_arr.shape)

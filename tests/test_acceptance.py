@@ -110,7 +110,7 @@ def test_criterion_4a_kernel_psd():
 def test_criterion_4b_gig_moments_vs_quadrature():
     errs = []
     for i, (a, b) in enumerate([(2.0, 2.0), (20.0, 0.25), (0.5, 9.0)]):
-        draws = sample_gig_half(a, b, RngHandle(401, stream=i), size=100_000)
+        draws = sample_gig_half(a, np.full(100_000, b), RngHandle(401, stream=i))
         target, _ = integrate.quad(
             lambda t: t * gig_pdf_half(t, a, b), 0, np.inf, limit=200
         )
@@ -197,7 +197,7 @@ def test_criterion_5_determinism_and_burn_in_contract():
     U = build_regressor(u, 200, 50)
     y0 = U @ g_true
     sigma2 = float(np.var(y0)) / 100
-    v = sample_noise_mixture(200, sigma2, 0.7, 100.0, h.child(2))
+    v, _ = sample_noise_mixture(200, sigma2, 0.7, 100.0, h.child(2))
     ds = Dataset(u, y0 + v)
     ssml = run_ssml(ds, 50)
     cfg = GibbsConfig(M=1500, M0=500)

@@ -261,9 +261,7 @@ class TestRunExperiment:
         # c1=1 reproduces the outlier-free protocol: nominal component only
         from stablespline.distributions import sample_noise_mixture
 
-        _, mask = sample_noise_mixture(
-            2000, 1.0, 1.0, 100.0, RngHandle(213), return_outlier_mask=True
-        )
+        _, mask = sample_noise_mixture(2000, 1.0, 1.0, 100.0, RngHandle(213))
         assert not mask.any()
 
 

@@ -218,9 +218,9 @@ class TestIdentify:
 
     @pytest.mark.parametrize("case", ["huge_input", "huge_output", "huge_normal_matrix"])
     def test_overflowing_data_exits_3(self, tmp_path, case):
-        # R K R' overflows for the input, y'y for the output, and the ridged
-        # normal matrix of the sigma2 estimate for the spikes: each is one
-        # numeric-failure line, with no traceback and no raw RuntimeWarning
+        # lambda's unit 4^(k-m) underflows for the input and the spikes, and
+        # sigma2's 4^k overflows for the output: each is one numeric-failure
+        # line, with no traceback and no raw RuntimeWarning
         ds = tmp_path / "huge.csv"
         u, y, n = self._huge_data(case)
         write_dataset(ds, u, y)

@@ -74,7 +74,7 @@ class TestSampleGamma:
 
 class TestSampleGigHalf:
     def test_mean_a2_b2(self):
-        x = sample_gig_half(2.0, 2.0, RngHandle(30), size=100_000)
+        x = sample_gig_half(2.0, np.full(100_000, 2.0), RngHandle(30))
         # closed form 1.5, cross-checked by quadrature of the density
         m_quad, _ = integrate.quad(
             lambda t: t * gig_pdf_half(t, 2.0, 2.0), 0, np.inf, limit=200
@@ -85,7 +85,7 @@ class TestSampleGigHalf:
     def test_b_floor_gamma_limit(self):
         a = 4.0
         b = 0.5 * GIG_B_FLOOR_FACTOR * (2.0 / a)
-        x = sample_gig_half(a, b, RngHandle(31), size=100_000)
+        x = sample_gig_half(a, np.full(100_000, b), RngHandle(31))
         # Gamma(1/2, rate a/2 = 2) mean = 0.25
         assert abs(x.mean() - 0.25) <= 0.02 * 0.25
 
@@ -97,7 +97,7 @@ class TestSampleGigHalf:
 
     def test_moment_oracle_across_settings(self):
         for i, (a, b) in enumerate([(2.0, 2.0), (20.0, 0.25), (0.5, 9.0)]):
-            x = sample_gig_half(a, b, RngHandle(33, stream=i), size=100_000)
+            x = sample_gig_half(a, np.full(100_000, b), RngHandle(33, stream=i))
             m_quad, _ = integrate.quad(
                 lambda t: t * gig_pdf_half(t, a, b), 0, np.inf, limit=200
             )
@@ -106,7 +106,7 @@ class TestSampleGigHalf:
     def test_ks_against_inverse_cdf_of_density(self):
         # numerically invert the CDF of gig_pdf_half and compare samples
         for i, (a, b) in enumerate([(2.0, 2.0), (20.0, 0.25), (5.0, 1.0)]):
-            x = sample_gig_half(a, b, RngHandle(34, stream=i), size=20_000)
+            x = sample_gig_half(a, np.full(20_000, b), RngHandle(34, stream=i))
             hi = np.quantile(x, 0.9999) * 4
             grid = np.linspace(1e-9, hi, 20_001)
             pdf = gig_pdf_half(grid, a, b)
@@ -124,13 +124,13 @@ class TestSampleGigHalf:
             sample_gig_half(1.0, -1.0, RngHandle(0))
 
 
-def _same_draws(a, b, seed, size=None, b_ref=None):
+def _same_draws(a, b, seed, b_ref=None):
     """The sampler at ``b`` and its frozen oracle at ``b_ref`` (default
     ``b``) agree bit for bit, and leave the generator at the same point."""
     gen, ref_gen = RngHandle(seed).generator(), RngHandle(seed).generator()
-    x = sample_gig_half(a, b, gen, size=size)
-    ref = inverse_gaussian_gig_half(a, b if b_ref is None else b_ref, ref_gen, size=size)
-    assert type(x) is type(ref)
+    x = sample_gig_half(a, b, gen)
+    ref = inverse_gaussian_gig_half(a, b if b_ref is None else b_ref, ref_gen)
+    assert x.shape == np.shape(b)
     assert np.array_equal(x, ref)
     assert np.array_equal(gen.random(4), ref_gen.random(4))
     return x
@@ -146,9 +146,10 @@ class TestSampleGigHalfPaths:
         _same_draws(self.a, rng.exponential(size=(7, 9)), 42)
 
     def test_scalar_matches_oracle(self):
-        _same_draws(self.a, 0.3, 43, size=1000)
-        _same_draws(self.a, 0.3, 44)
-        assert _same_draws(self.a, 0.3, 45, size=0).shape == (0,)
+        # a scalar b is drawn as a constant array of it
+        _same_draws(self.a, np.full(1000, 0.3), 43)
+        _same_draws(self.a, np.full(1, 0.3), 44)
+        assert _same_draws(self.a, np.full(0, 0.3), 45).shape == (0,)
 
     def test_b_at_floor_takes_inverse_gaussian_draw(self):
         _same_draws(self.a, np.full(200, self.floor), 46)
@@ -159,8 +160,7 @@ class TestSampleGigHalfPaths:
         ids=["zero", "half_floor", "below_floor"],
     )
     def test_b_below_floor_draws_as_floor(self, b):
-        _same_draws(self.a, b, 47, size=200, b_ref=self.floor)
-        _same_draws(self.a, b, 47, b_ref=self.floor)
+        _same_draws(self.a, np.full(1, b), 47, b_ref=np.full(1, self.floor))
         _same_draws(self.a, np.full(200, b), 47, b_ref=np.full(200, self.floor))
 
     def test_mixed_arrays_match_oracle(self):
@@ -242,72 +242,35 @@ class TestGigPdfHalf:
 
 
 class TestSampleMvn:
-    def test_zero_factor_returns_mean_exactly(self):
-        mean = np.array([1.5, -2.0, 0.25])
-        out = sample_mvn(mean, np.zeros((3, 3)), RngHandle(40))
-        assert np.array_equal(out, mean)
-
     def test_identity_covariance(self):
         gen = RngHandle(41).generator()
-        draws = np.array([sample_mvn(np.zeros(2), np.eye(2), gen) for _ in range(3000)])
-        # batch to 1e5 scalar draws via vectorized path instead: keep modest
+        draws = np.array([sample_mvn(2, gen) for _ in range(3000)])
         cov = np.cov(draws.T)
         assert np.abs(cov - np.eye(2)).max() <= 0.08
 
-    def test_none_factor_is_identity(self):
-        # the Gibbs g step draws u + z this way: the same draw as L = I
-        mean = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(
-            sample_mvn(mean, None, RngHandle(44)), sample_mvn(mean, np.eye(3), RngHandle(44))
-        )
+    def test_rejects_negative_size(self):
         with pytest.raises(ConfigError):
-            sample_mvn(np.zeros((2, 2)), None, RngHandle(0))
-
-    def test_mean_recovery(self):
-        gen = RngHandle(42).generator()
-        mean = np.array([3.0, -1.0])
-        L = np.array([[0.5, 0.0], [0.2, 0.3]])
-        M = 100_000
-        z = gen.standard_normal((M, 2))
-        draws = mean + z @ L.T
-        sd = np.sqrt(np.diag(L @ L.T))
-        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * sd / np.sqrt(M))
-
-    def test_covariance_converges_to_LLt(self):
-        gen = RngHandle(43).generator()
-        L = np.array([[1.0, 0.0], [0.7, 0.4]])
-        M = 100_000
-        z = gen.standard_normal((M, 2))
-        draws = z @ L.T
-        assert np.abs(np.cov(draws.T) - L @ L.T).max() <= 0.02
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            sample_mvn(np.zeros(2), np.zeros((3, 3)), RngHandle(0))
+            sample_mvn(-1, RngHandle(0))
 
 
 class TestNoiseMixture:
     def test_single_nominal_component(self):
-        v = sample_noise_mixture(100_000, 1.0, 1.0, 100.0, RngHandle(60))
+        v, _ = sample_noise_mixture(100_000, 1.0, 1.0, 100.0, RngHandle(60))
         assert abs(v.var() - 1.0) <= 0.03
 
     def test_mixture_variance(self):
-        v = sample_noise_mixture(100_000, 1.0, 0.7, 100.0, RngHandle(61))
+        v, _ = sample_noise_mixture(100_000, 1.0, 0.7, 100.0, RngHandle(61))
         target = 0.7 + 0.3 * 100.0
         assert abs(v.var() - target) <= 0.05 * target
 
     def test_all_outlier_component(self):
-        v = sample_noise_mixture(100_000, 1.0, 0.0, 100.0, RngHandle(62))
+        v, _ = sample_noise_mixture(100_000, 1.0, 0.0, 100.0, RngHandle(62))
         assert abs(v.var() - 100.0) <= 0.05 * 100.0
 
     def test_outlier_mask(self):
-        v, mask = sample_noise_mixture(
-            5000, 1.0, 1.0, 100.0, RngHandle(63), return_outlier_mask=True
-        )
+        _, mask = sample_noise_mixture(5000, 1.0, 1.0, 100.0, RngHandle(63))
         assert not mask.any()
-        _, mask0 = sample_noise_mixture(
-            5000, 1.0, 0.0, 100.0, RngHandle(64), return_outlier_mask=True
-        )
+        _, mask0 = sample_noise_mixture(5000, 1.0, 0.0, 100.0, RngHandle(64))
         assert mask0.all()
 
     def test_rejects_bad_parameters(self):
@@ -323,13 +286,11 @@ class TestDeterminism:
         assert np.array_equal(
             sample_gamma(2.0, 3.0, h, size=100), sample_gamma(2.0, 3.0, h, size=100)
         )
-        assert np.array_equal(
-            sample_gig_half(2.0, 1.0, h, size=100), sample_gig_half(2.0, 1.0, h, size=100)
-        )
-        assert np.array_equal(
+        b = np.ones(100)
+        assert np.array_equal(sample_gig_half(2.0, b, h), sample_gig_half(2.0, b, h))
+        for x, y in zip(
             sample_noise_mixture(100, 1.0, 0.7, 100.0, h),
             sample_noise_mixture(100, 1.0, 0.7, 100.0, h),
-        )
-        assert np.array_equal(
-            sample_mvn(np.zeros(3), np.eye(3), h), sample_mvn(np.zeros(3), np.eye(3), h)
-        )
+        ):
+            assert np.array_equal(x, y)
+        assert np.array_equal(sample_mvn(3, h), sample_mvn(3, h))

@@ -27,6 +27,7 @@ from stablespline import (
 from stablespline import gibbs
 from stablespline.benchmark import ExperimentConfig, simulate
 from stablespline.distributions import RngHandle
+from stablespline.gibbs import TAU_THIN
 from stablespline.kernels import kernel_factor
 from stablespline.model import Hyperparameters
 from stablespline.ssml import SsmlResult
@@ -127,6 +128,18 @@ class TestConditionalLambda:
         observed, _ = np.histogram(draws, bins=edges)
         res = stats.chisquare(observed, f_exp=np.full(20, draws.size / 20))
         assert res.pvalue > 0.001
+
+    @pytest.mark.parametrize("j", [-400, -200, 200])
+    def test_scale_equivariant(self, j):
+        # the rate floor holds in units of max|g|^2, so g 2^j draws the same
+        # lambda times 4^j, with no floor warning at any of these scales
+        K = build_kernel(KernelSpec("first", 0.8, 20))
+        g = 0.1 * np.random.default_rng(0).standard_normal(20)
+        ref = conditional_lambda(g, K, RngHandle(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = conditional_lambda(np.ldexp(g, j), K, RngHandle(1))
+        assert lam == np.ldexp(ref, 2 * j)
 
     def test_zero_g_uses_rate_floor(self):
         K = build_kernel(KernelSpec("first", 0.8, 3))
@@ -249,7 +262,7 @@ class TestRunGibbs:
         cfg = GibbsConfig(M=120, M0=20)
         _, chain = run_gibbs(ds, cfg, ssml, RngHandle(104))
         assert np.all(chain.lambda_samples > 0)
-        assert chain.tau_samples is not None
+        assert chain.tau_samples.shape == (cfg.M // TAU_THIN, ds.N)
         assert np.all(chain.tau_samples > 0)
         assert np.all(np.isfinite(chain.g_samples))
 
@@ -385,7 +398,7 @@ class TestQuantileDiagnostics:
         return GibbsChain(
             g_samples=g_samples,
             lambda_samples=np.ones(M),
-            tau_samples=None,
+            tau_samples=np.empty((0, 0)),
             burn_in=burn_in,
         )
 

@@ -24,7 +24,8 @@ from stablespline import (
     run_ssml,
 )
 from stablespline import ssml
-from stablespline.benchmark import generate_input
+from stablespline.benchmark import ExperimentConfig, generate_input, simulate
+from stablespline.distributions import RngHandle
 from stablespline.cli import main as cli_main
 from stablespline.fileio import read_dataset
 from stablespline.kernels import KernelOrder, kernel_factor
@@ -604,11 +605,17 @@ class TestRunSsml:
         msg = next(str(w.message) for w in caught if "floor" in str(w.message))
         assert f"{ls:.3g}" in msg and f"{floor:.3g}" in msg
 
+    @staticmethod
+    def _in_fit_units(ds, sigma2):
+        # run_ssml fits on y 2^-k: the estimate it reads is in those units
+        k = int(np.frexp(np.max(np.abs(ds.y)))[1])
+        return float(np.ldexp(sigma2, -2 * k))
+
     def test_sigma2_just_below_floor_is_floored(self, monkeypatch):
         ds = self._noiseless_fir()
         floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
         below = float(np.nextafter(floor, 0.0))
-        monkeypatch.setattr(ssml, "estimate_sigma2", lambda ls: below)
+        monkeypatch.setattr(ssml, "estimate_sigma2", lambda ls: self._in_fit_units(ds, below))
         with pytest.warns(IllConditionedWarning, match=f"{below:.3g} is below the floor"):
             res = run_ssml(ds, 20)
         assert res.hyper.sigma2 == floor
@@ -617,7 +624,9 @@ class TestRunSsml:
         ds = self._noiseless_fir()
         floor = SIGMA2_FLOOR_FACTOR * float(np.var(ds.y))
         for sigma2 in (floor, float(np.nextafter(floor, np.inf))):
-            monkeypatch.setattr(ssml, "estimate_sigma2", lambda ls: sigma2)
+            monkeypatch.setattr(
+                ssml, "estimate_sigma2", lambda ls: self._in_fit_units(ds, sigma2)
+            )
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 res = run_ssml(ds, 20)
@@ -636,6 +645,26 @@ class TestRunSsml:
         assert np.array_equal(r1.g_hat, r2.g_hat)
         assert r1.hyper == r2.hyper
         assert r1.objective == r2.objective
+
+    @pytest.fixture(scope="class")
+    def scale_reference(self):
+        ds = simulate(ExperimentConfig(N=200, n=20), RngHandle(4)).dataset
+        return ds, run_ssml(ds, 20)
+
+    @pytest.mark.parametrize("i, j", [(0, 400), (0, -400), (-400, 0), (200, -200)])
+    def test_fit_is_scale_equivariant(self, scale_reference, i, j):
+        # the fit runs on u 2^-m and y 2^-k, which are the same bits for
+        # (u 2^i, y 2^j), so every result maps exactly; an unscaled fit moves
+        # lambda's grid and Newton start with the data's scale
+        ds, ref = scale_reference
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_ssml(Dataset(np.ldexp(ds.u, i), np.ldexp(ds.y, j)), 20)
+        assert np.array_equal(res.g_hat, np.ldexp(ref.g_hat, j - i))
+        assert res.hyper.lam == np.ldexp(ref.hyper.lam, 2 * (j - i))
+        assert res.hyper.sigma2 == np.ldexp(ref.hyper.sigma2, 2 * j)
+        assert res.hyper.beta == ref.hyper.beta
+        assert res.objective == pytest.approx(ref.objective + ds.N * j * np.log(4.0), rel=1e-12)
 
     def test_rejects_N_not_greater_than_n(self):
         ds = Dataset(np.ones(10), np.ones(10))

@@ -287,30 +287,33 @@ class TestDataNeverWritten:
 
 
 class TestLambdaRateFloor:
+    # conditional_lambda's floor is LAMBDA_RATE_FLOOR_FACTOR trace(K) in units
+    # of max|g|^2, which is 1 for g = 0.75 e_1.  Against K = c I, which
+    # factors as sqrt(c (1 + 1e-12)) I, the rate 0.75^2 / (2 c (1 + 1e-12))
+    # falls and the floor LAMBDA_RATE_FLOOR_FACTOR n c rises with c.
     n = 6
+    g = 0.75 * np.eye(1, 6)[0]
 
-    def _g_with_rate(self, rate):
-        # K = I factors as sqrt(1 + 1e-12) I, so g'K^{-1}g = |g|^2 / (1 + 1e-12)
-        g = np.zeros(self.n)
-        g[0] = np.sqrt(2.0 * rate * (1.0 + 1e-12))
-        return g
+    def _kernel_with_rate(self, ratio):
+        """K = c I whose rate at g is ``ratio`` times its floor, and the floor."""
+        c = 0.75 / np.sqrt(2.0 * ratio * LAMBDA_RATE_FLOOR_FACTOR * self.n * (1.0 + 1e-12))
+        K = c * np.eye(self.n)
+        return K, LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
 
     def _expected(self, rate, seed):
         return 1.0 / float(sample_gamma(self.n / 2.0 + 1.0, rate, RngHandle(seed)))
 
     def test_rate_below_floor_warns_and_floors(self):
-        floor = LAMBDA_RATE_FLOOR_FACTOR * self.n  # trace of I
-        g = self._g_with_rate(0.5 * floor)
+        K, floor = self._kernel_with_rate(0.5)
         with pytest.warns(IllConditionedWarning, match="floored"):
-            lam = conditional_lambda(g, np.eye(self.n), RngHandle(120))
+            lam = conditional_lambda(self.g, K, RngHandle(120))
         assert lam == self._expected(floor, 120)
 
     def test_rate_above_floor_is_used(self):
-        floor = LAMBDA_RATE_FLOOR_FACTOR * self.n
-        g = self._g_with_rate(2.0 * floor)
+        K, floor = self._kernel_with_rate(2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = conditional_lambda(g, np.eye(self.n), RngHandle(121))
+            lam = conditional_lambda(self.g, K, RngHandle(121))
         assert lam == pytest.approx(self._expected(2.0 * floor, 121), rel=1e-10)
 
     def test_sweep_from_zero_state_floors(self):
@@ -479,6 +482,6 @@ class TestSweepGuards:
         ds, U = problem
         e = np.ones(self.N + self.n)
         e[self.N + 2] = bad
-        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda m, R, gen: e)
+        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite g"):
             conditional_g(1.0, np.ones(self.N), np.eye(self.n), U, ds.y, RngHandle(64))
