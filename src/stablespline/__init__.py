@@ -47,17 +47,7 @@ from .kernels import (
     kernel_quadratic_form,
 )
 from .model import Dataset, Hyperparameters, build_regressor, fit_score
-from .ssml import (
-    LeastSquares,
-    MarglikObjective,
-    SsmlResult,
-    estimate_sigma2,
-    neg_log_marglik,
-    optimize_hyperparams,
-    posterior_mean,
-    posterior_moments,
-    run_ssml,
-)
+from .ssml import SsmlResult, posterior_mean, posterior_moments, run_ssml
 
 __all__ = [
     "__version__",
@@ -77,12 +67,7 @@ __all__ = [
     "sample_gig_half",
     "sample_mvn",
     "sample_noise_mixture",
-    "LeastSquares",
-    "MarglikObjective",
     "SsmlResult",
-    "estimate_sigma2",
-    "neg_log_marglik",
-    "optimize_hyperparams",
     "posterior_mean",
     "posterior_moments",
     "run_ssml",

@@ -30,13 +30,15 @@ The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
 order, beta and sigma2; it draws from the caller's stream, discards a
 burn-in prefix, and averages the remaining g draws.  Like SS-ML, it runs
-on data scaled by powers of two (:func:`stablespline.model.power_of_two_scaled`),
-u 2^-m and y 2^-k with max|u 2^-m| and max|y 2^-k| in [1/2, 1): g scales
+on the regressor and output scaled by powers of two
+(:func:`stablespline.model.power_of_two_scaled`), U 2^-m and y 2^-k with
+max|U 2^-m| and max|y 2^-k| in [1/2, 1), where U holds u(1..N-1): g scales
 by 2^(m-k), lambda by 4^(m-k) and tau and sigma2 by 4^-k, exactly, so the
 draws mapped back are those of the unscaled chain wherever that chain
 neither underflows nor overflows.  The lambda-rate floor,
 LAMBDA_RATE_FLOOR_FACTOR trace(K), thus holds in units of
-(max|y| / max|u|)^2 for g'K^{-1}g, whatever the scale of either signal.
+(max|y| / max|u(1..N-1)|)^2 for g'K^{-1}g, whatever the scale of either
+signal.
 The exported conditionals take and return data units, and
 :func:`conditional_lambda`'s floor holds in units of max|g|^2.
 Mixing diagnostics (:func:`quantile_diagnostics`) are computed by whoever
@@ -326,17 +328,17 @@ def run_gibbs(
     RngHandle or a numpy Generator) is the chain's one random stream.  The
     estimate is the mean of the g draws from sweep M0 through M inclusive.
 
-    The chain runs on u 2^-m and y 2^-k, with 2^(m-1) <= max|u| < 2^m and
-    2^(k-1) <= max|y| < 2^k, from g0 2^(m-k) and sigma2 4^-k; its stored
-    g, lambda and tau draws are mapped back by 2^(k-m), 4^(k-m) and 4^k
-    after the last sweep (module docstring); a draw or estimate that
-    overflows in data units raises NumericError.
+    The chain runs on U 2^-m and y 2^-k, with 2^(m-1) <= max|u(1..N-1)| < 2^m
+    (the samples the regressor U holds) and 2^(k-1) <= max|y| < 2^k, from
+    g0 2^(m-k) and sigma2 4^-k; its stored g, lambda and tau draws are
+    mapped back by 2^(k-m), 4^(k-m) and 4^k after the last sweep (module
+    docstring); a draw or estimate that overflows in data units raises
+    NumericError.
     """
     n = init.g_hat.size
-    m, k, scaled = power_of_two_scaled(dataset)
-    U = build_regressor(scaled.u, dataset.N, n)
+    m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, dataset.N, n), dataset.y)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
-    L_K, Xt = _whiten(K, U, scaled.y)
+    L_K, Xt = _whiten(K, U, y)
     Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(rng)

@@ -62,19 +62,14 @@ from .kernels import (
 )
 from .model import Dataset, Hyperparameters, build_regressor, power_of_two_scaled
 
+# The rest of the module is run_ssml's internals: reachable as module
+# attributes, but not part of the package's surface.
 __all__ = [
     "IllConditionedWarning",
-    "LeastSquares",
-    "MarglikObjective",
     "SsmlResult",
-    "estimate_sigma2",
-    "information_system",
-    "neg_log_marglik",
-    "optimize_hyperparams",
     "posterior_moments",
     "posterior_mean",
     "run_ssml",
-    "default_beta_grid",
 ]
 
 # Condition-number trigger and relative ridge for the least-squares
@@ -117,15 +112,8 @@ class LeastSquares:
     yy: float = field(init=False, repr=False)
 
     def __post_init__(self, U, y):
-        U = np.asarray(U, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if U.ndim != 2 or y.shape != (U.shape[0],):
-            raise ConfigError(f"shape mismatch: U {U.shape}, y {y.shape}")
         self.N, n = U.shape
-        with np.errstate(over="ignore"):  # reported below
-            self.yy = float(y @ y)
-        if not self.yy < np.inf:
-            raise NumericError("y'y overflows (output too large?)", context="ssml.LeastSquares")
+        self.yy = float(y @ y)
         Ra = np.linalg.qr(np.column_stack([U, y]), mode="r")
         self.R, self.b = Ra[:n, :n], Ra[:n, n]
         self.rss = float(Ra[n:, n] @ Ra[n:, n])
@@ -138,35 +126,24 @@ class LeastSquares:
 def estimate_sigma2(ls: LeastSquares) -> float:
     """Least-squares residual variance (y - U g_LS)'(y - U g_LS) / (N - n).
 
-    Requires N > n.  If the normal matrix U'U = R'R has condition number
-    cond(R)^2 above RIDGE_CONDITION_LIMIT, g solves
-    (R'R + rho I) g = R'b with the ridge rho = RIDGE_SCALE * trace(U'U)/n,
-    its residual is rss + |b - R g|^2, and an IllConditionedWarning is
-    recorded; a zero U'U (an all-zero input) or one that overflows raises
+    Requires N > n, which :func:`run_ssml` checks.  If the normal matrix
+    U'U = R'R has condition number cond(R)^2 above RIDGE_CONDITION_LIMIT, g
+    solves (R'R + rho I) g = R'b with the ridge rho = RIDGE_SCALE *
+    trace(U'U)/n, its residual is rss + |b - R g|^2, and an
+    IllConditionedWarning is recorded; a zero U'U (an all-zero input) raises
     NumericError.
     """
     N, n = ls.N, ls.n
-    if N <= n:
-        raise ConfigError(
-            f"sigma2 estimation needs N > n, got N={N}, n={n}"
-        )
     sv = np.linalg.svd(ls.R, compute_uv=False)
     # a zero R gives 0/0: NaN, which the test below treats as singular
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = (sv[0] / sv[-1]) ** 2
     rss = ls.rss
     if not np.isfinite(cond) or cond > RIDGE_CONDITION_LIMIT:
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            ridge = RIDGE_SCALE * float(sv @ sv) / n
-            RR = ls.R.T @ ls.R
+        ridge = RIDGE_SCALE * float(sv @ sv) / n
         if not ridge > 0:
             raise NumericError(
                 "normal matrix U'U is zero (all-zero input?)",
-                context="ssml.estimate_sigma2",
-            )
-        if not (ridge < np.inf and np.isfinite(RR).all()):
-            raise NumericError(
-                "normal matrix U'U overflows (input too large?)",
                 context="ssml.estimate_sigma2",
             )
         warnings.warn(
@@ -174,7 +151,7 @@ def estimate_sigma2(ls: LeastSquares) -> float:
             f"adding ridge {RIDGE_SCALE:g} trace(U'U)/n to the least-squares solve",
             IllConditionedWarning,
         )
-        g = np.linalg.solve(RR + ridge * np.eye(n), ls.R.T @ ls.b)
+        g = np.linalg.solve(ls.R.T @ ls.R + ridge * np.eye(n), ls.R.T @ ls.b)
         r = ls.b - ls.R @ g
         rss += float(r @ r)
     return rss / (N - n)
@@ -195,11 +172,6 @@ class MarglikObjective:
 
     _beta_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ConfigError(f"sigma2 must be positive, got {self.sigma2}")
-        self.order = KernelOrder.parse(self.order)
-
     def _for_beta(self, beta: float):
         """Cached (s, p, W): eigenvalues of R K_beta R' = W diag(s) W'
         clipped at 0, p = W'b, and the eigenvectors."""
@@ -208,15 +180,11 @@ class MarglikObjective:
         if hit is None:
             R = self.data.R
             K = build_kernel(KernelSpec(self.order, key, self.data.n))
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                RKR = R @ K @ R.T
             try:
-                if not np.isfinite(RKR).all():
-                    raise np.linalg.LinAlgError("R K R' is not finite")
-                s, W = np.linalg.eigh(RKR)
+                s, W = np.linalg.eigh(R @ K @ R.T)
             except np.linalg.LinAlgError as exc:
                 raise NumericError(
-                    f"no eigendecomposition of R K R' at beta={key:g} (input too large?)",
+                    f"no eigendecomposition of R K R' at beta={key:g}",
                     context="ssml.MarglikObjective",
                 ) from exc
             hit = (np.maximum(s, 0.0), W.T @ self.data.b, W)
@@ -247,11 +215,8 @@ class MarglikObjective:
 
 def neg_log_marglik(lam: float, beta: float, obj: MarglikObjective) -> float:
     """log det(Sigma_y) + y' Sigma_y^{-1} y with Sigma_y = lam U K U' + sigma2 I,
-    by the QR and eigendecomposition route of the module docstring."""
-    if not (lam >= 0 and np.isfinite(lam)):
-        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
-    if not (0.0 < beta < 1.0):
-        raise ConfigError(f"beta must lie in (0, 1), got {beta}")
+    by the QR and eigendecomposition route of the module docstring, for
+    lam >= 0 and beta in (0, 1)."""
     return float(obj._values(lam, beta))
 
 
@@ -316,15 +281,19 @@ def _profile_lambda(obj: MarglikObjective, beta: float) -> tuple[float, float, b
     The objective is evaluated on the LAMBDA_POINTS log grid, then
     ``_newton_log_lambda`` refines the best grid point inside its cell and
     the refined point is evaluated once; the grid point is kept if lower.
+
+    The grid is centred on y'y / trace(U K U'), which is positive and finite
+    on the data :func:`run_ssml` fits: 1/4 <= y'y < N, since y scaled to
+    1/2 <= max|y| < 1 is not zero (a zero y stops at the zero noise
+    variance), and U scaled to 1/2 <= max|U| < 1 has a row whose first entry
+    u(s) has |u(s)| >= 1/2.  The least x'K x over x with x_1 = 1 is
+    1/(K^{-1})_11, which is beta(1 - beta) for the first-order kernel and at
+    least 3.2e-7 for the second over beta in [BETA_MIN, BETA_MAX], so
+    trace(U K U') >= 8e-8.  A NaN centre would keep the Newton iteration
+    from ending.
     """
     s, p, _ = obj._for_beta(beta)
     tr = float(np.sum(s))
-    # a non-finite scale would make the grid and the Newton bracket NaN
-    if not (tr > 0 and 0 < obj.data.yy / tr < np.inf):
-        raise NumericError(
-            f"no lambda scale at beta={beta:g}: y'y={obj.data.yy:g}, trace(UKU')={tr:g}",
-            context="ssml.optimize_hyperparams",
-        )
     x = np.log10(obj.data.yy / tr) + np.linspace(-LAMBDA_SPAN, LAMBDA_SPAN, LAMBDA_POINTS)
     # lam as evaluated: numpy's array and scalar powers may differ by an ulp
     lams = 10.0**x
@@ -525,11 +494,11 @@ def posterior_mean(
 ) -> np.ndarray:
     """Posterior-mean impulse response lam K U' (lam U K U' + D)^{-1} y.
 
-    ``noise_cov_diag`` is the diagonal of D: a scalar sigma2 for the
-    Gaussian-noise estimator, or the per-sample variances tau inside the
-    Gibbs sweep.  Computed by the whitened information form: L_K times
-    A^{-1} c, one solve of the system of :func:`information_system`, which
-    holds for any N and n when lam > 0; lam = 0 gives the zero response.
+    ``noise_cov_diag`` is the diagonal of D: a scalar sigma2, as
+    :func:`run_ssml` passes, or one variance per sample.  Computed by the
+    whitened information form: L_K times A^{-1} c, one solve of the system
+    of :func:`information_system`, which holds for any N and n when
+    lam > 0; lam = 0 gives the zero response.
     Under a scalar sigma2 the mean depends on U and y only through U'U and
     U'y, so the n x n pair (R, b) of ``LeastSquares`` gives the same mean
     as (U, y).
@@ -575,12 +544,13 @@ def run_ssml(
 ) -> SsmlResult:
     """Full Gaussian-noise estimation pass on a dataset.
 
-    The fit runs on the data scaled by powers of two,
-    (u 2^-m, y 2^-k) of :func:`stablespline.model.power_of_two_scaled`, so
-    it does not depend on the scale of u or y.  It builds the regressor and
-    reduces it with the output by one QR (``LeastSquares``), pre-estimates
-    sigma2 from that QR (floored at SIGMA2_FLOOR_FACTOR * var(y), with an
-    IllConditionedWarning when the floor engages), optimizes (lambda, beta)
+    The fit runs on the regressor and output scaled by powers of two,
+    (U 2^-m, y 2^-k) of :func:`stablespline.model.power_of_two_scaled`, so
+    it does not depend on the scale of u or y; m comes from u(1..N-1), the
+    samples U holds.  It reduces the scaled regressor with the output by one
+    QR (``LeastSquares``), pre-estimates sigma2 from that QR (floored at
+    SIGMA2_FLOOR_FACTOR * var(y), with an IllConditionedWarning when the
+    floor engages), optimizes (lambda, beta)
     by marginal likelihood on the same QR, and computes the posterior-mean
     response of length n from the n x n reduction.  The results are mapped
     back exactly: g by 2^(k-m), lambda by 4^(k-m) and sigma2 by 4^k, and the
@@ -593,17 +563,17 @@ def run_ssml(
     N = dataset.N
     if N <= n:
         raise ConfigError(f"run_ssml needs N > n, got N={N}, n={n}")
-    m, k, scaled = power_of_two_scaled(dataset)
+    m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, N, n), dataset.y)
     # 4^(k-m) also bounds 2^(k-m), the unit factor of g
     if not all(_MIN_EXP <= e < _MAX_EXP for e in (2 * (k - m), 2 * k)):
         raise NumericError(
-            f"data units out of range: max|u| ~ 2^{m} and max|y| ~ 2^{k}, so "
+            f"data units out of range: max|u(1..N-1)| ~ 2^{m} and max|y| ~ 2^{k}, so "
             f"lambda's unit 4^{k - m} or sigma2's 4^{k} is not a normal float",
             context="ssml.run_ssml",
         )
-    ls = LeastSquares(build_regressor(scaled.u, N, n), scaled.y)
+    ls = LeastSquares(U, y)
     sigma2 = estimate_sigma2(ls)
-    floor = SIGMA2_FLOOR_FACTOR * float(np.var(scaled.y))
+    floor = SIGMA2_FLOOR_FACTOR * float(np.var(y))
     if sigma2 < floor:
         warnings.warn(
             f"least-squares noise variance {np.ldexp(sigma2, 2 * k):.3g} is below the "

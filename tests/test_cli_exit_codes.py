@@ -1,12 +1,14 @@
-"""The exit-code contract of ``identify`` and ``simulate`` as a property.
+"""The exit-code contract of ``identify``, ``simulate`` and ``benchmark``
+as a property.
 
 Whatever finite data it is given, ``identify`` exits 0 with a finite result
 document or 3 with one numeric-failure line, and 2 (a configuration error)
 only when N <= n; no numpy ``RuntimeWarning`` escapes.  The data are white
 noise, constant, impulse, step or sparse signals at scales from 1e-300 to
-1e300.  ``main`` runs in-process, so an uncaught exception, which would
-print a traceback, fails the test, and the warnings are recorded here,
-since pytest captures them before they reach stderr.
+1e300, and quiet white noise whose last sample u(N) is largest.  ``main``
+runs in-process, so an uncaught exception, which would print a traceback,
+fails the test, and the warnings are recorded here, since pytest captures
+them before they reach stderr.  ``benchmark`` keeps the same contract.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +73,30 @@ def _repro(u_scale: str, y_scale: str, kernel: str):
     )
 
 
+def _identify(u, y, n: int, kernel: str, estimator: str) -> tuple[int, str]:
+    """(exit code, stderr) of ``identify`` on (u, y), checked against the
+    contract."""
+    N = u.size
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp, "data.csv"), Path(tmp, "result.json")
+        write_dataset(data, u, y)
+        code, err = _run([
+            "identify", "--input", str(data), "--output", str(out), "--n", str(n),
+            "--kernel", kernel, "--estimator", estimator,
+            "--iters", "60", "--burnin", "20",
+        ])
+        # finite data of N > n samples is no configuration error
+        assert code == 2 if N <= n else code in (0, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            assert _finite(json.loads(out.read_text()))
+        else:
+            assert err.startswith("error:" if code == 2 else "numeric failure:"), err
+            assert err.count("\n") == 1, err
+            assert not out.exists()
+    return code, err
+
+
 @settings(
     max_examples=200, derandomize=True, database=None, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -103,23 +130,26 @@ def _repro(u_scale: str, y_scale: str, kernel: str):
 def test_identify_exit_code_contract(kinds, scales, N, n, seed, kernel, estimator):
     rng = np.random.default_rng(seed)
     u, y = (_signal(kind, N, rng) * float(scale) for kind, scale in zip(kinds, scales))
-    with tempfile.TemporaryDirectory() as tmp:
-        data, out = Path(tmp, "data.csv"), Path(tmp, "result.json")
-        write_dataset(data, u, y)
-        code, err = _run([
-            "identify", "--input", str(data), "--output", str(out), "--n", str(n),
-            "--kernel", kernel, "--estimator", estimator,
-            "--iters", "60", "--burnin", "20",
-        ])
-        # finite data of N > n samples is no configuration error
-        assert code == 2 if N <= n else code in (0, 3), err
-        assert "Traceback" not in err
-        if code == 0:
-            assert _finite(json.loads(out.read_text()))
-        else:
-            assert err.startswith("error:" if code == 2 else "numeric failure:"), err
-            assert err.count("\n") == 1, err
-            assert not out.exists()
+    _identify(u, y, n, kernel, estimator)
+
+
+@pytest.mark.parametrize("kernel", ["first", "second"])
+@pytest.mark.parametrize(
+    "quiet, last, code",
+    [(1e-150, 0.75, 0), (1e-155, 0.75, 3), (1e-300, 1e300, 3)],
+)
+def test_identify_scale_ignores_last_input_sample(quiet, last, code, kernel):
+    # u(N) enters no row of the regressor, so the fit's scale comes from
+    # u(1..N-1): the first case fits, and the other two stop at the unit
+    # check before the fit.  Scaling u itself by that exponent would
+    # overflow u(N) = 1e300.
+    u, y = np.random.default_rng(0).standard_normal(200).reshape(2, 100)
+    u *= quiet
+    u[-1] = last
+    got, err = _identify(u, y, 10, kernel, "ssml")
+    assert got == code, err
+    if code == 3:
+        assert "data units out of range: max|u(1..N-1)|" in err, err
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
@@ -141,3 +171,32 @@ def test_simulate_exit_code_contract(N, n, seed, input_kind):
             assert _finite(json.loads(truth.read_text()))
         else:
             assert not truth.exists()
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(
+    runs=st.integers(1, 3),
+    N=st.integers(1, 120),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**16),
+    input_kind=st.sampled_from(["wn", "lp"]),
+    kernel=st.sampled_from(["first", "second"]),
+    c1=st.sampled_from(["0", "0.7", "1"]),
+)
+def test_benchmark_exit_code_contract(runs, N, n, seed, input_kind, kernel, c1):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "runs.csv")
+        summary = out.with_suffix(".summary.json")
+        code, err = _run([
+            "benchmark", "--runs", str(runs), "--N", str(N), "--n", str(n),
+            "--seed", str(seed), "--input-kind", input_kind, "--kernel", kernel,
+            "--c1", c1, "--iters", "60", "--burnin", "20", "--quiet",
+            "--output", str(out),
+        ])
+        assert code == 2 if N <= n else code in (0, 3), err
+        assert "Traceback" not in err
+        if code == 0:
+            assert _finite(json.loads(summary.read_text()))
+        else:
+            assert err.count("\n") == 1, err
+            assert not summary.exists()

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from stablespline import (
@@ -384,6 +386,41 @@ class TestRunGibbs:
             chain.lambda_samples, np.ldexp(chain_ref.lambda_samples, 2 * (j - i))
         )
         assert np.array_equal(chain.tau_samples, np.ldexp(chain_ref.tau_samples, 2 * j))
+
+    LAST_SAMPLE_CONFIG = GibbsConfig(M=60, M0=20)
+
+    @pytest.fixture(scope="class")
+    def last_sample_reference(self):
+        ds = simulate(ExperimentConfig(N=200, n=20), RngHandle(4)).dataset
+        refs = {}
+        for order in ("first", "second"):
+            init = run_ssml(ds, 20, order)
+            refs[order] = init, run_gibbs(ds, self.LAST_SAMPLE_CONFIG, init, RngHandle(1))
+        return ds, refs
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        order=st.sampled_from(["first", "second"]),
+        last=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @example(order="first", last=1e300)
+    @example(order="second", last=-5e-324)
+    def test_last_input_sample_is_not_read(self, last_sample_reference, order, last):
+        # u(N) enters no row of the regressor, so neither estimator reads
+        # it, not even through the power-of-two scale of the data
+        ds, refs = last_sample_reference
+        u = ds.u.copy()
+        u[-1] = last
+        data = Dataset(u, ds.y)
+        ref, (g_ref, chain_ref) = refs[order]
+        init = run_ssml(data, 20, order)
+        assert np.array_equal(init.g_hat, ref.g_hat)
+        assert (init.hyper, init.objective) == (ref.hyper, ref.objective)
+        g_hat, chain = run_gibbs(data, self.LAST_SAMPLE_CONFIG, init, RngHandle(1))
+        assert np.array_equal(g_hat, g_ref)
+        assert np.array_equal(chain.g_samples, chain_ref.g_samples)
+        assert np.array_equal(chain.lambda_samples, chain_ref.lambda_samples)
+        assert np.array_equal(chain.tau_samples, chain_ref.tau_samples)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

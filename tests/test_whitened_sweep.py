@@ -130,8 +130,8 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
     U = build_regressor(dataset.u, N, n)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K = kernel_factor(K)
-    # run_gibbs's floor holds in units of (max|y| / max|u|)^2
-    m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (dataset.u, y))
+    # run_gibbs's floor holds in units of (max|y| / max|u(1..N-1)|)^2
+    m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (U, y))
     rate_floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K)), 2 * (k - m))
     gen = as_generator(rng)
     g = np.array(init.g_hat)
