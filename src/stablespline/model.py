@@ -85,7 +85,7 @@ class Hyperparameters:
 def power_of_two_scaled(U: np.ndarray, y: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(m, k, U 2^-m, y 2^-k) for a regressor U and output y, with
     2^(m-1) <= max|U| < 2^m and 2^(k-1) <= max|y| < 2^k; a zero array takes
-    exponent 0.
+    exponent 0.  U is scaled in place and returned; y is copied.
 
     Both estimators fit on the scaled data.  The exponent m comes from the
     samples U holds, u(1..N-1): u(N) enters no row, so it cannot move the
@@ -93,8 +93,8 @@ def power_of_two_scaled(U: np.ndarray, y: np.ndarray) -> tuple[int, int, np.ndar
     the scaled one times a power of two: g by 2^(k-m), lambda by 4^(k-m) and
     noise variances by 4^k.
     """
-    m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (U, y))
-    return m, k, np.ldexp(U, -m), np.ldexp(y, -k)
+    m, k = (int(np.frexp(max(v.max(), -v.min()))[1]) for v in (U, y))
+    return m, k, np.ldexp(U, -m, out=U), np.ldexp(y, -k)
 
 
 def build_regressor(u, N: int, n: int) -> np.ndarray:

@@ -572,6 +572,7 @@ def run_ssml(
             context="ssml.run_ssml",
         )
     ls = LeastSquares(U, y)
+    del U  # the fit reads only the QR from here on
     sigma2 = estimate_sigma2(ls)
     floor = SIGMA2_FLOOR_FACTOR * float(np.var(y))
     if sigma2 < floor:

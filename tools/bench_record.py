@@ -1,13 +1,15 @@
 """Write one entry of the ``BENCH_<pr>.json`` trajectory.
 
-    python tools/bench_record.py NUMBER [--seeds 7 8 9] [--seconds 10]
+    python tools/bench_record.py NUMBER
 
-Run from a clean checkout, on an otherwise idle machine.  It records, in
+Run on an otherwise idle machine, from a checkout whose tracked files match
+its commit: the tool refuses to run otherwise, so that the commit named in
+``environment`` is the code that was measured.  It records, in
 ``BENCH_<NUMBER>.json`` at the repository root, with NUMBER as ``pr``:
 
 - ``environment``: the environment block of ``perfbench/run.py``;
-- ``workloads``: the result line of ``perfbench/run.py --seconds S
-  --trace 0`` for every workload of ``BENCHMARK.json`` and every seed;
+- ``workloads``: the result line of ``perfbench/run.py --seconds 10
+  --trace 0`` for every workload of ``BENCHMARK.json`` on seeds 7, 8 and 9;
 - ``src_lines``: ``wc -l src/stablespline/*.py`` and the count of code
   lines without docstrings, comments and blank lines;
 - ``tier1``: the Tier-1 command, its wall time, its pass/fail counts and its
@@ -40,6 +42,9 @@ SRC = ROOT / "src"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=10", "-rP"]
 IDENTITY_THREADS = {"default": None, "OPENBLAS_NUM_THREADS=1": "1"}
+# Every entry uses the same seeds and run length, so entries stay comparable.
+SEEDS = (7, 8, 9)
+SECONDS = 10
 
 
 def code_lines(source: str) -> int:
@@ -75,14 +80,14 @@ def _env(**extra) -> dict:
     return {k: v for k, v in env.items() if v is not None}
 
 
-def workloads(seeds: list[int], seconds: float) -> tuple[dict, list[dict]]:
+def workloads() -> tuple[dict, list[dict]]:
     names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     environment, rows = None, []
     for name in names:
-        for seed in seeds:
+        for seed in SEEDS:
             out = subprocess.run(
                 [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-                 "--seconds", str(seconds), "--trace", "0"],
+                 "--seconds", str(SECONDS), "--trace", "0"],
                 cwd=ROOT, capture_output=True, text=True, check=True,
             ).stdout.strip().splitlines()
             environment = json.loads(out[-2])["environment"]
@@ -122,10 +127,13 @@ def identity() -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("number", type=int, help="the change's number, which names the file")
-    p.add_argument("--seeds", type=int, nargs="+", default=[7, 8, 9])
-    p.add_argument("--seconds", type=float, default=10.0)
     args = p.parse_args(argv)
-    environment, rows = workloads(args.seeds, args.seconds)
+    dirty = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
+                           cwd=ROOT, capture_output=True, text=True, check=True).stdout
+    if dirty:
+        print("tracked files differ from HEAD; commit them first:\n" + dirty, file=sys.stderr)
+        return 2
+    environment, rows = workloads()
     tier1_record, acceptance = tier1()
     bench = {
         "pr": args.number,
