@@ -10,9 +10,13 @@ same sub-streams no matter how many runs the experiment contains.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +46,7 @@ POLE_MAG_MIN = 0.4          # avoids trivially short responses
 N_PAIRS = 15                # 15 conjugate pairs = 30 roots each
 LP_POLE_RANGE = (0.75, 0.95)
 MAX_FAILURE_FRACTION = 0.2
+RUNS_PER_WORKER = 4         # a worker process costs about one run to start
 
 
 class InputKind(str, enum.Enum):
@@ -315,6 +320,112 @@ def summarize(results: list[RunResult]) -> dict:
     }
 
 
+def _attempt(config: ExperimentConfig, run_index: int) -> tuple[RunResult | None, str | None]:
+    """Run ``run_index`` and return (result, None), or (None, reason) when the
+    run fails numerically; both paths of :func:`run_experiment` call this."""
+    try:
+        return _single_run(config, run_index), None
+    except (NumericError, ConfigError, np.linalg.LinAlgError) as exc:
+        return None, str(exc)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_env() -> dict:
+    """The parent's environment, with one BLAS thread per worker and a path
+    to this package: k workers each starting OpenBLAS's default thread pool
+    would put 2k threads on k CPUs."""
+    path = [str(Path(__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+
+
+def _worker_died(proc, log) -> RuntimeError:
+    code = proc.wait()
+    log.seek(0)
+    lines = log.read().decode(errors="replace").strip().splitlines()
+    return RuntimeError(
+        f"Monte Carlo worker exited with code {code}: {lines[-1] if lines else '(no output)'}"
+    )
+
+
+def _run_in_workers(config: ExperimentConfig, k: int):
+    """Yield :func:`_attempt`'s outcome for every run, in run order, from k
+    ``python -m stablespline._worker`` processes.  Each worker gets the
+    pickled config once, then one run index at a time whenever it is free.
+    No worker outlives the generator."""
+    import pickle
+    import selectors
+    import subprocess
+    import tempfile
+
+    procs, logs, finished = [], [], False
+    try:
+        with selectors.DefaultSelector() as selector:
+            env = _worker_env()
+            for _ in range(k):
+                logs.append(tempfile.TemporaryFile())
+                procs.append(subprocess.Popen(
+                    [sys.executable, "-m", "stablespline._worker"],
+                    stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=logs[-1], env=env,
+                ))
+                selector.register(procs[-1].stdout, selectors.EVENT_READ, len(procs) - 1)
+            unsent = iter(range(config.runs))
+
+            def feed(w, message):
+                try:
+                    procs[w].stdin.write(pickle.dumps(message))
+                    procs[w].stdin.flush()
+                except BrokenPipeError:
+                    raise _worker_died(procs[w], logs[w]) from None
+
+            def hand_out(w):
+                run_index = next(unsent, None)
+                if run_index is None:
+                    selector.unregister(procs[w].stdout)
+                    procs[w].stdin.close()  # the worker exits at end of input
+                else:
+                    feed(w, run_index)
+
+            for w in range(k):
+                feed(w, config)
+                hand_out(w)
+            done, next_yield = {}, 0
+            while next_yield < config.runs:
+                for key, _ in selector.select():
+                    w = key.data
+                    try:
+                        run_index, outcome = pickle.load(procs[w].stdout)
+                    except EOFError:
+                        raise _worker_died(procs[w], logs[w]) from None
+                    done[run_index] = outcome
+                    hand_out(w)
+                while next_yield in done:
+                    yield done.pop(next_yield)
+                    next_yield += 1
+        finished = True
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            for pipe in (proc.stdin, proc.stdout):
+                with contextlib.suppress(OSError):
+                    pipe.close()
+        for log in logs:
+            if finished:  # what the runs printed, as the in-process loop shows it
+                log.seek(0)
+                sys.stderr.write(log.read().decode(errors="replace"))
+            log.close()
+
+
 def run_experiment(
     config: ExperimentConfig,
     progress=None,
@@ -324,19 +435,30 @@ def run_experiment(
     Individual run failures are recorded with their reason and excluded
     from the summary; more than MAX_FAILURE_FRACTION of the runs failing
     aborts the experiment.  ``progress`` (if given) is called as
-    progress(run_index, result_or_None) after each run.
+    progress(run_index, result_or_None) after each run, in run order.
+
+    With k = min(usable CPUs, runs // RUNS_PER_WORKER) of at least 2, the
+    runs go to k worker processes (``python -m stablespline._worker``, one
+    BLAS thread each), one run at a time to whichever is free; otherwise
+    they run in this process.  Each run draws only from its own stream, so
+    the results are bitwise the same either way.  A worker that dies raises
+    RuntimeError with its exit code, and no worker outlives the call.
     """
+    k = min(_cpu_count(), config.runs // RUNS_PER_WORKER)
+    outcomes = (
+        _run_in_workers(config, k) if k >= 2
+        else (_attempt(config, i) for i in range(config.runs))
+    )
     results: list[RunResult] = []
     failures: list[dict] = []
-    for i in range(config.runs):
-        try:
-            res = _single_run(config, i)
-            results.append(res)
-        except (NumericError, ConfigError, np.linalg.LinAlgError) as exc:
-            failures.append({"run_index": i, "reason": str(exc)})
-            res = None
-        if progress is not None:
-            progress(i, res)
+    with contextlib.closing(outcomes):
+        for i, (res, reason) in enumerate(outcomes):
+            if res is None:
+                failures.append({"run_index": i, "reason": reason})
+            else:
+                results.append(res)
+            if progress is not None:
+                progress(i, res)
     if len(failures) > MAX_FAILURE_FRACTION * config.runs:
         raise NumericError(
             f"{len(failures)}/{config.runs} runs failed "

@@ -9,12 +9,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = {"pr", "environment", "workloads", "src_lines", "tier1", "acceptance", "identity"}
+# recorded from BENCH_22.json on
+EXPERIMENT_KEYS = {"experiment_s", "cpus"}
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
 def test_bench_file_format(path):
     bench = json.loads(path.read_text())
     assert KEYS <= set(bench)
+    if bench["pr"] >= 22:
+        assert EXPERIMENT_KEYS <= set(bench)
+        assert bench["experiment_s"] > 0 and bench["cpus"] >= 1
     assert path.name == f"BENCH_{bench['pr']}.json"
     assert bench["workloads"]
     for row in bench["workloads"]:

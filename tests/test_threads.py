@@ -3,10 +3,12 @@
 OpenBLAS reads its thread count when numpy loads, so each setting runs in
 its own child process: a small Monte Carlo sweep (both input kinds, both
 kernel orders, N=200 and N=500, where OpenBLAS splits products across
-threads) and one ``identify --estimator both``.  Each child prints digests
-of the ``repr`` of every ``run_experiment`` result and of the bytes of the
-result document, and all children must print the same.  The variable is
-set in the children's environment only; the library sets none.
+threads, and an experiment large enough for ``run_experiment``'s worker
+processes) and one ``identify --estimator both``.  Each child prints
+digests of the ``repr`` of every ``run_experiment`` result and of the bytes
+of the result document, and all children must print the same.  The
+variable is set in the children's environment only; the library sets it
+only for its worker processes, whatever the caller's setting.
 """
 
 import os
@@ -21,7 +23,7 @@ from stablespline.fileio import write_dataset
 
 CHILD = """
 import hashlib, sys
-from stablespline.benchmark import ExperimentConfig, run_experiment
+from stablespline.benchmark import RUNS_PER_WORKER, ExperimentConfig, run_experiment
 from stablespline.cli import main
 from stablespline.gibbs import GibbsConfig
 
@@ -34,6 +36,10 @@ for N in (200, 500):
                 gibbs=GibbsConfig(M=300, M0=100), master_seed=11,
             )
             sweep.update(repr(run_experiment(config)).encode())
+# enough runs for run_experiment to hand them to worker processes
+config = ExperimentConfig(runs=2 * RUNS_PER_WORKER, gibbs=GibbsConfig(M=300, M0=100),
+                          master_seed=11)
+sweep.update(repr(run_experiment(config)).encode())
 data, out = sys.argv[1:]
 argv = ["identify", "--input", data, "--output", out, "--estimator", "both",
         "--iters", "300", "--burnin", "100"]

@@ -10,6 +10,10 @@ its commit: the tool refuses to run otherwise, so that the commit named in
 - ``environment``: the environment block of ``perfbench/run.py``;
 - ``workloads``: the result line of ``perfbench/run.py --seconds 10
   --trace 0`` for every workload of ``BENCHMARK.json`` on seeds 7, 8 and 9;
+- ``experiment_s``: the wall time of one 20-run ``run_experiment`` of the
+  acceptance protocol (N=200, white noise, master seed 1), the median over
+  3 fresh processes;
+- ``cpus``: the CPUs ``run_experiment`` counts when it sizes its worker pool;
 - ``src_lines``: ``wc -l src/stablespline/*.py`` and the count of code
   lines without docstrings, comments and blank lines;
 - ``tier1``: the Tier-1 command, its wall time, its pass/fail counts and its
@@ -30,6 +34,7 @@ import io
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +50,15 @@ IDENTITY_THREADS = {"default": None, "OPENBLAS_NUM_THREADS=1": "1"}
 # Every entry uses the same seeds and run length, so entries stay comparable.
 SEEDS = (7, 8, 9)
 SECONDS = 10
+EXPERIMENT_REPEATS = 3
+EXPERIMENT = """
+import time
+from stablespline.benchmark import ExperimentConfig, _cpu_count, run_experiment
+config = ExperimentConfig(runs=20, N=200, input_kind="wn", master_seed=1)
+start = time.perf_counter()
+run_experiment(config)
+print(time.perf_counter() - start, _cpu_count())
+"""
 
 
 def code_lines(source: str) -> int:
@@ -95,6 +109,17 @@ def workloads() -> tuple[dict, list[dict]]:
     return environment, rows
 
 
+def experiment() -> tuple[float, int]:
+    """Median wall time of the 20-run experiment, and the CPU count."""
+    times, cpus = [], None
+    for _ in range(EXPERIMENT_REPEATS):
+        out = subprocess.run([sys.executable, "-c", EXPERIMENT], cwd=ROOT, env=_env(),
+                             capture_output=True, text=True, check=True).stdout.split()
+        times.append(float(out[0]))
+        cpus = int(out[1])
+    return round(statistics.median(times), 3), cpus
+
+
 def tier1() -> tuple[dict, list[str]]:
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=ROOT, env=_env(), capture_output=True, text=True)
@@ -134,11 +159,14 @@ def main(argv=None) -> int:
         print("tracked files differ from HEAD; commit them first:\n" + dirty, file=sys.stderr)
         return 2
     environment, rows = workloads()
+    experiment_s, cpus = experiment()
     tier1_record, acceptance = tier1()
     bench = {
         "pr": args.number,
         "environment": environment,
         "workloads": rows,
+        "experiment_s": experiment_s,
+        "cpus": cpus,
         "src_lines": src_lines(),
         "tier1": tier1_record,
         "acceptance": acceptance,
