@@ -366,7 +366,7 @@ def _run_in_workers(config: ExperimentConfig, k: int):
     import subprocess
     import tempfile
 
-    procs, logs, finished = [], [], False
+    procs, logs = [], []
     try:
         with selectors.DefaultSelector() as selector:
             env = _worker_env()
@@ -410,7 +410,6 @@ def _run_in_workers(config: ExperimentConfig, k: int):
                 while next_yield in done:
                     yield done.pop(next_yield)
                     next_yield += 1
-        finished = True
     finally:
         for proc in procs:
             if proc.poll() is None:
@@ -420,9 +419,6 @@ def _run_in_workers(config: ExperimentConfig, k: int):
                 with contextlib.suppress(OSError):
                     pipe.close()
         for log in logs:
-            if finished:  # what the runs printed, as the in-process loop shows it
-                log.seek(0)
-                sys.stderr.write(log.read().decode(errors="replace"))
             log.close()
 
 
