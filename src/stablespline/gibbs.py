@@ -13,14 +13,15 @@ and X' = [Phi y]', Phi = U L_K, formed once per chain by
 :func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
 uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
 and the g draw is a w draw mapped back by g = L_K w.  The w draw is a
-perturbed posterior mean (Papandreou & Yuille, NIPS 2010): with e standard
-normal of length N + n, the output y + D^{1/2} e_N stands for y in X, so the
-information form A w = c of :func:`stablespline.ssml.information_system`
-gets a right-hand side c~ ~ N(c, Phi'D^{-1}Phi), and one solve gives
+perturbed posterior mean (Papandreou & Yuille, NIPS 2010) taken in the
+scaled space D^{-1/2} X: with e standard normal of length N + n, the scaled
+output row becomes y D^{-1/2} + e_N, so the information form A w = c of
+:func:`stablespline.ssml.information_system` gets a right-hand side
+c~ = c + Phi'D^{-1/2} e_N ~ N(c, Phi'D^{-1}Phi), and one solve gives
 w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
 A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
 read-only and holds [Phi y]' for the whole chain: the g step scales it into
-its own buffer and writes the perturbed output row there.
+its own buffer and adds e_N to the output row there.
 The exported conditionals wrap the same three step functions.  A failed
 step raises NumericError under the name of its conditional
 (``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and :func:`run_gibbs`
@@ -224,16 +225,14 @@ def _draw_g(
 
     The perturbation draw of the module docstring.  Xt = [Phi y]' is only
     read: it is scaled by D^{-1/2}, D = diag(tau), into ``work`` (shaped
-    like Xt; a new array if None), whose last row then becomes the scaled
-    perturbed output (y + D^{1/2} e_N) D^{-1/2}, and w solves
-    A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and finite.
+    like Xt; a new array if None), e_N is added to the scaled output row,
+    and w solves A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and
+    finite.
     """
     N, n = tau.size, L_K.shape[0]
-    sd = np.sqrt(tau)
-    s = 1.0 / sd
     e = sample_mvn(N + n, gen)
-    Xs = np.multiply(Xt, s, out=work)
-    Xs[n] = (Xt[n] + sd * e[:N]) * s
+    Xs = np.multiply(Xt, 1.0 / np.sqrt(tau), out=work)
+    Xs[n] += e[:N]
     A, c = information_system(lam, Xs, "gibbs.conditional_g")
     w = _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
     g = L_K @ w
@@ -339,6 +338,7 @@ def run_gibbs(
     m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, dataset.N, n), dataset.y)
     K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
     L_K, Xt = _whiten(K, U, y)
+    del U  # the chain reads only X' from here on
     Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
     gen = as_generator(rng)

@@ -38,7 +38,8 @@ read-only: each caller scales it into its own array.  One Gram of the
 scaled data D^{-1/2} X gives the information form A w = c of the posterior,
 A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (``information_system``).
 The posterior mean is one solve of that system, and a Gibbs draw is one
-solve of it with a perturbed right-hand side; only the covariance factor
+solve of the same system with standard normals added to the scaled output
+row y D^{-1/2}, a perturbed right-hand side; only the covariance factor
 L_A^{-T} of ``posterior_moments`` takes a Cholesky A = L_A L_A', and no
 inverse is formed.  Every factorization goes through ``numpy.linalg``:
 numpy and scipy bundle separate OpenBLAS builds, and alternating between

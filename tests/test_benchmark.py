@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from stablespline import (
@@ -67,6 +69,15 @@ class TestGenerateSystem:
             g = impulse_response(tf, 50)
             fracs.append(np.linalg.norm(g[45:]) / np.linalg.norm(g))
         assert np.median(fracs) < geometric_bound
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60))
+    def test_response_starts_at_one(self, seed, n):
+        # B is monic, so the unscaled response starts at exactly 1 and its
+        # norm is at least 1: the gain is always finite
+        tf = generate_system(RngHandle(seed), n=n)
+        assert _filter(tf.num, tf.den, np.eye(1, n)[0])[0] == 1.0
+        assert impulse_response(tf, n)[0] == tf.gain
 
     def test_reproducible(self):
         a = generate_system(RngHandle(203), n=30)
@@ -230,6 +241,9 @@ class TestRunExperiment:
                 raise NumericError("injected failure", context="test")
             return real(config, run_index)
 
+        # the injected run function exists only in this process, so the runs
+        # stay here; tests/test_workers.py covers the worker path's failures
+        monkeypatch.setattr(bench, "_cpu_count", lambda: 1)
         monkeypatch.setattr(bench, "_single_run", flaky)
         results, summary = bench.run_experiment(fast_config(runs=6))
         assert summary["n_failed"] == 1

@@ -28,9 +28,9 @@ from stablespline import (
 )
 from stablespline import gibbs
 from stablespline.benchmark import ExperimentConfig, simulate
-from stablespline.distributions import RngHandle
+from stablespline.distributions import RngHandle, sample_gamma
 from stablespline.gibbs import TAU_THIN
-from stablespline.kernels import kernel_factor
+from stablespline.kernels import kernel_factor, kernel_quadratic_form
 from stablespline.model import Hyperparameters
 from stablespline.ssml import SsmlResult
 
@@ -78,13 +78,27 @@ class TestConditionalTau:
         assert np.all(np.abs(off) < 0.05)
 
 
+def inverse_lambda_draws(g, K, seed, size, rate_convention="half", scalar=1000):
+    """``size`` draws of 1/lambda from ``conditional_lambda`` on the stream
+    RngHandle(seed): the first ``scalar`` by scalar calls, checked bitwise
+    against one vectorized Gamma(n/2 + 1, rate) draw of the same stream,
+    whose continuation gives the rest.  The rate is computed here."""
+    quad = kernel_quadratic_form(K, g)
+    shape, rate = g.size / 2.0 + 1.0, quad / 2.0 if rate_convention == "half" else quad
+    gen, ref = RngHandle(seed).generator(), RngHandle(seed).generator()
+    lam = np.array([conditional_lambda(g, K, gen, rate_convention) for _ in range(scalar)])
+    x = sample_gamma(shape, rate, ref, size=scalar)
+    assert lam.tobytes() == (1.0 / x).tobytes()
+    x = np.concatenate([x, sample_gamma(shape, rate, ref, size=size - scalar)])
+    return 1.0 / (1.0 / x)  # as 1.0 / conditional_lambda(...) reads each draw
+
+
 class TestConditionalLambda:
     def test_inverse_mean(self):
         # n=2, q=4: lambda^{-1} ~ Gamma(2, rate 2) so E[lambda^{-1}] = 1
         K = np.eye(2)
         g = np.array([2.0, 0.0])  # g'K^{-1}g = 4
-        gen = RngHandle(80).generator()
-        inv = np.array([1.0 / conditional_lambda(g, K, gen) for _ in range(100_000)])
+        inv = inverse_lambda_draws(g, K, 80, 100_000)
         assert abs(inv.mean() - 1.0) <= 0.01
 
     def test_scaling_in_g(self):
@@ -92,12 +106,8 @@ class TestConditionalLambda:
         rng = np.random.default_rng(81)
         g = rng.standard_normal(4)
         c = 3.0
-        gen1 = RngHandle(82).generator()
-        gen2 = RngHandle(83).generator()
-        inv1 = np.array([1.0 / conditional_lambda(g, K, gen1) for _ in range(50_000)])
-        invc = np.array(
-            [1.0 / conditional_lambda(c * g, K, gen2) for _ in range(50_000)]
-        )
+        inv1 = inverse_lambda_draws(g, K, 82, 50_000)
+        invc = inverse_lambda_draws(c * g, K, 83, 50_000)
         # rate scales by c^2, so E[lambda^{-1}] shrinks by 1/c^2
         ratio = invc.mean() / inv1.mean()
         assert abs(ratio - 1.0 / c**2) <= 0.03 * (1.0 / c**2)
@@ -105,13 +115,7 @@ class TestConditionalLambda:
     def test_literal_convention_doubles_inverse_mean(self):
         K = np.eye(2)
         g = np.array([2.0, 0.0])
-        gen = RngHandle(84).generator()
-        inv = np.array(
-            [
-                1.0 / conditional_lambda(g, K, gen, rate_convention="literal")
-                for _ in range(100_000)
-            ]
-        )
+        inv = inverse_lambda_draws(g, K, 84, 100_000, rate_convention="literal")
         # rate 4 instead of 2: E[lambda^{-1}] = 2/4 = 0.5
         assert abs(inv.mean() - 0.5) <= 0.01
 
@@ -122,8 +126,7 @@ class TestConditionalLambda:
         K = np.eye(n)
         g = np.zeros(n)
         g[0] = np.sqrt(q)
-        gen = RngHandle(85).generator()
-        draws = np.array([1.0 / conditional_lambda(g, K, gen) for _ in range(20_000)])
+        draws = inverse_lambda_draws(g, K, 85, 20_000)
         dist = stats.gamma(a=n / 2 + 1, scale=2.0 / q)
         edges = dist.ppf(np.linspace(0.0, 1.0, 21))
         edges[0], edges[-1] = 0.0, np.inf

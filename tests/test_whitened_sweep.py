@@ -278,6 +278,28 @@ class TestDataNeverWritten:
         gibbs._draw_g(0.7, tau, L_K, Xt, np.random.default_rng(69), buffer)
         assert [x.tobytes() for x in inputs] == before
 
+    def test_g_step_perturbs_the_scaled_output_row(self, problem, monkeypatch):
+        # the right-hand side solved is that of X' D^{-1/2} with e_N added
+        # to its output row, bit for bit: no detour through data units
+        K, U, y, tau = problem
+        L_K, Xt = _whiten(K, U, y)
+        lam, N, n = 0.7, self.N, self.n
+        e = np.random.default_rng(70).standard_normal(N + n)
+        solved = []
+
+        def solve(A, b, context):
+            solved.append(b)
+            return np.linalg.solve(A, b)
+
+        monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
+        monkeypatch.setattr("stablespline.gibbs._solve", solve)
+        gibbs._draw_g(lam, tau, L_K, Xt, np.random.default_rng(71))
+
+        Xs = Xt * (1.0 / np.sqrt(tau))
+        Xs[n] = Xt[n] * (1.0 / np.sqrt(tau)) + e[:N]
+        _, c = information_system(lam, Xs, "test")
+        assert solved[0].tobytes() == (c + e[N:] / np.sqrt(lam)).tobytes()
+
     def test_conditional_g_leaves_inputs_unchanged(self, problem):
         inputs = problem
         before = [x.tobytes() for x in inputs]
