@@ -46,7 +46,7 @@ POLE_MAG_MIN = 0.4          # avoids trivially short responses
 N_PAIRS = 15                # 15 conjugate pairs = 30 roots each
 LP_POLE_RANGE = (0.75, 0.95)
 MAX_FAILURE_FRACTION = 0.2
-RUNS_PER_WORKER = 2         # 2 workers win from 2 runs; 2-run rounds stay in-process
+RUNS_PER_WORKER = 2         # measured: 2 workers win from 2 runs; workers start at 4
 
 
 class InputKind(str, enum.Enum):

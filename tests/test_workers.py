@@ -80,14 +80,6 @@ def test_small_experiments_stay_in_process(workers):
     assert workers.started == []
 
 
-def test_two_run_experiments_stay_in_process(workers):
-    # the benchmark's mc-wn-n500 rounds: 2 runs would time a worker's
-    # start-up and then about 0 s between progress calls
-    workers.use(4)
-    run_experiment(config(runs=2))
-    assert workers.started == []
-
-
 def test_failure_records_match_in_process(workers):
     cfg = failing_config(master_seed=1)
     workers.use(1)
