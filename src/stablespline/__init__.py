@@ -20,13 +20,7 @@ from .benchmark import (
     run_experiment,
     summarize,
 )
-from .distributions import (
-    RngHandle,
-    sample_gamma,
-    sample_gig_half,
-    sample_mvn,
-    sample_noise_mixture,
-)
+from .distributions import RngHandle, sample_noise_mixture
 from .errors import ConfigError, NumericError
 from .gibbs import (
     GibbsChain,
@@ -63,9 +57,6 @@ __all__ = [
     "kernel_factor",
     "kernel_quadratic_form",
     "RngHandle",
-    "sample_gamma",
-    "sample_gig_half",
-    "sample_mvn",
     "sample_noise_mixture",
     "SsmlResult",
     "posterior_mean",

@@ -5,9 +5,12 @@ All samplers draw from a counter-based Philox bitstream addressed by an
 non-overlapping streams and identical handles reproduce identical draws
 bit for bit.
 
-The generalized inverse Gaussian sampler only covers the p = 1/2 case
-(the per-sample noise-variance conditional), with b clamped at a floor
-just above 0; nothing more general is needed here.
+The Gibbs sweep's samplers (``sample_gig_half``, ``sample_gamma`` and
+``sample_mvn``) are internals: they take the chain's Generator and what
+the sweep passes, and check nothing; the exported conditionals of
+:mod:`stablespline.gibbs` check their inputs.  The generalized inverse
+Gaussian sampler only covers the p = 1/2 case (the per-sample
+noise-variance conditional), with b clamped at a floor just above 0.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from .errors import ConfigError
 __all__ = [
     "RngHandle",
     "as_generator",
-    "sample_gamma",
-    "sample_gig_half",
-    "sample_mvn",
     "sample_noise_mixture",
     "GIG_B_FLOOR_FACTOR",
 ]
@@ -72,14 +72,9 @@ def as_generator(rng) -> np.random.Generator:
     raise ConfigError(f"expected RngHandle or numpy Generator, got {type(rng)!r}")
 
 
-def sample_gamma(shape: float, rate: float, rng, size=None):
-    """Gamma draw(s) with mean shape/rate and variance shape/rate^2."""
-    if not (shape > 0 and np.isfinite(shape)):
-        raise ConfigError(f"gamma shape must be positive, got {shape}")
-    if not (rate > 0 and np.isfinite(rate)):
-        raise ConfigError(f"gamma rate must be positive, got {rate}")
-    gen = as_generator(rng)
-    return gen.gamma(shape, scale=1.0 / rate, size=size)
+def sample_gamma(shape: float, rate: float, gen: np.random.Generator) -> float:
+    """One Gamma draw with mean shape/rate and variance shape/rate^2."""
+    return gen.gamma(shape, 1.0 / rate)
 
 
 def _inverse_gaussian(mu, lam: float, gen: np.random.Generator, size):
@@ -96,41 +91,21 @@ def _inverse_gaussian(mu, lam: float, gen: np.random.Generator, size):
     return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
 
 
-def sample_gig_half(a: float, b, rng) -> np.ndarray:
+def sample_gig_half(a: float, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Draw from GIG(a, b, p=1/2), density proportional to
     tau^{-1/2} exp(-(a*tau + b/tau)/2) on tau > 0, once per entry of ``b``.
 
     If X is inverse Gaussian with mean sqrt(a/b) and shape a, then 1/X has
-    exactly this law.  A b below the floor GIG_B_FLOOR_FACTOR * (2/a) is
-    drawn as b at the floor, so every entry takes the same one draw.
-
-    Parameters
-    ----------
-    a : float
-        Rate-like parameter, > 0.
-    b : array_like
-        Nonnegative parameters, squared residuals in the sampler; the draws
-        have its shape.
+    exactly this law.  b is first raised to the floor
+    GIG_B_FLOOR_FACTOR * (2/a), so every entry takes the same one draw.
     """
-    if not (a > 0 and np.isfinite(a)):
-        raise ConfigError(f"GIG parameter a must be positive, got {a}")
-    b_arr = np.asarray(b, dtype=float)
-    lo, hi = (b_arr.min(), b_arr.max()) if b_arr.size else (0.0, 0.0)
-    if not (lo >= 0 and hi < np.inf):
-        raise ConfigError("GIG parameter b must be finite and >= 0")
-    gen = as_generator(rng)
-
-    floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
-    if lo < floor:
-        b_arr = np.maximum(b_arr, floor)
-    return 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, gen, b_arr.shape)
+    b = np.maximum(b, GIG_B_FLOOR_FACTOR * (2.0 / a))
+    return 1.0 / _inverse_gaussian(np.sqrt(a / b), a, gen, b.shape)
 
 
-def sample_mvn(size: int, rng) -> np.ndarray:
+def sample_mvn(size: int, gen: np.random.Generator) -> np.ndarray:
     """``size`` i.i.d. standard normal draws: one draw of N(0, I_size)."""
-    if size < 0:
-        raise ConfigError(f"size must be nonnegative, got {size}")
-    return as_generator(rng).standard_normal(size)
+    return gen.standard_normal(size)
 
 
 def sample_noise_mixture(N: int, sigma2: float, c1: float, variance_ratio: float, rng):

@@ -22,9 +22,14 @@ w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
 A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
 read-only and holds [Phi y]' for the whole chain: the g step scales it into
 its own buffer and adds e_N to the output row there.
-The exported conditionals wrap the same three step functions.  A failed
-step raises NumericError under the name of its conditional
-(``gibbs.conditional_tau``, ``_lambda`` or ``_g``), and :func:`run_gibbs`
+The exported conditionals wrap the same three step functions.  Each
+conditional checks its own input, and a non-finite array is a ConfigError
+naming it.  The steps, and the samplers of
+:mod:`stablespline.distributions` under them, check nothing else: a draw
+that cannot be represented (a lambda rate that is not positive and finite,
+a tau that is not) raises NumericError under the name of its conditional
+(``gibbs.conditional_tau``, ``_lambda`` or ``_g``), the conditionals
+silence numpy's floating-point warnings on the way, and :func:`run_gibbs`
 adds the sweep it failed at to the message.
 
 The chain starts from the Gaussian-noise estimate (see
@@ -168,6 +173,14 @@ class GibbsChain:
         return self.g_samples[self.burn_in - 1 :]
 
 
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as a float array; a non-finite entry is a ConfigError naming it."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} must be finite")
+    return a
+
+
 def _draw_tau(
     Phi: np.ndarray,
     w: np.ndarray,
@@ -204,7 +217,12 @@ def _draw_lambda(
             IllConditionedWarning,
         )
         rate = rate_floor
-    lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
+    if not 0.0 < rate < np.inf:
+        raise NumericError(
+            "non-positive/non-finite lambda rate",
+            context="gibbs.conditional_lambda",
+        )
+    lam = 1.0 / sample_gamma(n / 2.0 + 1.0, rate, gen)
     if not (lam > 0 and np.isfinite(lam)):
         raise NumericError(
             "non-positive/non-finite lambda",
@@ -255,8 +273,9 @@ def conditional_tau(
     """
     if not (sigma2 > 0 and np.isfinite(sigma2)):
         raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    U, g = np.asarray(U, dtype=float), np.asarray(g, dtype=float)
-    return _draw_tau(U, g, np.asarray(y, dtype=float), 2.0 / sigma2, as_generator(rng))
+    g, U, y = _finite("g", g), _finite("U", U), _finite("y", y)
+    with np.errstate(all="ignore"):  # a tau that overflows raises NumericError
+        return _draw_tau(U, g, y, 2.0 / sigma2, as_generator(rng))
 
 
 def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> float:
@@ -270,11 +289,12 @@ def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> 
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"unknown rate convention {rate_convention!r}")
-    gv = np.asarray(g, dtype=float)
-    quad = kernel_quadratic_form(K, gv)
-    e = int(np.frexp(np.max(np.abs(gv)))[1])
-    floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(_kernel_array(K))), 2 * e)
-    return _draw_lambda(quad, gv.size, as_generator(rng), rate_convention, floor)
+    gv = _finite("g", g)
+    with np.errstate(all="ignore"):  # a lambda out of range raises NumericError
+        quad = kernel_quadratic_form(K, gv)
+        e = int(np.frexp(np.max(np.abs(gv)))[1])
+        floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(_kernel_array(K))), 2 * e)
+        return _draw_lambda(quad, gv.size, as_generator(rng), rate_convention, floor)
 
 
 def conditional_g_moments(
@@ -307,7 +327,7 @@ def conditional_g(
     """Draw g from its Gaussian full conditional given (lambda, tau)."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
-    L_K, Xt = _whiten(K, U, y)
+    L_K, Xt = _whiten(K, _finite("U", U), _finite("y", y))
     tau = _noise_diag(tau, Xt.shape[1])
     _, g = _draw_g(lam, tau, L_K, Xt, as_generator(rng))
     return g

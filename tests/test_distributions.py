@@ -46,35 +46,41 @@ class TestRngHandle:
             RngHandle(-1)
 
 
+def gamma_draws(shape, rate, seed, size, scalar=1000):
+    """``size`` Gamma(shape, rate) draws on the stream RngHandle(seed): the
+    first ``scalar`` by scalar ``sample_gamma`` calls, checked bitwise against
+    one vectorized draw of the same stream, whose continuation gives the
+    rest."""
+    gen, ref = RngHandle(seed).generator(), RngHandle(seed).generator()
+    x = np.array([sample_gamma(shape, rate, gen) for _ in range(scalar)])
+    v = ref.gamma(shape, 1.0 / rate, size=scalar)
+    assert x.tobytes() == v.tobytes()
+    return np.concatenate([v, ref.gamma(shape, 1.0 / rate, size=size - scalar)])
+
+
 class TestSampleGamma:
     def test_mean(self):
-        x = sample_gamma(2.0, 4.0, RngHandle(20), size=100_000)
+        x = gamma_draws(2.0, 4.0, 20, 100_000)
         se = np.sqrt(2.0 / 16.0 / x.size)
         assert abs(x.mean() - 0.5) <= 4 * se
 
     def test_exponential_cdf_special_case(self):
-        x = sample_gamma(1.0, 1.0, RngHandle(21), size=100_000)
+        x = gamma_draws(1.0, 1.0, 21, 100_000)
         assert abs(np.mean(x <= 1.0) - (1 - np.exp(-1))) <= 0.01
 
     def test_variance(self):
-        x = sample_gamma(26.0, 7.3, RngHandle(22), size=100_000)
+        x = gamma_draws(26.0, 7.3, 22, 100_000)
         target = 26.0 / 7.3**2
         assert abs(x.var() - target) <= 0.05 * target
 
     def test_positive_support(self):
-        x = sample_gamma(0.4, 2.0, RngHandle(23), size=10_000)
+        x = gamma_draws(0.4, 2.0, 23, 10_000)
         assert np.all(x > 0) and np.all(np.isfinite(x))
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigError):
-            sample_gamma(0.0, 1.0, RngHandle(0))
-        with pytest.raises(ConfigError):
-            sample_gamma(1.0, -2.0, RngHandle(0))
 
 
 class TestSampleGigHalf:
     def test_mean_a2_b2(self):
-        x = sample_gig_half(2.0, np.full(100_000, 2.0), RngHandle(30))
+        x = sample_gig_half(2.0, np.full(100_000, 2.0), RngHandle(30).generator())
         # closed form 1.5, cross-checked by quadrature of the density
         m_quad, _ = integrate.quad(
             lambda t: t * gig_pdf_half(t, 2.0, 2.0), 0, np.inf, limit=200
@@ -85,19 +91,19 @@ class TestSampleGigHalf:
     def test_b_floor_gamma_limit(self):
         a = 4.0
         b = 0.5 * GIG_B_FLOOR_FACTOR * (2.0 / a)
-        x = sample_gig_half(a, np.full(100_000, b), RngHandle(31))
+        x = sample_gig_half(a, np.full(100_000, b), RngHandle(31).generator())
         # Gamma(1/2, rate a/2 = 2) mean = 0.25
         assert abs(x.mean() - 0.25) <= 0.02 * 0.25
 
     def test_vectorized_b_matches_support(self):
         b = np.concatenate([np.zeros(5), np.full(5, 2.0)])
-        x = sample_gig_half(3.0, b, RngHandle(32))
+        x = sample_gig_half(3.0, b, RngHandle(32).generator())
         assert x.shape == (10,)
         assert np.all(x > 0) and np.all(np.isfinite(x))
 
     def test_moment_oracle_across_settings(self):
         for i, (a, b) in enumerate([(2.0, 2.0), (20.0, 0.25), (0.5, 9.0)]):
-            x = sample_gig_half(a, np.full(100_000, b), RngHandle(33, stream=i))
+            x = sample_gig_half(a, np.full(100_000, b), RngHandle(33, stream=i).generator())
             m_quad, _ = integrate.quad(
                 lambda t: t * gig_pdf_half(t, a, b), 0, np.inf, limit=200
             )
@@ -106,7 +112,7 @@ class TestSampleGigHalf:
     def test_ks_against_inverse_cdf_of_density(self):
         # numerically invert the CDF of gig_pdf_half and compare samples
         for i, (a, b) in enumerate([(2.0, 2.0), (20.0, 0.25), (5.0, 1.0)]):
-            x = sample_gig_half(a, np.full(20_000, b), RngHandle(34, stream=i))
+            x = sample_gig_half(a, np.full(20_000, b), RngHandle(34, stream=i).generator())
             hi = np.quantile(x, 0.9999) * 4
             grid = np.linspace(1e-9, hi, 20_001)
             pdf = gig_pdf_half(grid, a, b)
@@ -116,12 +122,6 @@ class TestSampleGigHalf:
             ref = np.interp(u, cdf, grid)
             res = stats.ks_2samp(x, ref)
             assert res.pvalue > 0.001, (a, b, res)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigError):
-            sample_gig_half(0.0, 1.0, RngHandle(0))
-        with pytest.raises(ConfigError):
-            sample_gig_half(1.0, -1.0, RngHandle(0))
 
 
 def _same_draws(a, b, seed, b_ref=None):
@@ -175,17 +175,8 @@ class TestSampleGigHalfPaths:
         b = np.array([[0.0, self.floor], [2.0, 0.0]])
         _same_draws(self.a, b, 52, b_ref=np.maximum(b, self.floor))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
-    def test_rejects_non_finite_or_negative_b(self, bad):
-        with pytest.raises(ConfigError, match="finite and >= 0"):
-            sample_gig_half(self.a, bad, RngHandle(54))
-        b = np.full(10, 0.5)
-        b[3] = bad
-        with pytest.raises(ConfigError, match="finite and >= 0"):
-            sample_gig_half(self.a, b, RngHandle(54))
-
     def test_empty_b(self):
-        assert sample_gig_half(self.a, np.array([]), RngHandle(55)).shape == (0,)
+        assert sample_gig_half(self.a, np.array([]), RngHandle(55).generator()).shape == (0,)
 
 
 class TestGigPdfHalf:
@@ -248,10 +239,6 @@ class TestSampleMvn:
         cov = np.cov(draws.T)
         assert np.abs(cov - np.eye(2)).max() <= 0.08
 
-    def test_rejects_negative_size(self):
-        with pytest.raises(ConfigError):
-            sample_mvn(-1, RngHandle(0))
-
 
 class TestNoiseMixture:
     def test_single_nominal_component(self):
@@ -283,14 +270,15 @@ class TestNoiseMixture:
 class TestDeterminism:
     def test_every_sampler_reproduces_with_same_handle(self):
         h = RngHandle(99, stream=3)
-        assert np.array_equal(
-            sample_gamma(2.0, 3.0, h, size=100), sample_gamma(2.0, 3.0, h, size=100)
-        )
         b = np.ones(100)
-        assert np.array_equal(sample_gig_half(2.0, b, h), sample_gig_half(2.0, b, h))
+        for draw in (
+            lambda gen: [sample_gamma(2.0, 3.0, gen) for _ in range(100)],
+            lambda gen: sample_gig_half(2.0, b, gen),
+            lambda gen: sample_mvn(3, gen),
+        ):
+            assert np.array_equal(draw(h.generator()), draw(h.generator()))
         for x, y in zip(
             sample_noise_mixture(100, 1.0, 0.7, 100.0, h),
             sample_noise_mixture(100, 1.0, 0.7, 100.0, h),
         ):
             assert np.array_equal(x, y)
-        assert np.array_equal(sample_mvn(3, h), sample_mvn(3, h))

@@ -1,8 +1,8 @@
-"""Every exported name resolves: a name left in an ``__all__`` after its
-definition was deleted or moved would break ``from stablespline import *``
-and the documented API.  Likewise every attribute that the benchmark's
-tracer patches must exist, or ``perfbench/run.py --trace 1`` fails at
-install."""
+"""The package surface is pinned, and every exported name resolves: a name
+left in an ``__all__`` after its definition was deleted or moved would break
+``from stablespline import *`` and the documented API.  Likewise every
+attribute that the benchmark's tracer patches must exist, or
+``perfbench/run.py --trace 1`` fails at install."""
 
 import ast
 import importlib
@@ -23,6 +23,22 @@ def _missing(module):
 
 def test_package_exports_resolve():
     assert _missing(stablespline) == []
+
+
+def test_package_surface():
+    # the two estimators, their conditionals and the harness; a name added
+    # to the package surface is added here too
+    assert sorted(stablespline.__all__) == [
+        "ConfigError", "Dataset", "ExperimentConfig", "GibbsChain", "GibbsConfig",
+        "Hyperparameters", "InputKind", "KernelOrder", "KernelSpec", "NumericError",
+        "QuantileReport", "RngHandle", "RunResult", "SsmlResult", "TransferFunction",
+        "__version__", "build_kernel", "build_regressor", "conditional_g",
+        "conditional_g_moments", "conditional_lambda", "conditional_tau", "fit_score",
+        "generate_input", "generate_system", "impulse_response", "kernel_factor",
+        "kernel_quadratic_form", "posterior_mean", "posterior_moments",
+        "quantile_diagnostics", "run_experiment", "run_gibbs", "run_ssml",
+        "sample_noise_mixture", "summarize",
+    ]
 
 
 @pytest.mark.parametrize("name", MODULES)

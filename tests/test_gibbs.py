@@ -28,7 +28,7 @@ from stablespline import (
 )
 from stablespline import gibbs
 from stablespline.benchmark import ExperimentConfig, simulate
-from stablespline.distributions import RngHandle, sample_gamma
+from stablespline.distributions import RngHandle
 from stablespline.gibbs import TAU_THIN
 from stablespline.kernels import kernel_factor, kernel_quadratic_form
 from stablespline.model import Hyperparameters
@@ -87,9 +87,9 @@ def inverse_lambda_draws(g, K, seed, size, rate_convention="half", scalar=1000):
     shape, rate = g.size / 2.0 + 1.0, quad / 2.0 if rate_convention == "half" else quad
     gen, ref = RngHandle(seed).generator(), RngHandle(seed).generator()
     lam = np.array([conditional_lambda(g, K, gen, rate_convention) for _ in range(scalar)])
-    x = sample_gamma(shape, rate, ref, size=scalar)
+    x = ref.gamma(shape, 1.0 / rate, size=scalar)
     assert lam.tobytes() == (1.0 / x).tobytes()
-    x = np.concatenate([x, sample_gamma(shape, rate, ref, size=size - scalar)])
+    x = np.concatenate([x, ref.gamma(shape, 1.0 / rate, size=size - scalar)])
     return 1.0 / (1.0 / x)  # as 1.0 / conditional_lambda(...) reads each draw
 
 
@@ -151,6 +151,56 @@ class TestConditionalLambda:
         with pytest.warns(UserWarning):
             lam = conditional_lambda(np.zeros(3), K, RngHandle(86))
         assert lam > 0 and np.isfinite(lam)
+
+
+class TestConditionalEdges:
+    """Each exported conditional owns its checks.  Input from outside that is
+    not finite is a ConfigError naming the argument; a finite input whose
+    lambda or tau cannot be represented is a NumericError of the step; and
+    no numpy warning escapes either way."""
+
+    K = build_kernel(KernelSpec("first", 0.8, 5))
+
+    @pytest.mark.parametrize(
+        "step, g, sigma2, error, match",
+        [
+            # g'K^{-1}g is subnormal: its 1/rate overflows and lambda is 0
+            ("lambda", np.full(5, 1e-160), None, NumericError, "lambda"),
+            # g'K^{-1}g underflows to 0, and so does the rate floor
+            ("lambda", np.full(5, 1e-170), None, NumericError, "lambda rate"),
+            # g'K^{-1}g overflows
+            ("lambda", np.full(5, 1e160), None, NumericError, "lambda rate"),
+            ("tau", np.array([0.1, 0.1, np.nan, 0.1, 0.1]), 1.0, ConfigError, "^g must be finite"),
+            # the squared residual overflows
+            ("tau", np.full(5, 1e200), 1.0, NumericError, "tau"),
+            # positive and finite, but a = 2/sigma2 overflows
+            ("tau", np.full(5, 0.1), 1e-310, NumericError, "tau"),
+        ],
+        ids=["lambda-subnormal-rate", "lambda-zero-rate", "lambda-infinite-rate",
+             "tau-nan-g", "tau-infinite-residual", "tau-infinite-a"],
+    )
+    def test_edge(self, step, g, sigma2, error, match):
+        rng = np.random.default_rng(0)
+        U = build_regressor(rng.standard_normal(20), 20, 5)
+        y = rng.standard_normal(20)
+        call = {
+            "lambda": lambda: conditional_lambda(g, self.K, RngHandle(1)),
+            "tau": lambda: conditional_tau(g, U, y, sigma2, RngHandle(1)),
+        }[step]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=match) as info:
+                call()
+        if error is NumericError:
+            assert info.value.context == f"gibbs.conditional_{step}"
+
+    @pytest.mark.parametrize("name", ["U", "y"])
+    def test_conditional_g_rejects_non_finite_data(self, name):
+        rng = np.random.default_rng(0)
+        data = {"U": build_regressor(rng.standard_normal(20), 20, 5), "y": np.ones(20)}
+        data[name][3] = np.inf
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            conditional_g(1.0, np.ones(20), self.K, data["U"], data["y"], RngHandle(1))
 
 
 class TestConditionalG:

@@ -143,7 +143,7 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
         tau = sample_gig_half(2.0 / init.hyper.sigma2, r * r, gen)
         w = solve_triangular(L_K, g, lower=True)
         rate = max(float(w @ w) / 2.0, rate_floor)
-        lam = 1.0 / float(sample_gamma(n / 2.0 + 1.0, rate, gen))
+        lam = 1.0 / sample_gamma(n / 2.0 + 1.0, rate, gen)
         e = gen.standard_normal(N + n)
         W = U / tau[:, None]
         A = np.eye(n) / lam + L_K.T @ (U.T @ W) @ L_K
@@ -323,7 +323,7 @@ class TestLambdaRateFloor:
         return K, LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
 
     def _expected(self, rate, seed):
-        return 1.0 / float(sample_gamma(self.n / 2.0 + 1.0, rate, RngHandle(seed)))
+        return 1.0 / sample_gamma(self.n / 2.0 + 1.0, rate, RngHandle(seed).generator())
 
     def test_rate_below_floor_warns_and_floors(self):
         K, floor = self._kernel_with_rate(0.5)
