@@ -35,7 +35,7 @@ print("=" * 70)
 n = 40
 gen = RngHandle(7).generator()
 for beta in (0.5, 0.8, 0.95):
-    L = kernel_factor(build_kernel(KernelSpec("first", beta, n)))
+    L = kernel_factor(KernelSpec("first", beta, n))  # K = L L^T, in closed form
     draws = np.array([L @ gen.standard_normal(n) for _ in range(200)])
     # effective memory: last index whose RMS amplitude is >= 1% of the first
     rms = np.sqrt((draws**2).mean(axis=0))

@@ -8,7 +8,8 @@ Each sweep draws, in order and each conditioned on the latest values:
    (lambda depends on the other variables only through g);
 3. g from its Gaussian conditional given (lambda, tau).
 
-The sweep runs in whitened coordinates w = L_K^{-1} g, with K = L_K L_K'
+The sweep runs in whitened coordinates w = L_K^{-1} g, with L_K L_K' = K
+(K + eps I for the second order; :func:`stablespline.kernels.kernel_factor`)
 and X' = [Phi y]', Phi = U L_K, formed once per chain by
 :func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
 uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
@@ -22,9 +23,9 @@ w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
 A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
 read-only and holds [Phi y]' for the whole chain: the g step scales it into
 its own buffer and adds e_N to the output row there.
-The exported conditionals wrap the same three step functions.  Each
-conditional checks its own input, and a non-finite array is a ConfigError
-naming it.  The steps, and the samplers of
+The exported conditionals wrap the same three step functions and take a
+``KernelSpec``.  Each checks its own input: a non-finite array, or one of the
+wrong shape, is a ConfigError naming it.  The steps, and the samplers of
 :mod:`stablespline.distributions` under them, check nothing else: a draw
 that cannot be represented (a lambda rate that is not positive and finite,
 a tau that is not) raises NumericError under the name of its conditional
@@ -62,10 +63,10 @@ from .distributions import as_generator, sample_gamma, sample_gig_half, sample_m
 from .errors import ConfigError, NumericError
 from .kernels import (
     KernelSpec,
-    _kernel_array,
     build_kernel,
     kernel_factor,
     kernel_quadratic_form,
+    kernel_solve,
 )
 from .model import Dataset, build_regressor, power_of_two_scaled
 from .ssml import (
@@ -173,9 +174,11 @@ class GibbsChain:
         return self.g_samples[self.burn_in - 1 :]
 
 
-def _finite(name: str, x) -> np.ndarray:
-    """``x`` as a float array; a non-finite entry is a ConfigError naming it."""
+def _finite(name: str, x, shape: tuple) -> np.ndarray:
+    """``x`` as a finite float array of ``shape`` (None: any), else a ConfigError naming it."""
     a = np.asarray(x, dtype=float)
+    if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
+        raise ConfigError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ConfigError(f"{name} must be finite")
     return a
@@ -273,13 +276,14 @@ def conditional_tau(
     """
     if not (sigma2 > 0 and np.isfinite(sigma2)):
         raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    g, U, y = _finite("g", g), _finite("U", U), _finite("y", y)
+    U = _finite("U", U, (None, None))
+    g, y = _finite("g", g, U.shape[1:]), _finite("y", y, U.shape[:1])
     with np.errstate(all="ignore"):  # a tau that overflows raises NumericError
         return _draw_tau(U, g, y, 2.0 / sigma2, as_generator(rng))
 
 
-def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> float:
-    """Draw lambda by sampling lambda^{-1} ~ Gamma(n/2 + 1, rate).
+def conditional_lambda(g: np.ndarray, spec: KernelSpec, rng, rate_convention="half") -> float:
+    """Draw lambda^{-1} ~ Gamma(n/2 + 1, rate) for the kernel K of ``spec``.
 
     ``rate_convention="half"`` uses rate g'K^{-1}g / 2 (flat prior on
     lambda^{-1}); "literal" uses rate g'K^{-1}g.  A rate below
@@ -289,45 +293,48 @@ def conditional_lambda(g: np.ndarray, K, rng, rate_convention: str = "half") -> 
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"unknown rate convention {rate_convention!r}")
-    gv = _finite("g", g)
+    gv = _finite("g", g, (spec.n,))
     with np.errstate(all="ignore"):  # a lambda out of range raises NumericError
-        quad = kernel_quadratic_form(K, gv)
+        quad = kernel_quadratic_form(spec, gv)
         e = int(np.frexp(np.max(np.abs(gv)))[1])
-        floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(_kernel_array(K))), 2 * e)
+        floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(build_kernel(spec))), 2 * e)
         return _draw_lambda(quad, gv.size, as_generator(rng), rate_convention, floor)
 
 
 def conditional_g_moments(
     lam: float,
     tau: np.ndarray,
-    K,
+    spec: KernelSpec,
     U: np.ndarray,
     y: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance factor of the Gaussian g conditional.
+    """Mean and covariance factor of the g conditional for the kernel K of ``spec``.
 
     Equals the posterior of g under noise covariance D = diag(tau):
     mean lam K U' (lam U K U' + D)^{-1} y, covariance
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
     the whitened information form and mapped back through L_K.
     """
-    L_K = kernel_factor(K)
-    mean, R = posterior_moments(lam, np.asarray(U, dtype=float) @ L_K, y, tau)
+    U = _finite("U", U, (None, spec.n))
+    y = _finite("y", y, U.shape[:1])
+    L_K = kernel_factor(spec)
+    mean, R = posterior_moments(lam, U @ L_K, y, tau)
     return L_K @ mean, L_K @ R
 
 
 def conditional_g(
     lam: float,
     tau: np.ndarray,
-    K,
+    spec: KernelSpec,
     U: np.ndarray,
     y: np.ndarray,
     rng,
 ) -> np.ndarray:
-    """Draw g from its Gaussian full conditional given (lambda, tau)."""
+    """Draw g from its Gaussian full conditional given (lambda, tau) and ``spec``."""
     if not (lam > 0 and np.isfinite(lam)):
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
-    L_K, Xt = _whiten(K, _finite("U", U), _finite("y", y))
+    U = _finite("U", U, (None, spec.n))
+    L_K, Xt = _whiten(spec, U, _finite("y", y, U.shape[:1]))
     tau = _noise_diag(tau, Xt.shape[1])
     _, g = _draw_g(lam, tau, L_K, Xt, as_generator(rng))
     return g
@@ -356,14 +363,14 @@ def run_gibbs(
     """
     n = init.g_hat.size
     m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, dataset.N, n), dataset.y)
-    K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
-    L_K, Xt = _whiten(K, U, y)
+    spec = KernelSpec(init.order, init.hyper.beta, n)
+    L_K, Xt = _whiten(spec, U, y)
     del U  # the chain reads only X' from here on
     Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
-    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
+    rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(build_kernel(spec)))
     gen = as_generator(rng)
 
-    w = np.linalg.solve(L_K, np.ldexp(init.g_hat, m - k))
+    w = kernel_solve(spec, L_K, np.ldexp(init.g_hat, m - k))
     a_gig = 2.0 / np.ldexp(init.hyper.sigma2, -2 * k)
 
     M, M0 = config.M, config.M0

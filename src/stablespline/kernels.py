@@ -8,9 +8,9 @@ Two kernel families are provided, both parameterized by a decay rate
 * second order:       K[i, j] = beta^(i+j) * beta^max(i, j) / 2
                                 - beta^(3 max(i, j)) / 6
 
-The second-order matrix is near-singular for small beta and large n, so
-every factorization goes through a trace-scaled jitter ladder rather than
-a bare Cholesky.
+Each order has one factor K = L L^T (:func:`kernel_factor`): the first in
+closed form, exact; the second, near-singular for small beta and large n,
+by one Cholesky with a trace-scaled jitter.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ __all__ = [
     "build_kernel_derivative",
     "kernel_factor",
     "kernel_quadratic_form",
+    "kernel_solve",
 ]
 
-# Jitter ladder: start at JITTER_BASE * trace(K)/n, multiply by 10 until
-# Cholesky succeeds or JITTER_MAX * trace(K)/n is exceeded.
+# The second-order factor's jitter, relative to trace(K)/n.
 JITTER_BASE = 1e-12
-JITTER_MAX = 1e-6
 
 
 class KernelOrder(str, enum.Enum):
@@ -102,54 +101,48 @@ def build_kernel_derivative(spec: KernelSpec) -> np.ndarray:
     return (e * powers[e - 1] - m * powers[3 * m - 1]) / 2.0
 
 
-def _kernel_array(K) -> np.ndarray:
-    A = np.asarray(K, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigError(f"kernel matrix must be square, got shape {A.shape}")
-    return A
+def kernel_factor(spec: KernelSpec) -> np.ndarray:
+    """L with L L^T = K, the kernel of ``spec``: all that whitening needs.
 
-
-def kernel_factor(K) -> np.ndarray:
-    """Lower-triangular L with L L^T = K + eps*I, eps from the jitter ladder.
-
-    Raises NumericError once eps would exceed JITTER_MAX * trace(K)/n,
-    which signals a degenerate kernel (e.g. beta = 0).
+    First order, exact and upper-triangular: L = T diag(sqrt(v)), T the
+    upper-triangular ones and v_l = beta^l (1 - beta) for l < n, v_n = beta^n,
+    the step variances of the reverse-time random walk x_i = sum_{l >= i} e_l
+    whose covariance is K; K^{-1} is tridiagonal (Carli, Chen & Ljung, IEEE
+    TAC 2017).  A v_l that underflows leaves a zero column.  Second order:
+    the Cholesky factor of K + eps I, eps = JITTER_BASE trace(K)/n.  A zero
+    kernel (beta = 0) or a failed Cholesky raises NumericError.
     """
-    A = _kernel_array(K)
-    n = A.shape[0]
-    scale = float(np.trace(A)) / n
-    if not (scale > 0 and np.isfinite(scale)):
+    n = spec.n
+    if spec.order is KernelOrder.FIRST:
+        v = np.float_power(spec.beta, np.arange(1, n + 1))
+        v[:-1] *= 1.0 - spec.beta
+        if not v[0] > 0:
+            raise NumericError("kernel is zero; cannot factor", context="kernels.kernel_factor")
+        return np.triu(np.broadcast_to(np.sqrt(v), (n, n)))
+    K = build_kernel(spec)
+    eps = JITTER_BASE * (float(np.trace(K)) / n)
+    try:
+        return np.linalg.cholesky(K + eps * np.eye(n))
+    except np.linalg.LinAlgError:
         raise NumericError(
-            f"kernel trace {scale * n:g} is not positive; cannot factor",
-            context="kernels.kernel_factor",
-        )
-    eps = JITTER_BASE * scale
-    eps_max = JITTER_MAX * scale
-    eye = np.eye(n)
-    while True:
-        try:
-            return np.linalg.cholesky(A + eps * eye)
-        except np.linalg.LinAlgError:
-            eps *= 10.0
-            if eps > eps_max:
-                raise NumericError(
-                    f"Cholesky failed up to jitter {eps_max:g}",
-                    context="kernels.kernel_factor",
-                ) from None
+            f"Cholesky of K + {eps:g} I failed", context="kernels.kernel_factor"
+        ) from None
 
 
-def kernel_quadratic_form(K, g) -> float:
-    """g^T K^{-1} g via the jittered Cholesky factor and a solve against it.
+def kernel_solve(spec: KernelSpec, L: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """w = L^{-1} g for L = ``kernel_factor(spec)``: a solve for the second order; for
+    the first, w_l = (g_l - g_{l+1}) / sqrt(v_l), g_{n+1} = 0, or 0 where v_l is 0."""
+    if spec.order is KernelOrder.SECOND:
+        return np.linalg.solve(L, g)
+    d, diff = np.diagonal(L), g - np.append(g[1:], 0.0)
+    return np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
 
-    Never forms an explicit inverse; the result is nonnegative by
-    construction (it is a squared norm of the whitened vector).
-    """
-    A = _kernel_array(K)
+
+def kernel_quadratic_form(spec: KernelSpec, g) -> float:
+    """g^T K^{-1} g for the kernel of ``spec``: w^T w for w of
+    :func:`kernel_solve`, O(n) for the first order.  Nonnegative."""
     gv = np.asarray(g, dtype=float)
-    if gv.ndim != 1 or gv.size != A.shape[0]:
-        raise ConfigError(
-            f"g must be a vector of length {A.shape[0]}, got shape {gv.shape}"
-        )
-    L = kernel_factor(A)
-    w = np.linalg.solve(L, gv)
+    if gv.ndim != 1 or gv.size != spec.n:
+        raise ConfigError(f"g must be a vector of length {spec.n}, got shape {gv.shape}")
+    w = kernel_solve(spec, kernel_factor(spec), gv)
     return float(w @ w)

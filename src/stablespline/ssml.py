@@ -30,11 +30,13 @@ that slope.
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
-N(0, lam I) (Chen & Ljung's Cholesky-factor parametrization).  One
-function, ``_whiten``, forms X' = [Phi y]' from K, U and y, by the product
-U @ L_K: for the posterior mean here and once per chain in the Gibbs
-sampler, so both give the same bits under any BLAS thread count.  X' is
-read-only: each caller scales it into its own array.  One Gram of the
+N(0, lam I) (Chen & Ljung's factor parametrization).  L_K is exact for the
+first order, so the posterior has the marginal likelihood's prior K, and
+factors K + eps I for the second (:func:`stablespline.kernels.kernel_factor`).
+One function, ``_whiten``, forms X' = [Phi y]' from the ``KernelSpec``, U and
+y, by the product U @ L_K: for the posterior mean here and once per chain in
+the Gibbs sampler, so both give the same bits under any BLAS thread count.
+X' is read-only: each caller scales it into its own array.  One Gram of the
 scaled data D^{-1/2} X gives the information form A w = c of the posterior,
 A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (``information_system``).
 The posterior mean is one solve of that system, and a Gibbs draw is one
@@ -430,11 +432,11 @@ def information_system(
     return M[:n, :n], M[:n, n]
 
 
-def _whiten(K, U, y) -> tuple[np.ndarray, np.ndarray]:
-    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K'; X' is
-    (n+1) x N, C-contiguous and read-only.  The one builder of X' (module
-    docstring)."""
-    L_K = kernel_factor(K)
+def _whiten(spec: KernelSpec, U, y) -> tuple[np.ndarray, np.ndarray]:
+    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K' of
+    ``spec``; X' is (n+1) x N, C-contiguous and read-only.  The one builder
+    of X' (module docstring)."""
+    L_K = kernel_factor(spec)
     Xt = np.vstack([(np.asarray(U, dtype=float) @ L_K).T, np.asarray(y, dtype=float)])
     Xt.flags.writeable = False
     return L_K, Xt
@@ -488,12 +490,12 @@ def posterior_moments(
 
 def posterior_mean(
     lam: float,
-    K,
+    spec: KernelSpec,
     U: np.ndarray,
     y: np.ndarray,
     noise_cov_diag,
 ) -> np.ndarray:
-    """Posterior-mean impulse response lam K U' (lam U K U' + D)^{-1} y.
+    """Posterior-mean impulse response lam K U' (lam U K U' + D)^{-1} y, K of ``spec``.
 
     ``noise_cov_diag`` is the diagonal of D: a scalar sigma2, as
     :func:`run_ssml` passes, or one variance per sample.  Computed by the
@@ -504,12 +506,11 @@ def posterior_mean(
     U'y, so the n x n pair (R, b) of ``LeastSquares`` gives the same mean
     as (U, y).
     """
-    U = np.asarray(U, dtype=float)
     if not (lam >= 0 and np.isfinite(lam)):
         raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
     if lam == 0.0:
-        return np.zeros(U.shape[1])
-    L_K, Xt = _whiten(K, U, y)
+        return np.zeros(spec.n)
+    L_K, Xt = _whiten(spec, U, y)
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
     A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
     return L_K @ _solve(A, c, "ssml.posterior_mean")
@@ -591,8 +592,7 @@ def run_ssml(
         )
     obj = MarglikObjective(ls, sigma2, order)
     lam_hat, beta_hat = optimize_hyperparams(obj)
-    K = build_kernel(KernelSpec(order, beta_hat, n))
-    g_hat = posterior_mean(lam_hat, K, ls.R, ls.b, sigma2)
+    g_hat = posterior_mean(lam_hat, KernelSpec(order, beta_hat, n), ls.R, ls.b, sigma2)
     value = neg_log_marglik(lam_hat, beta_hat, obj) + N * k * np.log(4.0)
     with np.errstate(over="ignore"):  # reported below
         g_hat = np.ldexp(g_hat, k - m)

@@ -152,10 +152,10 @@ def test_criterion_4d_constant_tau_reduction():
         y = rng.standard_normal(N)
         sigma2 = rng.uniform(0.2, 2.0)
         lam = rng.uniform(0.2, 4.0)
-        K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-        mean, _ = conditional_g_moments(lam, np.full(N, sigma2), K, U, y)
+        spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
+        mean, _ = conditional_g_moments(lam, np.full(N, sigma2), spec, U, y)
         # independent route: direct N x N covariance-form solve
-        ref = covariance_posterior_mean(lam, K, U, y, sigma2)
+        ref = covariance_posterior_mean(lam, build_kernel(spec), U, y, sigma2)
         err = np.linalg.norm(mean - ref) / np.linalg.norm(ref)
         worst = max(worst, err)
         assert err <= 1e-8
@@ -172,14 +172,15 @@ def test_criterion_4e_woodbury_equivalence():
         y = rng.standard_normal(N)
         d = rng.uniform(0.3, 3.0, N)
         lam = rng.uniform(0.1, 5.0)
-        K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-        a = posterior_mean(lam, K, U, y, d)
+        spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
+        K = build_kernel(spec)
+        a = posterior_mean(lam, spec, U, y, d)
         b = covariance_posterior_mean(lam, K, U, y, d)
         err = np.linalg.norm(a - b) / np.linalg.norm(b)
         worst = max(worst, err)
         assert err <= 1e-8
         if trial < 50:
-            mean, F = conditional_g_moments(lam, d, K, U, y)
+            mean, F = conditional_g_moments(lam, d, spec, U, y)
             Sigma = lam * U @ K @ U.T + np.diag(d)
             cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(Sigma, U @ K)
             cerr = np.linalg.norm(F @ F.T - cov_ref) / np.linalg.norm(cov_ref)

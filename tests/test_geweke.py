@@ -25,7 +25,6 @@ from scipy.stats import t as student_t
 
 from stablespline import (
     KernelSpec,
-    build_kernel,
     build_regressor,
     conditional_g,
     conditional_tau,
@@ -55,8 +54,8 @@ THRESHOLD = float(
 
 def problem(order, N, n):
     U = build_regressor(np.random.default_rng(N * n).standard_normal(N), N, n)
-    K = build_kernel(KernelSpec(order, BETA, n))
-    return U, K, kernel_factor(K)
+    spec = KernelSpec(order, BETA, n)
+    return U, spec, kernel_factor(spec)
 
 
 def summaries(g, tau, y, U, L_K):
@@ -88,7 +87,7 @@ def marginal_conditional(U, L_K, draws, gen):
     return summaries(g, tau, y, U, L_K)
 
 
-def successive_conditional(U, K, L_K, draws, gen, cond_tau, cond_g):
+def successive_conditional(U, spec, L_K, draws, gen, cond_tau, cond_g):
     N, n = U.shape
     g = np.sqrt(LAM) * L_K @ gen.standard_normal(n)
     tau = SIGMA2 * gen.exponential(size=N)
@@ -96,7 +95,7 @@ def successive_conditional(U, K, L_K, draws, gen, cond_tau, cond_g):
     G, T, Y = np.empty((draws, n)), np.empty((draws, N)), np.empty((draws, N))
     for k in range(draws):
         tau = cond_tau(g, U, y, SIGMA2, gen)
-        g = cond_g(LAM, tau, K, U, y, gen)
+        g = cond_g(LAM, tau, spec, U, y, gen)
         y = U @ g + np.sqrt(tau) * gen.standard_normal(N)
         G[k], T[k], Y[k] = g, tau, y
     return summaries(G, T, Y, U, L_K)
@@ -105,9 +104,9 @@ def successive_conditional(U, K, L_K, draws, gen, cond_tau, cond_g):
 def geweke_z(case, draws, seed, cond_tau=conditional_tau, cond_g=conditional_g):
     """z-scores of the marginal-conditional minus the successive-conditional
     means, one per test function."""
-    U, K, L_K = problem(*case)
+    U, spec, L_K = problem(*case)
     gen = RngHandle(seed).generator()
-    chain = successive_conditional(U, K, L_K, draws, gen, cond_tau, cond_g)
+    chain = successive_conditional(U, spec, L_K, draws, gen, cond_tau, cond_g)
     independent = marginal_conditional(U, L_K, MARGINAL_FACTOR * draws, gen)
     size = draws // BATCHES
     batch_means = chain[: size * BATCHES].reshape(BATCHES, size, -1).mean(axis=1)
@@ -124,8 +123,8 @@ def test_conditionals_share_one_joint_law(case):
     assert np.abs(z).max() <= THRESHOLD, np.round(z, 2)
 
 
-def _g_with_lambda_times_1_2(lam, tau, K, U, y, rng):
-    return conditional_g(1.2 * lam, tau, K, U, y, rng)
+def _g_with_lambda_times_1_2(lam, tau, spec, U, y, rng):
+    return conditional_g(1.2 * lam, tau, spec, U, y, rng)
 
 
 def _tau_with_sigma2_times_1_2(g, U, y, sigma2, rng):

@@ -38,7 +38,7 @@ from stablespline.ssml import SsmlResult
 def small_dataset(rng, N=40, n=10, noise=0.1):
     u = rng.standard_normal(N)
     U = build_regressor(u, N, n)
-    L = kernel_factor(build_kernel(KernelSpec("first", 0.8, n)))
+    L = kernel_factor(KernelSpec("first", 0.8, n))
     g = L @ rng.standard_normal(n)
     y = U @ g + noise * rng.standard_normal(N)
     return Dataset(u, y), U, g
@@ -78,15 +78,15 @@ class TestConditionalTau:
         assert np.all(np.abs(off) < 0.05)
 
 
-def inverse_lambda_draws(g, K, seed, size, rate_convention="half", scalar=1000):
+def inverse_lambda_draws(g, spec, seed, size, rate_convention="half", scalar=1000):
     """``size`` draws of 1/lambda from ``conditional_lambda`` on the stream
     RngHandle(seed): the first ``scalar`` by scalar calls, checked bitwise
     against one vectorized Gamma(n/2 + 1, rate) draw of the same stream,
     whose continuation gives the rest.  The rate is computed here."""
-    quad = kernel_quadratic_form(K, g)
+    quad = kernel_quadratic_form(spec, g)
     shape, rate = g.size / 2.0 + 1.0, quad / 2.0 if rate_convention == "half" else quad
     gen, ref = RngHandle(seed).generator(), RngHandle(seed).generator()
-    lam = np.array([conditional_lambda(g, K, gen, rate_convention) for _ in range(scalar)])
+    lam = np.array([conditional_lambda(g, spec, gen, rate_convention) for _ in range(scalar)])
     x = ref.gamma(shape, 1.0 / rate, size=scalar)
     assert lam.tobytes() == (1.0 / x).tobytes()
     x = np.concatenate([x, ref.gamma(shape, 1.0 / rate, size=size - scalar)])
@@ -96,26 +96,26 @@ def inverse_lambda_draws(g, K, seed, size, rate_convention="half", scalar=1000):
 class TestConditionalLambda:
     def test_inverse_mean(self):
         # n=2, q=4: lambda^{-1} ~ Gamma(2, rate 2) so E[lambda^{-1}] = 1
-        K = np.eye(2)
-        g = np.array([2.0, 0.0])  # g'K^{-1}g = 4
-        inv = inverse_lambda_draws(g, K, 80, 100_000)
+        spec = KernelSpec("first", 0.5, 2)  # v = (1/4, 1/4): w = 2 (g_1 - g_2, g_2)
+        g = np.array([1.0, 0.0])  # g'K^{-1}g = 4
+        inv = inverse_lambda_draws(g, spec, 80, 100_000)
         assert abs(inv.mean() - 1.0) <= 0.01
 
     def test_scaling_in_g(self):
-        K = build_kernel(KernelSpec("first", 0.7, 4))
+        spec = KernelSpec("first", 0.7, 4)
         rng = np.random.default_rng(81)
         g = rng.standard_normal(4)
         c = 3.0
-        inv1 = inverse_lambda_draws(g, K, 82, 50_000)
-        invc = inverse_lambda_draws(c * g, K, 83, 50_000)
+        inv1 = inverse_lambda_draws(g, spec, 82, 50_000)
+        invc = inverse_lambda_draws(c * g, spec, 83, 50_000)
         # rate scales by c^2, so E[lambda^{-1}] shrinks by 1/c^2
         ratio = invc.mean() / inv1.mean()
         assert abs(ratio - 1.0 / c**2) <= 0.03 * (1.0 / c**2)
 
     def test_literal_convention_doubles_inverse_mean(self):
-        K = np.eye(2)
-        g = np.array([2.0, 0.0])
-        inv = inverse_lambda_draws(g, K, 84, 100_000, rate_convention="literal")
+        spec = KernelSpec("first", 0.5, 2)
+        g = np.array([1.0, 0.0])  # g'K^{-1}g = 4, as above
+        inv = inverse_lambda_draws(g, spec, 84, 100_000, rate_convention="literal")
         # rate 4 instead of 2: E[lambda^{-1}] = 2/4 = 0.5
         assert abs(inv.mean() - 0.5) <= 0.01
 
@@ -123,10 +123,10 @@ class TestConditionalLambda:
         # histogram of lambda^{-1} draws against the Gamma(n/2+1, q/2)
         # density, which is the normalized x^{n/2} e^{-x q/2} shape
         n, q = 4, 2.5
-        K = np.eye(n)
+        spec = KernelSpec("first", 0.5, n)  # v_1 = 1/4: w = (2 g_1, 0, 0, 0)
         g = np.zeros(n)
-        g[0] = np.sqrt(q)
-        draws = inverse_lambda_draws(g, K, 85, 20_000)
+        g[0] = np.sqrt(q) / 2.0
+        draws = inverse_lambda_draws(g, spec, 85, 20_000)
         dist = stats.gamma(a=n / 2 + 1, scale=2.0 / q)
         edges = dist.ppf(np.linspace(0.0, 1.0, 21))
         edges[0], edges[-1] = 0.0, np.inf
@@ -138,18 +138,17 @@ class TestConditionalLambda:
     def test_scale_equivariant(self, j):
         # the rate floor holds in units of max|g|^2, so g 2^j draws the same
         # lambda times 4^j, with no floor warning at any of these scales
-        K = build_kernel(KernelSpec("first", 0.8, 20))
+        spec = KernelSpec("first", 0.8, 20)
         g = 0.1 * np.random.default_rng(0).standard_normal(20)
-        ref = conditional_lambda(g, K, RngHandle(1))
+        ref = conditional_lambda(g, spec, RngHandle(1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = conditional_lambda(np.ldexp(g, j), K, RngHandle(1))
+            lam = conditional_lambda(np.ldexp(g, j), spec, RngHandle(1))
         assert lam == np.ldexp(ref, 2 * j)
 
     def test_zero_g_uses_rate_floor(self):
-        K = build_kernel(KernelSpec("first", 0.8, 3))
         with pytest.warns(UserWarning):
-            lam = conditional_lambda(np.zeros(3), K, RngHandle(86))
+            lam = conditional_lambda(np.zeros(3), KernelSpec("first", 0.8, 3), RngHandle(86))
         assert lam > 0 and np.isfinite(lam)
 
 
@@ -159,7 +158,7 @@ class TestConditionalEdges:
     lambda or tau cannot be represented is a NumericError of the step; and
     no numpy warning escapes either way."""
 
-    K = build_kernel(KernelSpec("first", 0.8, 5))
+    SPEC = KernelSpec("first", 0.8, 5)
 
     @pytest.mark.parametrize(
         "step, g, sigma2, error, match",
@@ -184,7 +183,7 @@ class TestConditionalEdges:
         U = build_regressor(rng.standard_normal(20), 20, 5)
         y = rng.standard_normal(20)
         call = {
-            "lambda": lambda: conditional_lambda(g, self.K, RngHandle(1)),
+            "lambda": lambda: conditional_lambda(g, self.SPEC, RngHandle(1)),
             "tau": lambda: conditional_tau(g, U, y, sigma2, RngHandle(1)),
         }[step]
         with warnings.catch_warnings():
@@ -200,7 +199,39 @@ class TestConditionalEdges:
         data = {"U": build_regressor(rng.standard_normal(20), 20, 5), "y": np.ones(20)}
         data[name][3] = np.inf
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
-            conditional_g(1.0, np.ones(20), self.K, data["U"], data["y"], RngHandle(1))
+            conditional_g(1.0, np.ones(20), self.SPEC, data["U"], data["y"], RngHandle(1))
+
+    # A shape that disagrees with the kernel's n or with the other arguments
+    # is a ConfigError naming the argument, at each exported conditional
+    # (n = 5, N = 20).
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda U, y, spec: conditional_tau(np.zeros(4), U, y, 1.0, RngHandle(1)), "g"),
+            (lambda U, y, spec: conditional_tau(np.zeros(5), U, y[:-1], 1.0, RngHandle(1)), "y"),
+            (lambda U, y, spec: conditional_tau(np.zeros(5), U[0], y, 1.0, RngHandle(1)), "U"),
+            (lambda U, y, spec: conditional_g(1.0, np.ones(20), spec, U[:, :4], y, RngHandle(1)), "U"),
+            (lambda U, y, spec: conditional_g(1.0, np.ones(20), spec, U, y[:-1], RngHandle(1)), "y"),
+            (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U[:, :4], y), "U"),
+            (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U, y[:-1]), "y"),
+            (lambda U, y, spec: conditional_lambda(np.ones(4), spec, RngHandle(1)), "g"),
+        ],
+        ids=["tau-g-short", "tau-y-short", "tau-U-vector", "g-U-columns", "g-y-short",
+             "moments-U-columns", "moments-y-short", "lambda-g-short"],
+    )
+    def test_shape_mismatch_names_argument(self, call, name):
+        rng = np.random.default_rng(0)
+        U, y = build_regressor(rng.standard_normal(20), 20, 5), rng.standard_normal(20)
+        with pytest.raises(ConfigError, match=f"^{name} must have shape"):
+            call(U, y, self.SPEC)
+
+    @pytest.mark.parametrize("name", ["U", "y"])
+    def test_conditional_g_moments_rejects_non_finite_data(self, name):
+        rng = np.random.default_rng(0)
+        data = {"U": build_regressor(rng.standard_normal(20), 20, 5), "y": np.ones(20)}
+        data[name][3] = np.nan
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            conditional_g_moments(1.0, np.ones(20), self.SPEC, data["U"], data["y"])
 
 
 class TestConditionalG:
@@ -210,16 +241,16 @@ class TestConditionalG:
             ds, U, _ = small_dataset(rng)
             sigma2 = rng.uniform(0.2, 2.0)
             lam = rng.uniform(0.2, 4.0)
-            K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), 10))
-            mean, _ = conditional_g_moments(lam, np.full(40, sigma2), K, U, ds.y)
-            ref = posterior_mean(lam, K, U, ds.y, sigma2)
+            spec = KernelSpec("first", rng.uniform(0.4, 0.95), 10)
+            mean, _ = conditional_g_moments(lam, np.full(40, sigma2), spec, U, ds.y)
+            ref = posterior_mean(lam, spec, U, ds.y, sigma2)
             assert np.linalg.norm(mean - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_tiny_lambda_collapses_draw(self):
         rng = np.random.default_rng(91)
         ds, U, _ = small_dataset(rng)
-        K = build_kernel(KernelSpec("first", 0.8, 10))
-        g = conditional_g(1e-14, np.ones(40), K, U, ds.y, RngHandle(92))
+        spec = KernelSpec("first", 0.8, 10)
+        g = conditional_g(1e-14, np.ones(40), spec, U, ds.y, RngHandle(92))
         assert np.linalg.norm(g) <= 1e-5 * np.linalg.norm(ds.y)
 
     def test_moments_match_covariance_form_oracle(self):
@@ -231,8 +262,9 @@ class TestConditionalG:
             y = rng.standard_normal(N)
             tau = rng.uniform(0.3, 3.0, N)
             lam = rng.uniform(0.2, 5.0)
-            K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-            mean, F = conditional_g_moments(lam, tau, K, U, y)
+            spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
+            K = build_kernel(spec)
+            mean, F = conditional_g_moments(lam, tau, spec, U, y)
             Sigma = lam * U @ K @ U.T + np.diag(tau)
             mean_ref = lam * K @ U.T @ np.linalg.solve(Sigma, y)
             cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(Sigma, U @ K)
@@ -249,11 +281,11 @@ class TestConditionalG:
         y = rng.standard_normal(N)
         tau = rng.uniform(0.5, 2.0, N)
         lam = 1.3
-        K = build_kernel(KernelSpec("first", 0.8, n))
-        mean, F = conditional_g_moments(lam, tau, K, U, y)
+        spec = KernelSpec("first", 0.8, n)
+        mean, F = conditional_g_moments(lam, tau, spec, U, y)
         gen = RngHandle(95).generator()
         draws = np.array(
-            [conditional_g(lam, tau, K, U, y, gen) for _ in range(10_000)]
+            [conditional_g(lam, tau, spec, U, y, gen) for _ in range(10_000)]
         )
         cov = F @ F.T
         assert np.linalg.norm(draws.mean(axis=0) - mean) <= 0.05 * max(
@@ -267,10 +299,10 @@ class TestConditionalG:
         U = rng.standard_normal((N, n))
         y = rng.standard_normal(N)
         tau = rng.uniform(0.3, 2.0, N)
-        K = build_kernel(KernelSpec("first", 0.75, n))
+        spec = KernelSpec("first", 0.75, n)
         perm = rng.permutation(N)
-        mean_a, F_a = conditional_g_moments(1.7, tau, K, U, y)
-        mean_b, F_b = conditional_g_moments(1.7, tau[perm], K, U[perm], y[perm])
+        mean_a, F_a = conditional_g_moments(1.7, tau, spec, U, y)
+        mean_b, F_b = conditional_g_moments(1.7, tau[perm], spec, U[perm], y[perm])
         assert np.allclose(mean_a, mean_b, rtol=1e-10, atol=1e-12)
         assert np.allclose(F_a @ F_a.T, F_b @ F_b.T, rtol=1e-10, atol=1e-12)
 
@@ -325,7 +357,7 @@ class TestRunGibbs:
         h = RngHandle(902)
         gen = h.child(0).generator()
         n, N = 50, 500
-        L = kernel_factor(build_kernel(KernelSpec("first", 0.8, n)))
+        L = kernel_factor(KernelSpec("first", 0.8, n))
         g_true = L @ gen.standard_normal(n)
         u = gen.standard_normal(N)
         U = build_regressor(u, N, n)
@@ -345,7 +377,7 @@ class TestRunGibbs:
         h = RngHandle(903)
         gen = h.child(0).generator()
         n, N = 20, 400
-        L = kernel_factor(build_kernel(KernelSpec("first", 0.8, n)))
+        L = kernel_factor(KernelSpec("first", 0.8, n))
         g_true = L @ gen.standard_normal(n)
         u = gen.standard_normal(N)
         U = build_regressor(u, N, n)
@@ -474,6 +506,25 @@ class TestRunGibbs:
         assert np.array_equal(chain.g_samples, chain_ref.g_samples)
         assert np.array_equal(chain.lambda_samples, chain_ref.lambda_samples)
         assert np.array_equal(chain.tau_samples, chain_ref.tau_samples)
+
+    def test_underflowed_prior_entries_stay_zero(self):
+        # beta = 0.01, n = 200: v_l = beta^l (1 - beta) underflows to 0 from
+        # l = 162 on, so the prior holds g_l at exactly 0 there, and so does
+        # every draw; the start w0 = L^{-1} g0 divides by no zero
+        n, N, beta = 200, 300, 0.01
+        zero = np.float_power(beta, np.arange(1, n + 1)) * (1 - beta) == 0.0
+        assert 0 < np.count_nonzero(zero) < n and zero[np.argmax(zero):].all()
+        rng = np.random.default_rng(130)
+        u = rng.standard_normal(N)
+        U = build_regressor(u, N, n)
+        g0 = np.zeros(n)
+        g0[:3] = [1.0, 0.01, 1e-4]
+        ds = Dataset(u, U @ g0 + 0.1 * rng.laplace(size=N))
+        init = SsmlResult(g0, Hyperparameters(lam=1.0, beta=beta, sigma2=0.01), 0.0, "first")
+        _, chain = run_gibbs(ds, GibbsConfig(M=20, M0=10), init, RngHandle(131))
+        assert np.all(np.isfinite(chain.g_samples))
+        assert np.all(chain.g_samples[:, zero] == 0.0)
+        assert np.all(chain.g_samples[:, 0] != 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

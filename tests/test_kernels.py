@@ -1,5 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablespline import (
     ConfigError,
@@ -10,7 +13,7 @@ from stablespline import (
     kernel_factor,
     kernel_quadratic_form,
 )
-from stablespline.kernels import JITTER_BASE, JITTER_MAX, build_kernel_derivative
+from stablespline.kernels import JITTER_BASE, build_kernel_derivative, kernel_solve
 
 
 class TestBuildKernel:
@@ -124,54 +127,129 @@ class TestBuildKernelDerivative:
 
 
 class TestKernelFactor:
-    def test_diagonal_matrix(self):
-        d = np.array([4.0, 9.0, 0.25])
-        L = kernel_factor(np.diag(d))
-        eps_max = JITTER_MAX * d.sum() / 3
-        assert np.allclose(L, np.diag(np.sqrt(d)), atol=np.sqrt(eps_max))
-        assert np.all(np.triu(L, 1) == 0.0)
-
     def test_reconstruction_within_jitter(self):
         K = build_kernel(KernelSpec("second", 0.6, 40))
-        L = kernel_factor(K)
-        eps_max = JITTER_MAX * np.trace(K) / 40
+        L = kernel_factor(KernelSpec("second", 0.6, 40))
+        eps = JITTER_BASE * np.trace(K) / 40
         dev = np.abs(L @ L.T - K).max()
-        assert dev <= eps_max + 1e-12 * np.linalg.norm(K)
+        assert dev <= eps + 1e-12 * np.linalg.norm(K)
+        assert np.all(np.triu(L, 1) == 0.0)
 
-    def test_first_order_large_n_strictly_pd(self):
-        # first-order kernel is strictly PD for 0 < beta < 1, so the base
-        # jitter suffices: the plain Cholesky already succeeds
+    def test_first_order_large_n_strictly_pd(self, monkeypatch):
+        # the first-order kernel is strictly PD for 0 < beta < 1, and its
+        # closed-form factor reproduces it to rounding, with no Cholesky
         K = build_kernel(KernelSpec("first", 0.9, 50))
         np.linalg.cholesky(K)
-        L = kernel_factor(K)
-        eps_base = JITTER_BASE * np.trace(K) / 50
-        assert np.abs(L @ L.T - K).max() <= eps_base + 1e-12 * np.linalg.norm(K)
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        L = kernel_factor(KernelSpec("first", 0.9, 50))
+        assert np.all(np.tril(L, -1) == 0.0)
+        assert np.abs(L @ L.T - K).max() <= 4 * np.finfo(float).eps * K.max()
 
     def test_degenerate_kernel_errors(self):
-        K = build_kernel(KernelSpec("first", 0.0, 4))
-        with pytest.raises(NumericError):
-            kernel_factor(K)
-        with pytest.raises(NumericError):
-            kernel_quadratic_form(K, np.ones(4))
+        for order in ("first", "second"):
+            with pytest.raises(NumericError):
+                kernel_factor(KernelSpec(order, 0.0, 4))
+            with pytest.raises(NumericError):
+                kernel_quadratic_form(KernelSpec(order, 0.0, 4), np.ones(4))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(beta=st.floats(0.01, 0.99), n=st.integers(1, 500))
+    @example(beta=0.01, n=500)
+    @example(beta=0.99, n=500)
+    @example(beta=0.05, n=100)
+    def test_second_order_single_cholesky_factors(self, beta, n):
+        # one Cholesky of K + eps I, eps = JITTER_BASE trace(K)/n, succeeds
+        # over the decays the fit searches
+        spec = KernelSpec("second", beta, n)
+        K = build_kernel(spec)
+        L = kernel_factor(spec)
+        eps = JITTER_BASE * np.trace(K) / n
+        assert np.all(np.triu(L, 1) == 0.0) and np.all(np.diagonal(L) > 0)
+        dev = np.abs(L @ L.T - K - eps * np.eye(n)).max()
+        assert dev <= 4 * n * np.finfo(float).eps * K.max()
+
+
+def mp_first_order(beta, n):
+    """sqrt(v_l) of the first-order factor in mpmath: v_l = beta^l (1 - beta)
+    for l < n and v_n = beta^n."""
+    b = mpmath.mpf(beta)
+    return [mpmath.sqrt(b**l * (1 - b) if l < n else b**n) for l in range(1, n + 1)]
+
+
+class TestFirstOrderFactorReference:
+    """The closed-form factor L = T diag(sqrt(v)), w = L^{-1} g and g'K^{-1}g
+    against 50-digit mpmath.  At beta = 0.01, n = 500, 339 of the v_l
+    underflow to 0: those columns of L are zero and those entries of w are
+    0.  g is a prior draw L z cut to 0 where v_l is not a normal float, so
+    every difference g_l - g_{l+1} that the double computation divides is
+    divided by a normal sqrt(v_l)."""
+
+    EPS = np.finfo(float).eps
+    CASES = [(0.01, 500), (0.01, 40), (0.3, 200), (0.5, 50), (0.8, 500), (0.95, 120),
+             (0.99, 500), (0.99, 1), (0.6, 2)]
+
+    @pytest.mark.parametrize("beta, n", CASES)
+    def test_against_mpmath(self, beta, n):
+        spec = KernelSpec("first", beta, n)
+        L = kernel_factor(spec)
+        with mpmath.workdps(50):
+            sq = mp_first_order(beta, n)
+            root = np.array([float(x) for x in sq])
+            # |sqrt(a) - sqrt(b)| <= sqrt(|a - b|), and v_l is held to 2^-1075
+            ok = np.abs(np.diagonal(L) - root) <= 4 * self.EPS * root + 2.0**-537
+            assert ok.all()
+            assert np.array_equal(L, np.triu(np.broadcast_to(np.diagonal(L), (n, n))))
+            if beta == 0.01 and n == 500:
+                assert np.count_nonzero(np.diagonal(L) == 0.0) == 339
+
+            normal = np.float_power(beta, np.arange(1, n + 1)) * (1 - beta) >= np.finfo(float).tiny
+            g = L @ np.random.default_rng(n).standard_normal(n)
+            g[~normal] = 0.0
+            w = kernel_solve(spec, L, g)
+            gm = [mpmath.mpf(float(x)) for x in g] + [mpmath.mpf(0)]
+            w_ref = [(gm[i] - gm[i + 1]) / sq[i] for i in range(n)]
+            err = [abs(mpmath.mpf(float(w[i])) - w_ref[i]) for i in range(n)]
+            assert all(e <= 4 * self.EPS * abs(r) for e, r in zip(err, w_ref))
+            quad = sum(x * x for x in w_ref)
+            assert abs(kernel_quadratic_form(spec, g) - quad) <= 8 * self.EPS * quad
+
+    @pytest.mark.parametrize("beta", [0.01, 0.4, 0.9])
+    def test_reference_is_the_kernel(self, beta):
+        # the reference's closed form against K and K^{-1} themselves, in mpmath
+        n = 12
+        with mpmath.workdps(50):
+            sq = mp_first_order(beta, n)
+            K = mpmath.matrix(n, n)
+            L = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    K[i, j] = mpmath.mpf(beta) ** (max(i, j) + 1)
+                    L[i, j] = sq[j] if j >= i else 0
+            assert mpmath.mnorm(L * L.T - K, 1) <= mpmath.mpf(10) ** -45
+            g = mpmath.matrix(np.random.default_rng(1).standard_normal(n).tolist())
+            x = mpmath.lu_solve(K, g)
+            quad = sum((g[i] - (g[i + 1] if i + 1 < n else 0)) ** 2 / sq[i] ** 2 for i in range(n))
+            assert abs((g.T * x)[0] - quad) <= mpmath.mpf(10) ** -40 * quad
 
 
 class TestKernelQuadraticForm:
-    def test_identity_injection(self):
-        assert kernel_quadratic_form(np.eye(2), [3.0, 4.0]) == pytest.approx(25.0)
+    def test_closed_form_value(self):
+        # beta = 1/2, n = 2: v = (1/4, 1/4), so w = (2 (g_1 - g_2), 2 g_2)
+        assert kernel_quadratic_form(KernelSpec("first", 0.5, 2), [3.0, 4.0]) == 68.0
 
     def test_zero_vector(self):
-        K = build_kernel(KernelSpec("first", 0.5, 3))
-        assert kernel_quadratic_form(K, np.zeros(3)) == 0.0
+        assert kernel_quadratic_form(KernelSpec("first", 0.5, 3), np.zeros(3)) == 0.0
 
     def test_matches_dense_solve_oracle(self):
         K = build_kernel(KernelSpec("first", 0.5, 2))
         g = np.array([1.0, 1.0])
         x = np.linalg.solve(K, g)
-        assert kernel_quadratic_form(K, g) == pytest.approx(float(g @ x), rel=1e-10)
+        spec = KernelSpec("first", 0.5, 2)
+        assert kernel_quadratic_form(spec, g) == pytest.approx(float(g @ x), rel=1e-10)
 
     def test_dense_oracle_random_specs(self):
-        # restricted to well-conditioned kernels: for near-singular K the
-        # jitter ladder intentionally departs from the bare inverse
+        # restricted to well-conditioned kernels, where the dense solve is
+        # itself an accurate oracle
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 16))
@@ -179,10 +257,15 @@ class TestKernelQuadraticForm:
             K = build_kernel(KernelSpec("first", beta, n))
             g = rng.standard_normal(n)
             oracle = float(g @ np.linalg.solve(K, g))
-            assert kernel_quadratic_form(K, g) == pytest.approx(oracle, rel=1e-8)
+            spec = KernelSpec("first", beta, n)
+            assert kernel_quadratic_form(spec, g) == pytest.approx(oracle, rel=1e-8)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(12)
-        K = build_kernel(KernelSpec("second", 0.85, 12))
+        spec = KernelSpec("second", 0.85, 12)
         for _ in range(50):
-            assert kernel_quadratic_form(K, rng.standard_normal(12)) >= 0.0
+            assert kernel_quadratic_form(spec, rng.standard_normal(12)) >= 0.0
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ConfigError, match="^g must be a vector of length 3"):
+            kernel_quadratic_form(KernelSpec("first", 0.5, 3), np.ones(4))

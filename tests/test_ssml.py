@@ -204,8 +204,9 @@ class TestNegLogMarglik:
             cases.append((U, y, rng.uniform(0.1, 2.0), rng.uniform(0.01, 10.0),
                           rng.uniform(0.2, 0.95)))
         # lambda 8 decades each side of scale = y'y / tr(UKU'), on kernels
-        # with eigenvalues below the jitter of kernel_factor: at 10^8 a
-        # route through the jittered factor is off by more than 1e-7
+        # with eigenvalues below 1e-12 trace(K)/n, the jitter that
+        # kernel_factor now adds for the second order only: at 10^8 a route
+        # through a factor of K + eps I is off by more than 1e-7
         for beta in (0.05, 0.1, 0.3):
             _, U, _ = random_problem(rng, N=40, n=20)
             y = rng.standard_normal(40)
@@ -400,7 +401,7 @@ class TestOptimizeHyperparams:
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(N)
         U = build_regressor(u, N, n)
-        L = kernel_factor(build_kernel(KernelSpec("first", 0.8, n)))
+        L = kernel_factor(KernelSpec("first", 0.8, n))
         g = L @ rng.standard_normal(n)
         return U, U @ g + 0.05 * rng.standard_normal(N)
 
@@ -429,7 +430,7 @@ class TestOptimizeHyperparams:
         # 80% hit-rate bound was calibrated by a pilot run of this exact
         # seeded loop (pilot: 50/50 within +-0.1)
         lam_star, beta_star, N, n = 1.0, 0.85, 500, 50
-        L = kernel_factor(build_kernel(KernelSpec("first", beta_star, n)))
+        L = kernel_factor(KernelSpec("first", beta_star, n))
         hits = 0
         reps = 50
         for rep in range(reps):
@@ -482,16 +483,16 @@ class TestPosteriorMean:
     def test_lambda_zero_gives_zero_vector(self):
         rng = np.random.default_rng(10)
         _, U, _ = random_problem(rng)
-        K = build_kernel(KernelSpec("first", 0.8, 10))
-        out = posterior_mean(0.0, K, U, rng.standard_normal(40), 1.0)
+        spec = KernelSpec("first", 0.8, 10)
+        out = posterior_mean(0.0, spec, U, rng.standard_normal(40), 1.0)
         assert np.array_equal(out, np.zeros(10))
 
     def test_infinite_noise_shrinks_to_zero(self):
         rng = np.random.default_rng(11)
         _, U, _ = random_problem(rng)
         y = rng.standard_normal(40)
-        K = build_kernel(KernelSpec("first", 0.8, 10))
-        out = posterior_mean(1.0, K, U, y, 1e12 * float(y @ y))
+        spec = KernelSpec("first", 0.8, 10)
+        out = posterior_mean(1.0, spec, U, y, 1e12 * float(y @ y))
         assert np.all(np.abs(out) <= 1e-4)
 
     def test_information_equals_covariance_form(self):
@@ -503,19 +504,19 @@ class TestPosteriorMean:
             y = rng.standard_normal(N)
             d = rng.uniform(0.5, 3.0, N)
             lam = rng.uniform(0.1, 5.0)
-            K = build_kernel(KernelSpec("first", rng.uniform(0.4, 0.95), n))
-            a = posterior_mean(lam, K, U, y, d)
-            b = covariance_posterior_mean(lam, K, U, y, d)
+            spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
+            a = posterior_mean(lam, spec, U, y, d)
+            b = covariance_posterior_mean(lam, build_kernel(spec), U, y, d)
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_linear_in_y(self):
         rng = np.random.default_rng(13)
         _, U, _ = random_problem(rng)
         y1, y2 = rng.standard_normal((2, 40))
-        K = build_kernel(KernelSpec("first", 0.7, 10))
-        a = posterior_mean(2.0, K, U, 3.0 * y1 - 0.5 * y2, 0.8)
-        b = 3.0 * posterior_mean(2.0, K, U, y1, 0.8) - 0.5 * posterior_mean(
-            2.0, K, U, y2, 0.8
+        spec = KernelSpec("first", 0.7, 10)
+        a = posterior_mean(2.0, spec, U, 3.0 * y1 - 0.5 * y2, 0.8)
+        b = 3.0 * posterior_mean(2.0, spec, U, y1, 0.8) - 0.5 * posterior_mean(
+            2.0, spec, U, y2, 0.8
         )
         assert np.allclose(a, b, rtol=1e-10, atol=1e-12)
 

@@ -22,6 +22,7 @@ from stablespline import (
     ConfigError,
     Dataset,
     GibbsConfig,
+    KernelOrder,
     KernelSpec,
     NumericError,
     build_kernel,
@@ -44,7 +45,7 @@ from stablespline.distributions import (
     sample_mvn,
 )
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
-from stablespline.kernels import kernel_factor
+from stablespline.kernels import kernel_factor, kernel_quadratic_form
 from stablespline.model import Hyperparameters
 from stablespline.ssml import IllConditionedWarning, SsmlResult, _whiten, information_system
 
@@ -63,8 +64,9 @@ def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
     U = build_regressor(rng.standard_normal(N), N, n)
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
-    L_K = kernel_factor(build_kernel(KernelSpec(order, beta, n)))
-    # the kernel as factored, jitter included
+    L_K = kernel_factor(KernelSpec(order, beta, n))
+    # the kernel as factored: K itself for the first order, K + eps I for
+    # the second
     K = L_K @ L_K.T
 
     mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
@@ -91,9 +93,7 @@ def test_information_system_identity(N, order, beta, log_lam, seed):
     rng = np.random.default_rng(seed)
     n = 8
     lam = 10.0**log_lam
-    Phi = build_regressor(rng.standard_normal(N), N, n) @ kernel_factor(
-        build_kernel(KernelSpec(order, beta, n))
-    )
+    Phi = build_regressor(rng.standard_normal(N), N, n) @ kernel_factor(KernelSpec(order, beta, n))
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
     Xt, s = np.vstack([Phi.T, y]), 1.0 / np.sqrt(tau)
@@ -118,7 +118,8 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
 
     Same conditionals and RNG order (tau, then lambda, then e ~ N(0, I_{N+n}))
     as the whitened sweep, with g'K^{-1}g by a triangular solve against L_K
-    and the g draw F t + F z for F = L_K L_A^{-T}: F t is the posterior mean
+    (upper-triangular for the first order, lower for the second) and the g
+    draw F t + F z for F = L_K L_A^{-T}: F t is the posterior mean
     and z = F'b, with b = U'D^{-1/2} e_N + L_K^{-T} e_n / sqrt(lam), is
     standard normal, since F'(U'D^{-1}U + K^{-1}/lam) F = I.  So F z is the
     perturbed mean's offset, formed without the perturbed system.  n and the
@@ -128,8 +129,9 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
     """
     y, N, n = dataset.y, dataset.N, init.g_hat.size
     U = build_regressor(dataset.u, N, n)
-    K = build_kernel(KernelSpec(init.order, init.hyper.beta, n))
-    L_K = kernel_factor(K)
+    spec = KernelSpec(init.order, init.hyper.beta, n)
+    K, L_K = build_kernel(spec), kernel_factor(spec)
+    lower = init.order is KernelOrder.SECOND
     # run_gibbs's floor holds in units of (max|y| / max|u(1..N-1)|)^2
     m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (U, y))
     rate_floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K)), 2 * (k - m))
@@ -141,7 +143,7 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
             g = restart[k - 1]
         r = y - U @ g
         tau = sample_gig_half(2.0 / init.hyper.sigma2, r * r, gen)
-        w = solve_triangular(L_K, g, lower=True)
+        w = solve_triangular(L_K, g, lower=lower)
         rate = max(float(w @ w) / 2.0, rate_floor)
         lam = 1.0 / sample_gamma(n / 2.0 + 1.0, rate, gen)
         e = gen.standard_normal(N + n)
@@ -151,7 +153,7 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
         t = solve_triangular(L_A, L_K.T @ (W.T @ y), lower=True)
         F = solve_triangular(L_A, L_K.T, lower=True).T
         b = U.T @ (e[:N] / np.sqrt(tau))
-        b += solve_triangular(L_K.T, e[N:], lower=False) / np.sqrt(lam)
+        b += solve_triangular(L_K.T, e[N:], lower=not lower) / np.sqrt(lam)
         g = F @ (t + F.T @ b)
         draws.append(g)
     return np.array(draws)
@@ -161,7 +163,7 @@ def _laplace_problem(order, input_kind, seed, N=120, n=15):
     rng = np.random.default_rng(seed)
     u = generate_input(input_kind, N, RngHandle(seed))
     U = build_regressor(u, N, n)
-    g_true = kernel_factor(build_kernel(KernelSpec(order, 0.8, n))) @ rng.standard_normal(n)
+    g_true = kernel_factor(KernelSpec(order, 0.8, n)) @ rng.standard_normal(n)
     # Laplace noise: the draws the sweep is built for
     ds = Dataset(u, U @ g_true + rng.laplace(0.0, 0.1, N))
     return ds, run_ssml(ds, n, order)
@@ -240,7 +242,8 @@ class TestFactorizationBudget:
         assert +extra == Counter(solve=5, **dict.fromkeys(self.SAMPLERS, 5))
         assert -extra == Counter()
         solves = [shapes for name, shapes in long if name == "solve"]
-        # one solve starts the chain at w = L_K^{-1} g0; every other is a draw
+        # every solve is a draw: the first-order chain starts at
+        # w = L_K^{-1} g0 by first differences
         assert all(shapes == [(self.n, self.n), (self.n,)] for shapes in solves)
         assert not {"qr", "eigh"} & {name for name, _ in long}
 
@@ -256,12 +259,12 @@ class TestDataNeverWritten:
     def problem(self):
         rng = np.random.default_rng(68)
         U = build_regressor(rng.standard_normal(self.N), self.N, self.n)
-        K = build_kernel(KernelSpec("first", 0.8, self.n))
-        return K, U, rng.standard_normal(self.N), rng.uniform(0.5, 2.0, self.N)
+        spec = KernelSpec("first", 0.8, self.n)
+        return spec, U, rng.standard_normal(self.N), rng.uniform(0.5, 2.0, self.N)
 
     def test_whitened_data_is_read_only(self, problem):
-        K, U, y, _ = problem
-        _, Xt = _whiten(K, U, y)
+        spec, U, y, _ = problem
+        _, Xt = _whiten(spec, U, y)
         with pytest.raises(ValueError, match="read-only"):
             Xt[-1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -269,8 +272,8 @@ class TestDataNeverWritten:
 
     @pytest.mark.parametrize("work", [False, True], ids=["new_buffer", "work_buffer"])
     def test_g_step_leaves_inputs_unchanged(self, problem, work):
-        K, U, y, tau = problem
-        L_K, Xt = _whiten(K, U, y)
+        spec, U, y, tau = problem
+        L_K, Xt = _whiten(spec, U, y)
         Xt = Xt.copy()  # writable: a write would show, not raise
         inputs = (tau, L_K, Xt)
         before = [x.tobytes() for x in inputs]
@@ -281,8 +284,8 @@ class TestDataNeverWritten:
     def test_g_step_perturbs_the_scaled_output_row(self, problem, monkeypatch):
         # the right-hand side solved is that of X' D^{-1/2} with e_N added
         # to its output row, bit for bit: no detour through data units
-        K, U, y, tau = problem
-        L_K, Xt = _whiten(K, U, y)
+        spec, U, y, tau = problem
+        L_K, Xt = _whiten(spec, U, y)
         lam, N, n = 0.7, self.N, self.n
         e = np.random.default_rng(70).standard_normal(N + n)
         solved = []
@@ -301,41 +304,44 @@ class TestDataNeverWritten:
         assert solved[0].tobytes() == (c + e[N:] / np.sqrt(lam)).tobytes()
 
     def test_conditional_g_leaves_inputs_unchanged(self, problem):
-        inputs = problem
+        spec, *inputs = problem
         before = [x.tobytes() for x in inputs]
-        K, U, y, tau = inputs
-        conditional_g(0.7, tau, K, U, y, RngHandle(69))
+        U, y, tau = inputs
+        conditional_g(0.7, tau, spec, U, y, RngHandle(69))
         assert [x.tobytes() for x in inputs] == before
 
 
 class TestLambdaRateFloor:
     # conditional_lambda's floor is LAMBDA_RATE_FLOOR_FACTOR trace(K) in units
-    # of max|g|^2, which is 1 for g = 0.75 e_1.  Against K = c I, which
-    # factors as sqrt(c (1 + 1e-12)) I, the rate 0.75^2 / (2 c (1 + 1e-12))
-    # falls and the floor LAMBDA_RATE_FLOOR_FACTOR n c rises with c.
+    # of max|g|^2, which is 1 for g = 0.75 e_1.  A stable-spline kernel keeps
+    # g'K^{-1}g >= |g|^2 / trace(K) far above 1e-12 trace(K), so these tests
+    # set the factor that puts the rate at a given multiple of the floor.
     n = 6
+    spec = KernelSpec("first", 0.8, 6)
     g = 0.75 * np.eye(1, 6)[0]
 
-    def _kernel_with_rate(self, ratio):
-        """K = c I whose rate at g is ``ratio`` times its floor, and the floor."""
-        c = 0.75 / np.sqrt(2.0 * ratio * LAMBDA_RATE_FLOOR_FACTOR * self.n * (1.0 + 1e-12))
-        K = c * np.eye(self.n)
-        return K, LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K))
+    def _floor_at(self, monkeypatch, ratio):
+        """Set the factor so the rate at g is ``ratio`` times the floor; the floor."""
+        rate = kernel_quadratic_form(self.spec, self.g) / 2.0
+        trace = float(np.trace(build_kernel(self.spec)))
+        factor = rate / (ratio * trace)
+        monkeypatch.setattr(gibbs, "LAMBDA_RATE_FLOOR_FACTOR", factor)
+        return factor * trace
 
     def _expected(self, rate, seed):
         return 1.0 / sample_gamma(self.n / 2.0 + 1.0, rate, RngHandle(seed).generator())
 
-    def test_rate_below_floor_warns_and_floors(self):
-        K, floor = self._kernel_with_rate(0.5)
+    def test_rate_below_floor_warns_and_floors(self, monkeypatch):
+        floor = self._floor_at(monkeypatch, 0.5)
         with pytest.warns(IllConditionedWarning, match="floored"):
-            lam = conditional_lambda(self.g, K, RngHandle(120))
+            lam = conditional_lambda(self.g, self.spec, RngHandle(120))
         assert lam == self._expected(floor, 120)
 
-    def test_rate_above_floor_is_used(self):
-        K, floor = self._kernel_with_rate(2.0)
+    def test_rate_above_floor_is_used(self, monkeypatch):
+        floor = self._floor_at(monkeypatch, 2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = conditional_lambda(self.g, K, RngHandle(121))
+            lam = conditional_lambda(self.g, self.spec, RngHandle(121))
         assert lam == pytest.approx(self._expected(2.0 * floor, 121), rel=1e-10)
 
     def test_sweep_from_zero_state_floors(self):
@@ -375,10 +381,14 @@ def test_non_pd_information_form_raises():
     ids=["posterior_mean", "conditional_g"],
 )
 def test_singular_information_form_raises(call, context):
-    # the system of test_non_pd_information_form_raises: A rounds to a
-    # multiple of ones(3, 3), on which the LU solve meets a zero pivot
+    # as in test_non_pd_information_form_raises: at beta = 1/2, n = 2, L_K's
+    # first row is (1/2, 1/2), so U = [1 0] gives Phi identical columns, and
+    # A rounds exactly to 2^42 ones(2, 2), on which the LU solve meets a zero
+    # pivot
+    U = np.zeros((16, 2))
+    U[:, 0] = 1.0
     with pytest.raises(NumericError, match="singular") as info:
-        call(2.0**30, np.eye(3), np.ones((16, 3)), np.ones(16), np.full(16, 2.0**-40))
+        call(2.0**30, KernelSpec("first", 0.5, 2), U, np.ones(16), np.full(16, 2.0**-40))
     assert info.value.context == context
 
 
@@ -394,7 +404,10 @@ def test_overflowed_information_form_raises():
 @pytest.mark.parametrize(
     "call, context",
     [
-        (lambda U: posterior_mean(1.0, np.eye(2), U, np.ones(2), 1.0), "ssml.posterior_mean"),
+        (
+            lambda U: posterior_mean(1.0, KernelSpec("first", 0.5, 2), U, np.ones(2), 1.0),
+            "ssml.posterior_mean",
+        ),
         (lambda U: posterior_moments(1.0, U, np.ones(2), 1.0), "ssml.posterior_moments"),
     ],
     ids=["posterior_mean", "posterior_moments"],
@@ -425,12 +438,12 @@ class TestPosteriorMomentsEdges:
     @pytest.mark.parametrize("lam", [1e-10, 1e10])
     def test_matches_covariance_form(self, problem, lam, beta):
         U, y, tau = problem
-        L_K = kernel_factor(build_kernel(KernelSpec("first", beta, self.n)))
+        spec = KernelSpec("first", beta, self.n)
+        L_K = kernel_factor(spec)
         mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
 
         assert np.all(np.tril(R, -1) == 0.0)
-        # against the kernel as factored, jitter included
-        mean_ref, cov_ref = covariance_posterior(lam, L_K @ L_K.T, U, y, tau)
+        mean_ref, cov_ref = covariance_posterior(lam, build_kernel(spec), U, y, tau)
         F = L_K @ R
         assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
         assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
@@ -439,7 +452,7 @@ class TestPosteriorMomentsEdges:
     def test_factor_triangular_at_sweep_size(self, lam):
         N, n = 500, 50
         U = build_regressor(generate_input("lp", N, RngHandle(61)), N, n)
-        L_K = kernel_factor(build_kernel(KernelSpec("first", 0.99, n)))
+        L_K = kernel_factor(KernelSpec("first", 0.99, n))
         tau = np.random.default_rng(61).uniform(0.1, 10.0, N)
         _, R = posterior_moments(lam, U @ L_K, np.ones(N), tau)
         assert np.all(np.tril(R, -1) == 0.0)
@@ -452,15 +465,15 @@ class TestPosteriorMomentsEdges:
         U = build_regressor(rng.standard_normal(N), N, self.n)
         tau = rng.uniform(0.5, 3.0, N)
         y = np.zeros(N)
-        K = build_kernel(KernelSpec("first", 0.9, self.n))
-        L_K = kernel_factor(K)
+        spec = KernelSpec("first", 0.9, self.n)
+        L_K = kernel_factor(spec)
         mean_w, R = posterior_moments(1.0, U @ L_K, y, tau)
 
         assert np.all(mean_w == 0.0)
-        _, cov_ref = covariance_posterior(1.0, L_K @ L_K.T, U, y, tau)
+        _, cov_ref = covariance_posterior(1.0, build_kernel(spec), U, y, tau)
         F = L_K @ R
         assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
-        assert np.all(np.isfinite(conditional_g(1.0, tau, K, U, y, RngHandle(65))))
+        assert np.all(np.isfinite(conditional_g(1.0, tau, spec, U, y, RngHandle(65))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_noise_variance(self, bad):
@@ -506,4 +519,4 @@ class TestSweepGuards:
         e[self.N + 2] = bad
         monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite g"):
-            conditional_g(1.0, np.ones(self.N), np.eye(self.n), U, ds.y, RngHandle(64))
+            conditional_g(1.0, np.ones(self.N), KernelSpec("first", 0.8, self.n), U, ds.y, RngHandle(64))
