@@ -1,9 +1,10 @@
 """Dataset and document file formats used by the command-line tools.
 
 Datasets are plain delimiter-separated text with a ``t,u,y`` header, one
-sample per row.  Truth/result/summary documents are JSON key-value trees
-with every float rendered at 17 significant digits, so identical inputs
-produce byte-identical, diff-able files that round-trip bit-faithfully.
+sample per row.  Truth/result/summary documents are indented JSON trees,
+one value per line, with every float written as Python's shortest string
+that reads back as the same double, so identical inputs produce
+byte-identical, diff-able files that round-trip bit-faithfully.
 """
 
 from __future__ import annotations
@@ -87,39 +88,20 @@ def read_dataset(path) -> Dataset:
         raise ConfigError(f"{p}: {exc}") from None
 
 
-def dump_document(obj, indent: int = 0) -> str:
-    """Serialize a document tree to JSON text with .17g floats."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in obj.items():
-            items.append(
-                f'{pad}  {json.dumps(str(key))}: {dump_document(value, indent + 1)}'
-            )
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in seq):
-            return "[" + ", ".join(
-                _format_float(v) if isinstance(v, float) else str(v) for v in seq
-            ) + "]"
-        items = [f"{pad}  {dump_document(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ConfigError(f"cannot serialize value of type {type(obj).__name__}")
+def _json_value(x):
+    """numpy arrays and scalars as the Python values ``json`` writes."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"cannot serialize value of type {type(x).__name__}")
+
+
+def dump_document(obj) -> str:
+    """Serialize a document tree to indented JSON text; a non-finite number or a
+    value JSON cannot hold is a ConfigError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False, default=_json_value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot serialize document: {exc}") from None
 
 
 def write_document(path, doc: dict) -> None:

@@ -13,11 +13,12 @@ The sweep runs in whitened coordinates w = L_K^{-1} g, with L_K L_K' = K
 and X' = [Phi y]', Phi = U L_K, formed once per chain by
 :func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
 uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
-and the g draw is a w draw mapped back by g = L_K w.  The w draw is a
-perturbed posterior mean (Papandreou & Yuille, NIPS 2010) taken in the
-scaled space D^{-1/2} X: with e standard normal of length N + n, the scaled
-output row becomes y D^{-1/2} + e_N, so the information form A w = c of
-:func:`stablespline.ssml.information_system` gets a right-hand side
+and the g step draws w.  The chain's state is w: it stores every sweep's w
+and forms the g draws once, after the last sweep, as g = L_K w.  The w
+draw is a perturbed posterior mean (Papandreou & Yuille, NIPS 2010) taken
+in the scaled space D^{-1/2} X: with e standard normal of length N + n,
+the scaled output row becomes y D^{-1/2} + e_N, so the information form
+A w = c of :func:`stablespline.ssml.information_system` gets a right-hand side
 c~ = c + Phi'D^{-1/2} e_N ~ N(c, Phi'D^{-1}Phi), and one solve gives
 w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
 A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
@@ -237,29 +238,24 @@ def _draw_lambda(
 def _draw_g(
     lam: float,
     tau: np.ndarray,
-    L_K: np.ndarray,
     Xt: np.ndarray,
     gen: np.random.Generator,
     work: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """G step: w from its whitened Gaussian conditional; returns (w, L_K w).
+) -> np.ndarray:
+    """G step: w = L_K^{-1} g from its whitened Gaussian conditional.
 
-    The perturbation draw of the module docstring.  Xt = [Phi y]' is only
-    read: it is scaled by D^{-1/2}, D = diag(tau), into ``work`` (shaped
-    like Xt; a new array if None), e_N is added to the scaled output row,
-    and w solves A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and
-    finite.
+    The perturbation draw of the module docstring, left in w: the caller
+    maps it to g.  Xt = [Phi y]' is only read: it is scaled by D^{-1/2},
+    D = diag(tau), into ``work`` (shaped like Xt; a new array if None), e_N
+    is added to the scaled output row, and w solves
+    A w = c~ + e_n / sqrt(lam).  ``tau`` must be positive and finite.
     """
-    N, n = tau.size, L_K.shape[0]
+    N, n = tau.size, Xt.shape[0] - 1
     e = sample_mvn(N + n, gen)
     Xs = np.multiply(Xt, 1.0 / np.sqrt(tau), out=work)
     Xs[n] += e[:N]
     A, c = information_system(lam, Xs, "gibbs.conditional_g")
-    w = _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
-    g = L_K @ w
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite g draw", context="gibbs.conditional_g")
-    return w, g
+    return _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
 
 
 def conditional_tau(
@@ -315,6 +311,8 @@ def conditional_g_moments(
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
     the whitened information form and mapped back through L_K.
     """
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ConfigError(f"conditional_g_moments requires lambda > 0, got {lam}")
     U = _finite("U", U, (None, spec.n))
     y = _finite("y", y, U.shape[:1])
     L_K = kernel_factor(spec)
@@ -335,8 +333,9 @@ def conditional_g(
         raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
     U = _finite("U", U, (None, spec.n))
     L_K, Xt = _whiten(spec, U, _finite("y", y, U.shape[:1]))
-    tau = _noise_diag(tau, Xt.shape[1])
-    _, g = _draw_g(lam, tau, L_K, Xt, as_generator(rng))
+    g = L_K @ _draw_g(lam, _noise_diag(tau, Xt.shape[1]), Xt, as_generator(rng))
+    if not np.isfinite(g).all():
+        raise NumericError("non-finite g draw", context="gibbs.conditional_g")
     return g
 
 
@@ -356,10 +355,10 @@ def run_gibbs(
 
     The chain runs on U 2^-m and y 2^-k, with 2^(m-1) <= max|u(1..N-1)| < 2^m
     (the samples the regressor U holds) and 2^(k-1) <= max|y| < 2^k, from
-    g0 2^(m-k) and sigma2 4^-k; its stored g, lambda and tau draws are
-    mapped back by 2^(k-m), 4^(k-m) and 4^k after the last sweep (module
-    docstring); a draw or estimate that overflows in data units raises
-    NumericError.
+    g0 2^(m-k) and sigma2 4^-k.  After the last sweep its stored w draws
+    become g = L_K w, and g, lambda and tau are mapped back by 2^(k-m),
+    4^(k-m) and 4^k (module docstring); a draw or estimate that overflows
+    in data units raises NumericError.
     """
     n = init.g_hat.size
     m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, dataset.N, n), dataset.y)
@@ -371,29 +370,33 @@ def run_gibbs(
     gen = as_generator(rng)
 
     w = kernel_solve(spec, L_K, np.ldexp(init.g_hat, m - k))
+    ww = float(w @ w)  # g'K^{-1}g, the lambda step's statistic
     a_gig = 2.0 / np.ldexp(init.hyper.sigma2, -2 * k)
 
     M, M0 = config.M, config.M0
-    g_samples = np.empty((M, n))
+    w_samples = np.empty((M, n))
     lambda_samples = np.empty(M)
     tau_samples = np.empty((M // TAU_THIN, dataset.N))
 
     for sweep in range(1, M + 1):
         try:
             tau = _draw_tau(Phi, w, y, a_gig, gen)
-            lam = _draw_lambda(float(w @ w), n, gen, config.rate_convention, rate_floor)
-            w, g = _draw_g(lam, tau, L_K, Xt, gen, work)
+            lam = _draw_lambda(ww, n, gen, config.rate_convention, rate_floor)
+            w = _draw_g(lam, tau, Xt, gen, work)
+            ww = float(w @ w)
+            if not np.isfinite(ww):
+                raise NumericError("non-finite g draw", context="gibbs.conditional_g")
         except NumericError as exc:
             raise NumericError(f"{exc.message} at sweep {sweep}", context=exc.context) from exc
 
-        g_samples[sweep - 1] = g
+        w_samples[sweep - 1] = w
         lambda_samples[sweep - 1] = lam
         if sweep % TAU_THIN == 0:
             tau_samples[sweep // TAU_THIN - 1] = tau
 
     # back to data units, in place: the chain's arrays are its largest
     with np.errstate(over="ignore"):  # reported below
-        np.ldexp(g_samples, k - m, out=g_samples)
+        g_samples = np.ldexp(w_samples @ L_K.T, k - m, out=w_samples)
         np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
         np.ldexp(tau_samples, 2 * k, out=tau_samples)
         g_hat = g_samples[M0 - 1 :].mean(axis=0)  # GibbsChain.post_burn_in's rows

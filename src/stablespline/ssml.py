@@ -427,17 +427,22 @@ def information_system(
     if not np.isfinite(M).all():
         raise NumericError("information-form system not finite", context=context)
     n = M.shape[0] - 1
-    i = np.arange(n)
-    M[i, i] += 1.0 / lam
+    M.ravel()[: n * (n + 2) : n + 2] += 1.0 / lam  # the leading block's diagonal
     return M[:n, :n], M[:n, n]
 
 
 def _whiten(spec: KernelSpec, U, y) -> tuple[np.ndarray, np.ndarray]:
     """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K' of
     ``spec``; X' is (n+1) x N, C-contiguous and read-only.  The one builder
-    of X' (module docstring)."""
+    of X' (module docstring): a U that is not N x n or a y that is not of
+    length N is a ConfigError naming it."""
+    U, y = np.asarray(U, dtype=float), np.asarray(y, dtype=float)
+    if U.ndim != 2 or U.shape[1] != spec.n:
+        raise ConfigError(f"U must have shape (None, {spec.n}), got {U.shape}")
+    if y.shape != U.shape[:1]:
+        raise ConfigError(f"y must have shape {U.shape[:1]}, got {y.shape}")
     L_K = kernel_factor(spec)
-    Xt = np.vstack([(np.asarray(U, dtype=float) @ L_K).T, np.asarray(y, dtype=float)])
+    Xt = np.vstack([(U @ L_K).T, y])
     Xt.flags.writeable = False
     return L_K, Xt
 

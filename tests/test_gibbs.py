@@ -202,8 +202,8 @@ class TestConditionalEdges:
             conditional_g(1.0, np.ones(20), self.SPEC, data["U"], data["y"], RngHandle(1))
 
     # A shape that disagrees with the kernel's n or with the other arguments
-    # is a ConfigError naming the argument, at each exported conditional
-    # (n = 5, N = 20).
+    # is a ConfigError naming the argument, at each exported conditional and
+    # at posterior_mean, whose X' builder ssml._whiten checks it (n = 5, N = 20).
     @pytest.mark.parametrize(
         "call, name",
         [
@@ -215,15 +215,28 @@ class TestConditionalEdges:
             (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U[:, :4], y), "U"),
             (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U, y[:-1]), "y"),
             (lambda U, y, spec: conditional_lambda(np.ones(4), spec, RngHandle(1)), "g"),
+            (lambda U, y, spec: posterior_mean(1.0, spec, U[:, :4], y, 1.0), "U"),
+            (lambda U, y, spec: posterior_mean(1.0, spec, U[0], y, 1.0), "U"),
+            (lambda U, y, spec: posterior_mean(1.0, spec, U, y[:-1], 1.0), "y"),
         ],
         ids=["tau-g-short", "tau-y-short", "tau-U-vector", "g-U-columns", "g-y-short",
-             "moments-U-columns", "moments-y-short", "lambda-g-short"],
+             "moments-U-columns", "moments-y-short", "lambda-g-short",
+             "mean-U-columns", "mean-U-vector", "mean-y-short"],
     )
     def test_shape_mismatch_names_argument(self, call, name):
         rng = np.random.default_rng(0)
         U, y = build_regressor(rng.standard_normal(20), 20, 5), rng.standard_normal(20)
         with pytest.raises(ConfigError, match=f"^{name} must have shape"):
             call(U, y, self.SPEC)
+
+    @pytest.mark.parametrize("lam", [-1.0, 0.0, np.inf, np.nan])
+    @pytest.mark.parametrize("call", [conditional_g, conditional_g_moments])
+    def test_lambda_checked_at_entry(self, call, lam):
+        rng = np.random.default_rng(0)
+        U, y = build_regressor(rng.standard_normal(20), 20, 5), rng.standard_normal(20)
+        args = (lam, np.ones(20), self.SPEC, U, y) + ((RngHandle(1),) if call is conditional_g else ())
+        with pytest.raises(ConfigError, match=f"^{call.__name__} requires lambda > 0"):
+            call(*args)
 
     @pytest.mark.parametrize("name", ["U", "y"])
     def test_conditional_g_moments_rejects_non_finite_data(self, name):

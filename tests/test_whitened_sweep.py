@@ -46,7 +46,7 @@ from stablespline.distributions import (
 )
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
 from stablespline.kernels import kernel_factor, kernel_quadratic_form
-from stablespline.model import Hyperparameters
+from stablespline.model import Hyperparameters, power_of_two_scaled
 from stablespline.ssml import IllConditionedWarning, SsmlResult, _whiten, information_system
 
 
@@ -273,19 +273,19 @@ class TestDataNeverWritten:
     @pytest.mark.parametrize("work", [False, True], ids=["new_buffer", "work_buffer"])
     def test_g_step_leaves_inputs_unchanged(self, problem, work):
         spec, U, y, tau = problem
-        L_K, Xt = _whiten(spec, U, y)
+        _, Xt = _whiten(spec, U, y)
         Xt = Xt.copy()  # writable: a write would show, not raise
-        inputs = (tau, L_K, Xt)
+        inputs = (tau, Xt)
         before = [x.tobytes() for x in inputs]
         buffer = np.empty_like(Xt) if work else None
-        gibbs._draw_g(0.7, tau, L_K, Xt, np.random.default_rng(69), buffer)
+        gibbs._draw_g(0.7, tau, Xt, np.random.default_rng(69), buffer)
         assert [x.tobytes() for x in inputs] == before
 
     def test_g_step_perturbs_the_scaled_output_row(self, problem, monkeypatch):
         # the right-hand side solved is that of X' D^{-1/2} with e_N added
         # to its output row, bit for bit: no detour through data units
         spec, U, y, tau = problem
-        L_K, Xt = _whiten(spec, U, y)
+        _, Xt = _whiten(spec, U, y)
         lam, N, n = 0.7, self.N, self.n
         e = np.random.default_rng(70).standard_normal(N + n)
         solved = []
@@ -296,7 +296,7 @@ class TestDataNeverWritten:
 
         monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
         monkeypatch.setattr("stablespline.gibbs._solve", solve)
-        gibbs._draw_g(lam, tau, L_K, Xt, np.random.default_rng(71))
+        gibbs._draw_g(lam, tau, Xt, np.random.default_rng(71))
 
         Xs = Xt * (1.0 / np.sqrt(tau))
         Xs[n] = Xt[n] * (1.0 / np.sqrt(tau)) + e[:N]
@@ -309,6 +309,32 @@ class TestDataNeverWritten:
         U, y, tau = inputs
         conditional_g(0.7, tau, spec, U, y, RngHandle(69))
         assert [x.tobytes() for x in inputs] == before
+
+
+class TestChainStateIsW:
+    """The chain's state is w = L_K^{-1} g: it stores each sweep's w and
+    forms its g draws once, after the last sweep."""
+
+    @pytest.mark.parametrize("order", ["first", "second"])
+    def test_g_samples_are_w_draws_times_factor(self, monkeypatch, order):
+        ds, init = _laplace_problem(order, "wn", 9)
+        n, real, draws = init.g_hat.size, gibbs._solve, []
+
+        def solve(A, b, context):
+            draws.append(real(A, b, context))
+            return draws[-1]
+
+        monkeypatch.setattr(gibbs, "_solve", solve)
+        _, chain = run_gibbs(ds, GibbsConfig(M=20, M0=10), init, RngHandle(9))
+        assert len(draws) == 20
+        m, k, _, _ = power_of_two_scaled(build_regressor(ds.u, ds.N, n), ds.y)
+        L_K = kernel_factor(KernelSpec(order, init.hyper.beta, n))
+        W = np.array(draws)
+        # g = L_K w per draw, in data units; two summation orders of an
+        # n-term product differ by at most n ulp of sum |L_K| |w|
+        reference = np.ldexp(np.array([L_K @ w for w in W]), k - m)
+        bound = n * np.finfo(float).eps * np.ldexp(np.abs(W) @ np.abs(L_K).T, k - m)
+        assert np.all(np.abs(chain.g_samples - reference) <= bound)
 
 
 class TestLambdaRateFloor:
@@ -520,3 +546,21 @@ class TestSweepGuards:
         monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite g"):
             conditional_g(1.0, np.ones(self.N), KernelSpec("first", 0.8, self.n), U, ds.y, RngHandle(64))
+
+    def test_chain_non_finite_g_draw_names_sweep(self, monkeypatch):
+        # the chain's guard is w'w, the lambda step's statistic, taken
+        # right after the g step: a NaN in e_n from sweep 3 on trips it there
+        ds, init = _laplace_problem("first", "wn", 9)
+        calls = []
+
+        def mvn(size, gen):
+            calls.append(None)
+            e = np.ones(size)
+            e[-1] = np.nan if len(calls) >= 3 else 1.0
+            return e
+
+        monkeypatch.setattr("stablespline.gibbs.sample_mvn", mvn)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError) as info:
+            run_gibbs(ds, GibbsConfig(M=10, M0=2), init, RngHandle(65))
+        assert info.value.context == "gibbs.conditional_g"
+        assert info.value.message == "non-finite g draw at sweep 3"
