@@ -24,7 +24,7 @@ from .distributions import RngHandle, as_generator, sample_noise_mixture
 from .errors import ConfigError, NumericError
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
-from .model import Dataset, build_regressor, fit_score
+from .model import Dataset, build_regressor, check_array, check_count, check_positive, fit_score
 from .ssml import run_ssml
 
 __all__ = [
@@ -86,7 +86,9 @@ class TransferFunction:
     def __post_init__(self):
         z = np.array(self.zeros, dtype=complex)
         p = np.array(self.poles, dtype=complex)
-        if p.size and np.max(np.abs(p)) >= POLE_RADIUS:
+        check_array("zeros", np.abs(z))
+        check_array("gain", self.gain, ())
+        if not np.all(check_array("poles", np.abs(p)) < POLE_RADIUS):
             raise ConfigError(
                 f"poles must satisfy |p| < {POLE_RADIUS}, got max {np.max(np.abs(p)):.4f}"
             )
@@ -144,7 +146,7 @@ def generate_system(rng, n: int = 50) -> TransferFunction:
     gain normalizes the length-n truncated impulse response to unit
     Euclidean norm.
     """
-    gen = as_generator(rng)
+    n, gen = check_count("n", n), as_generator(rng)
     pole_mags = gen.uniform(POLE_MAG_MIN, POLE_RADIUS, N_PAIRS)
     pole_angles = gen.uniform(0.0, np.pi, N_PAIRS)
     zero_mags = gen.uniform(0.0, POLE_RADIUS, N_PAIRS)
@@ -163,9 +165,7 @@ def impulse_response(tf: TransferFunction, n: int) -> np.ndarray:
     """First n samples after the unit delay: g(k) = gain * h(k-1), where h
     is the impulse response of B/A.  The finiteness guard of the filter
     applies to the unscaled response."""
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    return tf.gain * _filter(tf.num, tf.den, np.eye(1, n)[0])
+    return tf.gain * _filter(tf.num, tf.den, np.eye(1, check_count("n", n))[0])
 
 
 def generate_input(kind, N: int, rng) -> np.ndarray:
@@ -174,10 +174,7 @@ def generate_input(kind, N: int, rng) -> np.ndarray:
     LP: second-order all-pole filter with a double real pole at
     rho ~ U(0.75, 0.95) and unit DC gain.
     """
-    if N < 1:
-        raise ConfigError(f"N must be positive, got {N}")
-    kind = InputKind.parse(kind)
-    gen = as_generator(rng)
+    N, kind, gen = check_count("N", N), InputKind.parse(kind), as_generator(rng)
     if kind is InputKind.WN:
         return gen.standard_normal(N)
     rho = gen.uniform(*LP_POLE_RANGE)
@@ -208,18 +205,14 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "input_kind", InputKind.parse(self.input_kind))
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
+        check_count("runs", self.runs)
+        check_count("master_seed", self.master_seed, 0)
         if not (0.0 <= self.c1 <= 1.0):
             raise ConfigError(f"c1 must lie in [0, 1], got {self.c1}")
-        if self.N <= self.n:
+        if check_count("N", self.N) <= check_count("n", self.n):
             raise ConfigError(f"need N > n, got N={self.N}, n={self.n}")
-        if not (self.variance_ratio > 0 and self.snr_divisor > 0):
-            raise ConfigError("variance_ratio and snr_divisor must be positive")
+        check_positive("ExperimentConfig", "variance_ratio", self.variance_ratio)
+        check_positive("ExperimentConfig", "snr_divisor", self.snr_divisor)
 
     @property
     def c2(self) -> float:
@@ -303,8 +296,7 @@ def _five_number(values: np.ndarray) -> dict:
 
 def summarize(results: list[RunResult]) -> dict:
     """Five-number FIT statistics per estimator plus the pairwise win rate."""
-    if not results:
-        raise ConfigError("cannot summarize an empty result list")
+    check_count("len(results)", len(results))
     ssml = np.array([r.fit_ssml for r in results])
     ssgs = np.array([r.fit_ssgs for r in results])
     return {

@@ -23,9 +23,9 @@ from .fileio import (
     write_document,
     write_runs_csv,
 )
-from .gibbs import GibbsConfig, quantile_diagnostics, run_gibbs
+from .gibbs import DIAG_MIN_SAMPLES, GibbsConfig, quantile_diagnostics, run_gibbs
 from .kernels import KernelOrder
-from .model import _as_finite_vector, fit_score
+from .model import check_array, fit_score
 from .ssml import run_ssml
 
 ESTIMATORS = ("ssml", "ssgs", "both")
@@ -116,11 +116,7 @@ def cmd_identify(args) -> int:
             raise ConfigError(
                 f"{args.truth}: not a truth document with a numeric impulse_response"
             ) from None
-        if truth_g.shape != (args.n,):
-            raise ConfigError(
-                f"{args.truth}: truth response has length {truth_g.size}, expected n={args.n}"
-            )
-        _as_finite_vector(truth_g, f"{args.truth}: truth response")
+        check_array(f"{args.truth}: truth response", truth_g, (args.n,))
 
     sampling = args.estimator in ("ssgs", "both")
     if sampling:
@@ -161,7 +157,8 @@ def cmd_identify(args) -> int:
             fit["ssml"] = fit_score(truth_g, ssml.g_hat)
     if sampling:
         g_gs, chain = run_gibbs(dataset, cfg, ssml, rng)
-        diag = quantile_diagnostics(chain) if chain.post_burn_in().shape[0] >= 100 else None
+        enough = chain.post_burn_in().shape[0] >= DIAG_MIN_SAMPLES
+        diag = quantile_diagnostics(chain) if enough else None
         doc["ssgs"] = {
             "g_hat": g_gs,
             "iters": args.iters,

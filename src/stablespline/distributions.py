@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
+from .model import check_count, check_positive
 
 __all__ = [
     "RngHandle",
@@ -50,10 +51,8 @@ class RngHandle:
     path: tuple = field(default=())
 
     def __post_init__(self):
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "stream", int(self.stream))
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        object.__setattr__(self, "stream", check_count("stream", self.stream, 0))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *self.path))
@@ -114,16 +113,16 @@ def sample_noise_mixture(N: int, sigma2: float, c1: float, variance_ratio: float
 
     Returns the noise and the boolean mask of its high-variance draws.
     """
-    if N < 1:
-        raise ConfigError(f"N must be positive, got {N}")
+    check_count("N", N)
     if not (0.0 <= c1 <= 1.0):
         raise ConfigError(f"c1 must lie in [0, 1], got {c1}")
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    if not (variance_ratio > 0 and np.isfinite(variance_ratio)):
-        raise ConfigError(f"variance_ratio must be positive, got {variance_ratio}")
+    sigma2 = check_positive("sample_noise_mixture", "sigma2", sigma2)
+    variance_ratio = check_positive("sample_noise_mixture", "variance_ratio", variance_ratio)
     gen = as_generator(rng)
     z = gen.standard_normal(N)
     outlier = gen.uniform(size=N) >= c1
-    scale = np.where(outlier, np.sqrt(variance_ratio * sigma2), np.sqrt(sigma2))
-    return z * scale, outlier
+    with np.errstate(all="ignore"):  # reported below
+        v = z * np.where(outlier, np.sqrt(variance_ratio * sigma2), np.sqrt(sigma2))
+    if not np.isfinite(v).all():
+        raise NumericError("a noise sample overflows", context="distributions.sample_noise_mixture")
+    return v, outlier

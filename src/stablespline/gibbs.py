@@ -24,15 +24,11 @@ w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
 A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
 read-only and holds [Phi y]' for the whole chain: the g step scales it into
 its own buffer and adds e_N to the output row there.
-The exported conditionals wrap the same three step functions and take a
-``KernelSpec``.  Each checks its own input: a non-finite array, or one of the
-wrong shape, is a ConfigError naming it.  The steps, and the samplers of
-:mod:`stablespline.distributions` under them, check nothing else: a draw
-that cannot be represented (a lambda rate that is not positive and finite,
-a tau that is not) raises NumericError under the name of its conditional
-(``gibbs.conditional_tau``, ``_lambda`` or ``_g``), the conditionals
-silence numpy's floating-point warnings on the way, and :func:`run_gibbs`
-adds the sweep it failed at to the message.
+The exported conditionals wrap the same three step functions, take a
+``KernelSpec`` and check their arguments at entry, once, with the helpers of
+:mod:`stablespline.model`; the steps and their samplers check nothing.  A
+draw that cannot be represented raises NumericError under its conditional's
+name, with no numpy warning, and :func:`run_gibbs` adds the sweep.
 
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
@@ -62,18 +58,19 @@ import numpy as np
 
 from .distributions import as_generator, sample_gamma, sample_gig_half, sample_mvn
 from .errors import ConfigError, NumericError
-from .kernels import (
-    KernelSpec,
-    build_kernel,
-    kernel_factor,
-    kernel_quadratic_form,
-    kernel_solve,
+from .kernels import KernelSpec, build_kernel, kernel_factor, kernel_solve
+from .model import (
+    Dataset,
+    build_regressor,
+    check_array,
+    check_count,
+    check_positive,
+    power_of_two_scaled,
 )
-from .model import Dataset, build_regressor, power_of_two_scaled
-from .ssml import (
+from .ssml import (  # posterior_moments stays a name here: perfbench/layers.py patches it
     IllConditionedWarning,
     SsmlResult,
-    _noise_diag,
+    _moments,
     _solve,
     _whiten,
     information_system,
@@ -106,8 +103,10 @@ LAMBDA_RATE_FLOOR_FACTOR = 1e-12
 QUANTILE_FLAG_THRESHOLD = 0.2
 DIAG_QUANTILES = (0.25, 0.5, 0.75)
 IQR_FLOOR_FACTOR = 1e-12
+DIAG_MIN_SAMPLES = 100  # the least post-burn-in chain the split-half check reads
 
 TAU_THIN = 10  # store every TAU_THIN-th tau vector; the estimate needs none
+G_ROWS = 128  # w draws mapped to g per product after the last sweep
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,8 @@ class GibbsConfig:
     rate_convention: str = "half"
 
     def __post_init__(self):
-        if self.M < 1 or self.M0 < 1 or self.M0 >= self.M:
-            raise ConfigError(
-                f"need 1 <= M0 < M, got M={self.M}, M0={self.M0}"
-            )
+        if check_count("M0", self.M0) >= check_count("M", self.M):
+            raise ConfigError(f"need 1 <= M0 < M, got M={self.M}, M0={self.M0}")
         if self.rate_convention not in RATE_CONVENTIONS:
             raise ConfigError(
                 f"rate_convention must be one of {RATE_CONVENTIONS}, "
@@ -173,16 +170,6 @@ class GibbsChain:
 
     def post_burn_in(self) -> np.ndarray:
         return self.g_samples[self.burn_in - 1 :]
-
-
-def _finite(name: str, x, shape: tuple) -> np.ndarray:
-    """``x`` as a finite float array of ``shape`` (None: any), else a ConfigError naming it."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
-        raise ConfigError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ConfigError(f"{name} must be finite")
-    return a
 
 
 def _draw_tau(
@@ -270,10 +257,9 @@ def conditional_tau(
     Coordinates are conditionally independent: tau_i depends on the state
     only through the i-th residual y_i - U_i g.
     """
-    if not (sigma2 > 0 and np.isfinite(sigma2)):
-        raise ConfigError(f"sigma2 must be positive, got {sigma2}")
-    U = _finite("U", U, (None, None))
-    g, y = _finite("g", g, U.shape[1:]), _finite("y", y, U.shape[:1])
+    sigma2 = check_positive("conditional_tau", "sigma2", sigma2)
+    U = check_array("U", U, (None, None))
+    g, y = check_array("g", g, U.shape[1:]), check_array("y", y, U.shape[:1])
     with np.errstate(all="ignore"):  # a tau that overflows raises NumericError
         return _draw_tau(U, g, y, 2.0 / sigma2, as_generator(rng))
 
@@ -289,12 +275,12 @@ def conditional_lambda(g: np.ndarray, spec: KernelSpec, rng, rate_convention="ha
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"unknown rate convention {rate_convention!r}")
-    gv = _finite("g", g, (spec.n,))
+    g = check_array("g", g, (spec.n,))
     with np.errstate(all="ignore"):  # a lambda out of range raises NumericError
-        quad = kernel_quadratic_form(spec, gv)
-        e = int(np.frexp(np.max(np.abs(gv)))[1])
+        w = kernel_solve(spec, kernel_factor(spec), g)
+        e = int(np.frexp(np.max(np.abs(g)))[1])
         floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(build_kernel(spec))), 2 * e)
-        return _draw_lambda(quad, gv.size, as_generator(rng), rate_convention, floor)
+        return _draw_lambda(float(w @ w), g.size, as_generator(rng), rate_convention, floor)
 
 
 def conditional_g_moments(
@@ -311,12 +297,10 @@ def conditional_g_moments(
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
     the whitened information form and mapped back through L_K.
     """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ConfigError(f"conditional_g_moments requires lambda > 0, got {lam}")
-    U = _finite("U", U, (None, spec.n))
-    y = _finite("y", y, U.shape[:1])
-    L_K = kernel_factor(spec)
-    mean, R = posterior_moments(lam, U @ L_K, y, tau)
+    lam = check_positive("conditional_g_moments", "lambda", lam)
+    L_K, Xt = _whiten(spec, U, y)
+    tau = check_array("tau", tau, Xt.shape[1:], positive=True)
+    mean, R = _moments(lam, Xt, tau, "gibbs.conditional_g_moments")
     return L_K @ mean, L_K @ R
 
 
@@ -329,16 +313,16 @@ def conditional_g(
     rng,
 ) -> np.ndarray:
     """Draw g from its Gaussian full conditional given (lambda, tau) and ``spec``."""
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ConfigError(f"conditional_g requires lambda > 0, got {lam}")
-    U = _finite("U", U, (None, spec.n))
-    L_K, Xt = _whiten(spec, U, _finite("y", y, U.shape[:1]))
-    g = L_K @ _draw_g(lam, _noise_diag(tau, Xt.shape[1]), Xt, as_generator(rng))
+    lam = check_positive("conditional_g", "lambda", lam)
+    L_K, Xt = _whiten(spec, U, y)
+    tau = check_array("tau", tau, Xt.shape[1:], positive=True)
+    g = L_K @ _draw_g(lam, tau, Xt, as_generator(rng))
     if not np.isfinite(g).all():
         raise NumericError("non-finite g draw", context="gibbs.conditional_g")
     return g
 
 
+@np.errstate(all="ignore")  # every draw is checked: out of range is a NumericError
 def run_gibbs(
     dataset: Dataset,
     config: GibbsConfig,
@@ -394,12 +378,14 @@ def run_gibbs(
         if sweep % TAU_THIN == 0:
             tau_samples[sweep // TAU_THIN - 1] = tau
 
-    # back to data units, in place: the chain's arrays are its largest
-    with np.errstate(over="ignore"):  # reported below
-        g_samples = np.ldexp(w_samples @ L_K.T, k - m, out=w_samples)
-        np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
-        np.ldexp(tau_samples, 2 * k, out=tau_samples)
-        g_hat = g_samples[M0 - 1 :].mean(axis=0)  # GibbsChain.post_burn_in's rows
+    # back to data units, in place: the chain's arrays are its largest, so the
+    # stored w become g = L_K w G_ROWS draws at a time
+    for i in range(0, M, G_ROWS):
+        w_samples[i : i + G_ROWS] = w_samples[i : i + G_ROWS] @ L_K.T
+    g_samples = np.ldexp(w_samples, k - m, out=w_samples)
+    np.ldexp(lambda_samples, 2 * (k - m), out=lambda_samples)
+    np.ldexp(tau_samples, 2 * k, out=tau_samples)
+    g_hat = g_samples[M0 - 1 :].mean(axis=0)  # GibbsChain.post_burn_in's rows
     if not all(np.isfinite(x).all() for x in (g_hat, g_samples, lambda_samples, tau_samples)):
         raise NumericError("chain draws overflow in data units", context="gibbs.run_gibbs")
     return g_hat, GibbsChain(g_samples, lambda_samples, tau_samples, burn_in=M0)
@@ -414,10 +400,7 @@ def quantile_diagnostics(chain: GibbsChain) -> QuantileReport:
     flag coordinates above QUANTILE_FLAG_THRESHOLD.
     """
     post = chain.post_burn_in()
-    if post.shape[0] < 100:
-        raise ConfigError(
-            f"need at least 100 post-burn-in samples, got {post.shape[0]}"
-        )
+    check_count("post-burn-in samples", post.shape[0], DIAG_MIN_SAMPLES)
     half = post.shape[0] // 2
     first, second = post[:half], post[half : 2 * half]
     qs = np.quantile(post, DIAG_QUANTILES, axis=0).T       # (n, 3)

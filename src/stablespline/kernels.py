@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .model import check_array, check_count
 
 __all__ = [
     "KernelOrder",
@@ -62,8 +63,7 @@ class KernelSpec:
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
         if not (0.0 <= self.beta < 1.0):
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
+        object.__setattr__(self, "n", check_count("n", self.n))
 
 
 def build_kernel(spec: KernelSpec) -> np.ndarray:
@@ -140,9 +140,12 @@ def kernel_solve(spec: KernelSpec, L: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def kernel_quadratic_form(spec: KernelSpec, g) -> float:
     """g^T K^{-1} g for the kernel of ``spec``: w^T w for w of
-    :func:`kernel_solve`, O(n) for the first order.  Nonnegative."""
-    gv = np.asarray(g, dtype=float)
-    if gv.ndim != 1 or gv.size != spec.n:
-        raise ConfigError(f"g must be a vector of length {spec.n}, got shape {gv.shape}")
-    w = kernel_solve(spec, kernel_factor(spec), gv)
-    return float(w @ w)
+    :func:`kernel_solve`, O(n) for the first order.  Nonnegative; a value that
+    overflows raises NumericError."""
+    g = check_array("g", g, (spec.n,))
+    with np.errstate(over="ignore"):  # reported below
+        w = kernel_solve(spec, kernel_factor(spec), g)
+        q = float(w @ w)
+    if not q < np.inf:
+        raise NumericError("g'K^{-1}g overflows", context="kernels.kernel_quadratic_form")
+    return q

@@ -9,12 +9,13 @@ the zero coordinate would only add a singular prior direction.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "Dataset",
@@ -25,15 +26,41 @@ __all__ = [
 ]
 
 
-def _as_finite_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ConfigError(f"{name} must be a 1-D sequence, got shape {v.shape}")
-    if v.size == 0:
-        raise ConfigError(f"{name} must contain at least one sample")
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise ConfigError(f"{name} contains a non-finite entry at index {bad}")
+def check_array(name: str, x, shape: tuple = (None,), positive: bool = False) -> np.ndarray:
+    """``x`` as a float array of ``shape`` (None: any length) whose entries are
+    finite, and > 0 if ``positive``; else a ConfigError naming it and its
+    first bad entry.  The one array check of the package's entries."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
+        raise ConfigError(f"{name} must have shape {shape}, got {a.shape}")
+    bad = np.argwhere(~((a > 0) & (a < np.inf)) if positive else ~np.isfinite(a))
+    if len(bad):
+        at = tuple(bad[0])
+        where = name + "".join(f"[{i}]" for i in at)
+        raise ConfigError(
+            f"{name} must be {'positive and ' if positive else ''}finite, got {where} = {a[at]}"
+        )
+    return a
+
+
+def check_count(name: str, value, minimum: int = 1) -> int:
+    """``value`` as an int of at least ``minimum``, else a ConfigError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = {0: "nonnegative", 1: "positive"}.get(minimum, f"at least {minimum}")
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
+def check_positive(context: str, name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a float that is finite and > 0 (>= 0 if ``zero_ok``), else
+    a ConfigError naming ``context``, the function checking it, and ``name``."""
+    v = float(value)
+    if not (v >= 0 if zero_ok else v > 0) or v == np.inf:
+        raise ConfigError(
+            f"{context} requires {name} {'>=' if zero_ok else '>'} 0 and finite, got {value}"
+        )
     return v
 
 
@@ -49,12 +76,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        u = _as_finite_vector(self.u, "u").copy()
-        y = _as_finite_vector(self.y, "y").copy()
-        if u.shape != y.shape:
-            raise ConfigError(
-                f"u and y must have identical length, got {u.size} and {y.size}"
-            )
+        u = check_array("u", self.u).copy()
+        y = check_array("y", self.y, u.shape).copy()
         u.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "u", u)
@@ -74,12 +97,10 @@ class Hyperparameters:
     sigma2: float
 
     def __post_init__(self):
-        if not (self.lam >= 0 and np.isfinite(self.lam)):
-            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
+        check_positive("Hyperparameters", "lambda", self.lam, zero_ok=True)
         if not (0.0 <= self.beta < 1.0):
             raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
-        if not (self.sigma2 > 0 and np.isfinite(self.sigma2)):
-            raise ConfigError(f"sigma2 must be finite and > 0, got {self.sigma2}")
+        check_positive("Hyperparameters", "sigma2", self.sigma2)
 
 
 def power_of_two_scaled(U: np.ndarray, y: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -114,11 +135,8 @@ def build_regressor(u, N: int, n: int) -> np.ndarray:
     n : int
         Number of columns (impulse response length).
     """
-    if N < 1 or n < 1:
-        raise ConfigError(f"N and n must be positive, got N={N}, n={n}")
-    uv = _as_finite_vector(u, "u")
-    if uv.size < N:
-        raise ConfigError(f"need at least N={N} input samples, got {uv.size}")
+    N, n, uv = check_count("N", N), check_count("n", n), check_array("u", u)
+    check_count("len(u)", uv.size, N)
     padded = np.concatenate((np.zeros(n), uv[: N - 1]))
     return sliding_window_view(padded, n)[:, ::-1].copy()
 
@@ -129,13 +147,12 @@ def fit_score(g_true, g_hat) -> float:
     Unclamped: estimates worse than the zero response yield negative
     scores, which the benchmark reports as-is.
     """
-    gt = _as_finite_vector(g_true, "g_true")
-    gh = _as_finite_vector(g_hat, "g_hat")
-    if gt.shape != gh.shape:
-        raise ConfigError(
-            f"impulse responses must have equal length, got {gt.size} and {gh.size}"
-        )
-    denom = float(np.linalg.norm(gt))
-    if denom == 0.0:
-        raise ConfigError("fit_score undefined for a zero true response")
-    return 100.0 * (1.0 - float(np.linalg.norm(gt - gh)) / denom)
+    gt = check_array("g_true", g_true)
+    gh = check_array("g_hat", g_hat, gt.shape)
+    if not gt.any():
+        raise ConfigError("fit_score is undefined for a zero g_true")
+    with np.errstate(all="ignore"):  # a norm out of range is reported below
+        fit = 100.0 * (1.0 - np.linalg.norm(gt - gh) / np.linalg.norm(gt))
+    if not np.isfinite(fit):
+        raise NumericError("a norm of g_true or g_hat is out of range", context="model.fit_score")
+    return float(fit)

@@ -63,7 +63,15 @@ from .kernels import (
     build_kernel_derivative,
     kernel_factor,
 )
-from .model import Dataset, Hyperparameters, build_regressor, power_of_two_scaled
+from .model import (
+    Dataset,
+    Hyperparameters,
+    build_regressor,
+    check_array,
+    check_count,
+    check_positive,
+    power_of_two_scaled,
+)
 
 # The rest of the module is run_ssml's internals: reachable as module
 # attributes, but not part of the package's surface.
@@ -399,14 +407,9 @@ def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
 
 
 def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
+    """The N noise variances from a scalar sigma2 or one per sample."""
     d = np.asarray(noise_cov_diag, dtype=float)
-    if d.ndim == 0:
-        d = np.full(N, float(d))
-    if d.shape != (N,):
-        raise ConfigError(f"noise_cov_diag must be scalar or length {N}")
-    if d.size and not (d.min() > 0 and d.max() < np.inf):
-        raise ConfigError("noise_cov_diag entries must be positive and finite")
-    return d
+    return check_array("noise_cov_diag", np.full(N, d) if d.ndim == 0 else d, (N,), positive=True)
 
 
 def information_system(
@@ -434,13 +437,10 @@ def information_system(
 def _whiten(spec: KernelSpec, U, y) -> tuple[np.ndarray, np.ndarray]:
     """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K' of
     ``spec``; X' is (n+1) x N, C-contiguous and read-only.  The one builder
-    of X' (module docstring): a U that is not N x n or a y that is not of
-    length N is a ConfigError naming it."""
-    U, y = np.asarray(U, dtype=float), np.asarray(y, dtype=float)
-    if U.ndim != 2 or U.shape[1] != spec.n:
-        raise ConfigError(f"U must have shape (None, {spec.n}), got {U.shape}")
-    if y.shape != U.shape[:1]:
-        raise ConfigError(f"y must have shape {U.shape[:1]}, got {y.shape}")
+    of X' (module docstring), and the one check of U (N x n) and y (length N)
+    for its callers."""
+    U = check_array("U", U, (None, spec.n))
+    y = check_array("y", y, U.shape[:1])
     L_K = kernel_factor(spec)
     Xt = np.vstack([(U @ L_K).T, y])
     Xt.flags.writeable = False
@@ -453,6 +453,20 @@ def _solve(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise NumericError("information-form system singular", context=context) from exc
+
+
+def _moments(lam: float, Xt: np.ndarray, d: np.ndarray, context: str):
+    """(A^{-1} c, L_A^{-T}) for X' = [Phi y]' and noise variances ``d``, which
+    its callers have checked; a failure raises NumericError under ``context``."""
+    A, c = information_system(lam, Xt * (1.0 / np.sqrt(d)), context)
+    try:
+        L_A = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            "information-form system not positive definite", context=context
+        ) from exc
+    R = np.linalg.solve(L_A.T, np.eye(A.shape[0]))
+    return R @ (R.T @ c), R
 
 
 def posterior_moments(
@@ -477,20 +491,10 @@ def posterior_moments(
     covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
     lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
     """
-    if not (lam > 0 and np.isfinite(lam)):
-        raise ConfigError(f"posterior_moments requires lambda > 0, got {lam}")
-    Xt = np.vstack([np.asarray(Phi, dtype=float).T, np.asarray(y, dtype=float)])
-    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
-    A, c = information_system(lam, Xt * s, "ssml.posterior_moments")
-    try:
-        L_A = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "information-form system not positive definite",
-            context="ssml.posterior_moments",
-        ) from exc
-    R = np.linalg.solve(L_A.T, np.eye(A.shape[0]))
-    return R @ (R.T @ c), R
+    lam = check_positive("posterior_moments", "lambda", lam)
+    Phi = check_array("Phi", Phi, (None, None))
+    Xt = np.vstack([Phi.T, check_array("y", y, Phi.shape[:1])])
+    return _moments(lam, Xt, _noise_diag(noise_cov_diag, Xt.shape[1]), "ssml.posterior_moments")
 
 
 def posterior_mean(
@@ -511,12 +515,11 @@ def posterior_mean(
     U'y, so the n x n pair (R, b) of ``LeastSquares`` gives the same mean
     as (U, y).
     """
-    if not (lam >= 0 and np.isfinite(lam)):
-        raise ConfigError(f"lambda must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return np.zeros(spec.n)
+    lam = check_positive("posterior_mean", "lambda", lam, zero_ok=True)
     L_K, Xt = _whiten(spec, U, y)
     s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
+    if lam == 0.0:
+        return np.zeros(spec.n)
     A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
     return L_K @ _solve(A, c, "ssml.posterior_mean")
 
@@ -536,9 +539,8 @@ class SsmlResult:
     order: KernelOrder
 
     def __post_init__(self):
-        g = np.array(self.g_hat, dtype=float)
-        if g.ndim != 1 or g.size == 0:
-            raise ConfigError(f"g_hat must be a non-empty vector, got shape {g.shape}")
+        g = check_array("g_hat", self.g_hat).copy()
+        check_count("len(g_hat)", g.size)
         g.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
@@ -566,8 +568,7 @@ def run_ssml(
     that is not a normal float in data units, or a g that overflows there,
     after it.  Deterministic: no randomness is consumed.
     """
-    order = KernelOrder.parse(order)
-    N = dataset.N
+    order, n, N = KernelOrder.parse(order), check_count("n", n), dataset.N
     if N <= n:
         raise ConfigError(f"run_ssml needs N > n, got N={N}, n={n}")
     m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, N, n), dataset.y)

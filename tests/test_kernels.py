@@ -267,5 +267,5 @@ class TestKernelQuadraticForm:
             assert kernel_quadratic_form(spec, rng.standard_normal(12)) >= 0.0
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ConfigError, match="^g must be a vector of length 3"):
+        with pytest.raises(ConfigError, match=r"^g must have shape \(3,\)"):
             kernel_quadratic_form(KernelSpec("first", 0.5, 3), np.ones(4))
