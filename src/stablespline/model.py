@@ -77,7 +77,7 @@ class Dataset:
 
     def __post_init__(self):
         u = check_array("u", self.u).copy()
-        y = check_array("y", self.y, u.shape).copy()
+        y = check_array("y", self.y, (check_count("len(u)", u.size),)).copy()
         u.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "u", u)
