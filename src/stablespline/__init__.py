@@ -41,7 +41,8 @@ from .kernels import (
     kernel_quadratic_form,
 )
 from .model import Dataset, Hyperparameters, build_regressor, fit_score
-from .ssml import SsmlResult, posterior_mean, posterior_moments, run_ssml
+from .posterior import posterior_moments
+from .ssml import SsmlResult, posterior_mean, run_ssml
 
 __all__ = [
     "__version__",

@@ -16,3 +16,9 @@ class NumericError(RuntimeError):
         self.message = message
         self.context = context
         super().__init__(f"{context}: {message}" if context else message)
+
+
+class IllConditionedWarning(UserWarning):
+    """Raised (as a warning) when a ridge fallback, the noise-variance floor
+    or a rate floor engages, or when the hyperparameter optimum lies on a
+    search boundary."""

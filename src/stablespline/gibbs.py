@@ -8,22 +8,16 @@ Each sweep draws, in order and each conditioned on the latest values:
    (lambda depends on the other variables only through g);
 3. g from its Gaussian conditional given (lambda, tau).
 
-The sweep runs in whitened coordinates w = L_K^{-1} g, with L_K L_K' = K
-(K + eps I for the second order; :func:`stablespline.kernels.kernel_factor`)
-and X' = [Phi y]', Phi = U L_K, formed once per chain by
-:func:`stablespline.ssml._whiten`, the builder the SS-ML posterior mean
-uses too: the residual is y - Phi w, the lambda rate uses g'K^{-1}g = w'w,
-and the g step draws w.  The chain's state is w: it stores every sweep's w
-and forms the g draws once, after the last sweep, as g = L_K w.  The w
-draw is a perturbed posterior mean (Papandreou & Yuille, NIPS 2010) taken
-in the scaled space D^{-1/2} X: with e standard normal of length N + n,
-the scaled output row becomes y D^{-1/2} + e_N, so the information form
-A w = c of :func:`stablespline.ssml.information_system` gets a right-hand side
-c~ = c + Phi'D^{-1/2} e_N ~ N(c, Phi'D^{-1}Phi), and one solve gives
-w = A^{-1}(c~ + e_n / sqrt(lambda)), whose mean is the posterior mean
-A^{-1} c and whose covariance is A^{-1}.  No factor of A is formed.  X' is
-read-only and holds [Phi y]' for the whole chain: the g step scales it into
-its own buffer and adds e_N to the output row there.
+The sweep runs in the whitened coordinates of :mod:`stablespline.posterior`,
+w = L_K^{-1} g with L_K L_K' = K (K + eps I for the second order), on
+X' = [Phi y]', Phi = U L_K, formed once per chain by
+:func:`stablespline.posterior.whiten`: the residual is y - Phi w, the lambda
+rate uses g'K^{-1}g = w'w, and the g step draws w.  The chain's state is w:
+it stores every sweep's w and forms the g draws once, after the last sweep,
+as g = L_K w.  The w draw is that module's perturbed solve under
+D = diag(tau), and no factor of A is formed.  X' is read-only and holds
+[Phi y]' for the whole chain: the g step scales it into its own buffer and
+adds e_N to the output row there.
 The exported conditionals wrap the same three step functions, take a
 ``KernelSpec`` and check their arguments at entry, once, with the helpers of
 :mod:`stablespline.model`; the steps and their samplers check nothing.  A
@@ -57,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import as_generator, sample_gamma, sample_gig_half, sample_mvn
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, IllConditionedWarning, NumericError
 from .kernels import KernelSpec, build_kernel, kernel_factor, kernel_solve
 from .model import (
     Dataset,
@@ -67,15 +61,9 @@ from .model import (
     check_positive,
     power_of_two_scaled,
 )
-from .ssml import (  # posterior_moments stays a name here: perfbench/layers.py patches it
-    IllConditionedWarning,
-    SsmlResult,
-    _moments,
-    _solve,
-    _whiten,
-    information_system,
-    posterior_moments,
-)
+# posterior_moments stays a name here: perfbench/layers.py patches it
+from .posterior import information_system, moments, posterior_moments, solve, whiten
+from .ssml import SsmlResult
 
 __all__ = [
     "GibbsConfig",
@@ -242,7 +230,7 @@ def _draw_g(
     Xs = np.multiply(Xt, 1.0 / np.sqrt(tau), out=work)
     Xs[n] += e[:N]
     A, c = information_system(lam, Xs, "gibbs.conditional_g")
-    return _solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
+    return solve(A, c + e[N:] / np.sqrt(lam), "gibbs.conditional_g")
 
 
 def conditional_tau(
@@ -298,9 +286,10 @@ def conditional_g_moments(
     the whitened information form and mapped back through L_K.
     """
     lam = check_positive("conditional_g_moments", "lambda", lam)
-    L_K, Xt = _whiten(spec, U, y)
+    L_K = kernel_factor(spec)
+    Xt = whiten(L_K, U, y)
     tau = check_array("tau", tau, Xt.shape[1:], positive=True)
-    mean, R = _moments(lam, Xt, tau, "gibbs.conditional_g_moments")
+    mean, R = moments(lam, Xt, tau, "gibbs.conditional_g_moments")
     return L_K @ mean, L_K @ R
 
 
@@ -314,7 +303,8 @@ def conditional_g(
 ) -> np.ndarray:
     """Draw g from its Gaussian full conditional given (lambda, tau) and ``spec``."""
     lam = check_positive("conditional_g", "lambda", lam)
-    L_K, Xt = _whiten(spec, U, y)
+    L_K = kernel_factor(spec)
+    Xt = whiten(L_K, U, y)
     tau = check_array("tau", tau, Xt.shape[1:], positive=True)
     g = L_K @ _draw_g(lam, tau, Xt, as_generator(rng))
     if not np.isfinite(g).all():
@@ -347,7 +337,8 @@ def run_gibbs(
     n = init.g_hat.size
     m, k, U, y = power_of_two_scaled(build_regressor(dataset.u, dataset.N, n), dataset.y)
     spec = KernelSpec(init.order, init.hyper.beta, n)
-    L_K, Xt = _whiten(spec, U, y)
+    L_K = kernel_factor(spec)
+    Xt = whiten(L_K, U, y)
     del U  # the chain reads only X' from here on
     Phi, y, work = Xt[:n].T, Xt[n], np.empty_like(Xt)
     rate_floor = LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(build_kernel(spec)))

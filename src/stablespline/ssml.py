@@ -28,24 +28,10 @@ lambda; it comes from the same eigendecomposition and the closed-form
 dK/dbeta in O(n^3), so beta is refined by a bracketed secant search on
 that slope.
 
-The posterior is computed in whitened coordinates w = L_K^{-1} g, with
-K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
-N(0, lam I) (Chen & Ljung's factor parametrization).  L_K is exact for the
-first order, so the posterior has the marginal likelihood's prior K, and
-factors K + eps I for the second (:func:`stablespline.kernels.kernel_factor`).
-One function, ``_whiten``, forms X' = [Phi y]' from the ``KernelSpec``, U and
-y, by the product U @ L_K: for the posterior mean here and once per chain in
-the Gibbs sampler, so both give the same bits under any BLAS thread count.
-X' is read-only: each caller scales it into its own array.  One Gram of the
-scaled data D^{-1/2} X gives the information form A w = c of the posterior,
-A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (``information_system``).
-The posterior mean is one solve of that system, and a Gibbs draw is one
-solve of the same system with standard normals added to the scaled output
-row y D^{-1/2}, a perturbed right-hand side; only the covariance factor
-L_A^{-T} of ``posterior_moments`` takes a Cholesky A = L_A L_A', and no
-inverse is formed.  Every factorization goes through ``numpy.linalg``:
-numpy and scipy bundle separate OpenBLAS builds, and alternating between
-them on a hot path makes their thread pools compete.
+The posterior mean is that of :mod:`stablespline.posterior`, the Gaussian
+posterior the Gibbs sampler draws from too, under D = sigma2 I: the kernel
+factor L_K of the fitted (order, beta), X' = [U L_K, y]' and one solve of
+the information form A w = c, mapped back as g = L_K w.
 """
 
 from __future__ import annotations
@@ -55,7 +41,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, IllConditionedWarning, NumericError
 from .kernels import (
     KernelOrder,
     KernelSpec,
@@ -72,13 +58,13 @@ from .model import (
     check_positive,
     power_of_two_scaled,
 )
+from .posterior import information_system, noise_diag, solve, whiten
 
 # The rest of the module is run_ssml's internals: reachable as module
 # attributes, but not part of the package's surface.
 __all__ = [
     "IllConditionedWarning",
     "SsmlResult",
-    "posterior_moments",
     "posterior_mean",
     "run_ssml",
 ]
@@ -95,12 +81,6 @@ SIGMA2_FLOOR_FACTOR = 1e-12
 # 2^e is a normal float for _MIN_EXP <= e < _MAX_EXP; _TINY is the least one.
 _MIN_EXP, _MAX_EXP = np.finfo(float).minexp, np.finfo(float).maxexp
 _TINY = float(np.finfo(float).tiny)
-
-
-class IllConditionedWarning(UserWarning):
-    """Raised (as a warning) when a ridge fallback, the noise-variance floor
-    or a rate floor engages, or when the hyperparameter optimum lies on a
-    search boundary."""
 
 
 @dataclass(eq=False)
@@ -406,97 +386,6 @@ def optimize_hyperparams(obj: MarglikObjective) -> tuple[float, float]:
     return lam_hat, beta_hat
 
 
-def _noise_diag(noise_cov_diag, N: int) -> np.ndarray:
-    """The N noise variances from a scalar sigma2 or one per sample."""
-    d = np.asarray(noise_cov_diag, dtype=float)
-    return check_array("noise_cov_diag", np.full(N, d) if d.ndim == 0 else d, (N,), positive=True)
-
-
-def information_system(
-    lam: float, Xs: np.ndarray, context: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The information form (A, c) of the whitened posterior of X = [Phi y].
-
-    ``Xs`` is the scaled data (D^{-1/2} X)', (n+1) x N; callers form it from
-    X' by one product along its contiguous rows.  One Gram of D^{-1/2} X,
-    with I/lam added to its leading n x n block, holds
-    A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y, and the posterior of w is
-    N(A^{-1} c, A^{-1}).  ``lam`` must be positive and D positive and
-    finite; callers check both.  A Gram that is not finite raises
-    NumericError under ``context``, the caller's name.  ``Xs`` is only read.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        M = Xs @ Xs.T
-    if not np.isfinite(M).all():
-        raise NumericError("information-form system not finite", context=context)
-    n = M.shape[0] - 1
-    M.ravel()[: n * (n + 2) : n + 2] += 1.0 / lam  # the leading block's diagonal
-    return M[:n, :n], M[:n, n]
-
-
-def _whiten(spec: KernelSpec, U, y) -> tuple[np.ndarray, np.ndarray]:
-    """(L_K, X' = [Phi y]') with Phi = U L_K for the kernel K = L_K L_K' of
-    ``spec``; X' is (n+1) x N, C-contiguous and read-only.  The one builder
-    of X' (module docstring), and the one check of U (N x n) and y (length N)
-    for its callers."""
-    U = check_array("U", U, (None, spec.n))
-    y = check_array("y", y, U.shape[:1])
-    L_K = kernel_factor(spec)
-    Xt = np.vstack([(U @ L_K).T, y])
-    Xt.flags.writeable = False
-    return L_K, Xt
-
-
-def _solve(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
-    """A^{-1} b by LU; a singular A raises NumericError under ``context``."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("information-form system singular", context=context) from exc
-
-
-def _moments(lam: float, Xt: np.ndarray, d: np.ndarray, context: str):
-    """(A^{-1} c, L_A^{-T}) for X' = [Phi y]' and noise variances ``d``, which
-    its callers have checked; a failure raises NumericError under ``context``."""
-    A, c = information_system(lam, Xt * (1.0 / np.sqrt(d)), context)
-    try:
-        L_A = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "information-form system not positive definite", context=context
-        ) from exc
-    R = np.linalg.solve(L_A.T, np.eye(A.shape[0]))
-    return R @ (R.T @ c), R
-
-
-def posterior_moments(
-    lam: float,
-    Phi: np.ndarray,
-    y: np.ndarray,
-    noise_cov_diag,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
-
-    ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
-    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} c, A^{-1})
-    with A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y
-    (:func:`information_system`).  Returns the mean and the
-    upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
-    A = L_A L_A' is the one Cholesky: R solves L_A' R = I, whose back
-    substitution on e_i leaves exact zeros, so R is exactly
-    upper-triangular, and the mean is R (R' c).
-
-    Mapping back through L_K gives the posterior of g: mean L_K m and
-    covariance factor L_K R.  By the Woodbury identity these equal the
-    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
-    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
-    """
-    lam = check_positive("posterior_moments", "lambda", lam)
-    Phi = check_array("Phi", Phi, (None, None))
-    Xt = np.vstack([Phi.T, check_array("y", y, Phi.shape[:1])])
-    return _moments(lam, Xt, _noise_diag(noise_cov_diag, Xt.shape[1]), "ssml.posterior_moments")
-
-
 def posterior_mean(
     lam: float,
     spec: KernelSpec,
@@ -516,12 +405,13 @@ def posterior_mean(
     as (U, y).
     """
     lam = check_positive("posterior_mean", "lambda", lam, zero_ok=True)
-    L_K, Xt = _whiten(spec, U, y)
-    s = 1.0 / np.sqrt(_noise_diag(noise_cov_diag, Xt.shape[1]))
+    L_K = kernel_factor(spec)
+    Xt = whiten(L_K, U, y)
+    s = 1.0 / np.sqrt(noise_diag(noise_cov_diag, Xt.shape[1]))
     if lam == 0.0:
         return np.zeros(spec.n)
     A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
-    return L_K @ _solve(A, c, "ssml.posterior_mean")
+    return L_K @ solve(A, c, "ssml.posterior_mean")
 
 
 @dataclass(frozen=True)

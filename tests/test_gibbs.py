@@ -203,7 +203,7 @@ class TestConditionalEdges:
 
     # A shape that disagrees with the kernel's n or with the other arguments
     # is a ConfigError naming the argument, at each exported conditional and
-    # at posterior_mean, whose X' builder ssml._whiten checks it (n = 5, N = 20).
+    # at posterior_mean, whose X' builder posterior.whiten checks it (n = 5, N = 20).
     @pytest.mark.parametrize(
         "call, name",
         [

@@ -2,7 +2,7 @@
 
 The sweep draws w = L_K^{-1} g with Phi = U L_K by one solve of the
 information form A w = c of X = [Phi y] per draw, with a perturbed
-right-hand side (see :func:`stablespline.ssml.information_system`).  These
+right-hand side (see :func:`stablespline.posterior.information_system`).  These
 tests hold it to the covariance-form posterior, to a g-space copy of the
 sweep, to its budget of factorizations, and at the edges of the guards it
 carries.
@@ -47,7 +47,8 @@ from stablespline.distributions import (
 from stablespline.gibbs import LAMBDA_RATE_FLOOR_FACTOR
 from stablespline.kernels import kernel_factor, kernel_quadratic_form
 from stablespline.model import Hyperparameters, power_of_two_scaled
-from stablespline.ssml import IllConditionedWarning, SsmlResult, _whiten, information_system
+from stablespline.posterior import information_system, whiten
+from stablespline.ssml import IllConditionedWarning, SsmlResult
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +250,7 @@ class TestFactorizationBudget:
 
 
 class TestDataNeverWritten:
-    """X' = [Phi y]' holds the data for the whole chain: ``_whiten`` returns
+    """X' = [Phi y]' holds the data for the whole chain: ``whiten`` returns
     it read-only, and the g step scales it into its own array, so it leaves
     every input as it found it, even a writable X'."""
 
@@ -264,7 +265,7 @@ class TestDataNeverWritten:
 
     def test_whitened_data_is_read_only(self, problem):
         spec, U, y, _ = problem
-        _, Xt = _whiten(spec, U, y)
+        Xt = whiten(kernel_factor(spec), U, y)
         with pytest.raises(ValueError, match="read-only"):
             Xt[-1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
@@ -273,7 +274,7 @@ class TestDataNeverWritten:
     @pytest.mark.parametrize("work", [False, True], ids=["new_buffer", "work_buffer"])
     def test_g_step_leaves_inputs_unchanged(self, problem, work):
         spec, U, y, tau = problem
-        _, Xt = _whiten(spec, U, y)
+        Xt = whiten(kernel_factor(spec), U, y)
         Xt = Xt.copy()  # writable: a write would show, not raise
         inputs = (tau, Xt)
         before = [x.tobytes() for x in inputs]
@@ -285,7 +286,7 @@ class TestDataNeverWritten:
         # the right-hand side solved is that of X' D^{-1/2} with e_N added
         # to its output row, bit for bit: no detour through data units
         spec, U, y, tau = problem
-        _, Xt = _whiten(spec, U, y)
+        Xt = whiten(kernel_factor(spec), U, y)
         lam, N, n = 0.7, self.N, self.n
         e = np.random.default_rng(70).standard_normal(N + n)
         solved = []
@@ -295,7 +296,7 @@ class TestDataNeverWritten:
             return np.linalg.solve(A, b)
 
         monkeypatch.setattr("stablespline.gibbs.sample_mvn", lambda size, gen: e)
-        monkeypatch.setattr("stablespline.gibbs._solve", solve)
+        monkeypatch.setattr("stablespline.gibbs.solve", solve)
         gibbs._draw_g(lam, tau, Xt, np.random.default_rng(71))
 
         Xs = Xt * (1.0 / np.sqrt(tau))
@@ -318,13 +319,13 @@ class TestChainStateIsW:
     @pytest.mark.parametrize("order", ["first", "second"])
     def test_g_samples_are_w_draws_times_factor(self, monkeypatch, order):
         ds, init = _laplace_problem(order, "wn", 9)
-        n, real, draws = init.g_hat.size, gibbs._solve, []
+        n, real, draws = init.g_hat.size, gibbs.solve, []
 
         def solve(A, b, context):
             draws.append(real(A, b, context))
             return draws[-1]
 
-        monkeypatch.setattr(gibbs, "_solve", solve)
+        monkeypatch.setattr(gibbs, "solve", solve)
         _, chain = run_gibbs(ds, GibbsConfig(M=20, M0=10), init, RngHandle(9))
         assert len(draws) == 20
         m, k, _, _ = power_of_two_scaled(build_regressor(ds.u, ds.N, n), ds.y)
@@ -434,7 +435,7 @@ def test_overflowed_information_form_raises():
             lambda U: posterior_mean(1.0, KernelSpec("first", 0.5, 2), U, np.ones(2), 1.0),
             "ssml.posterior_mean",
         ),
-        (lambda U: posterior_moments(1.0, U, np.ones(2), 1.0), "ssml.posterior_moments"),
+        (lambda U: posterior_moments(1.0, U, np.ones(2), 1.0), "posterior.posterior_moments"),
     ],
     ids=["posterior_mean", "posterior_moments"],
 )
