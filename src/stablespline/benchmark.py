@@ -24,7 +24,9 @@ from .distributions import RngHandle, as_generator, sample_noise_mixture
 from .errors import ConfigError, NumericError
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
-from .model import Dataset, build_regressor, check_array, check_count, check_positive, fit_score
+from .model import (
+    Dataset, build_regressor, check_array, check_count, check_positive, check_unit, fit_score
+)
 from .ssml import run_ssml
 
 __all__ = [
@@ -207,8 +209,7 @@ class ExperimentConfig:
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
         check_count("runs", self.runs)
         check_count("master_seed", self.master_seed, 0)
-        if not (0.0 <= self.c1 <= 1.0):
-            raise ConfigError(f"c1 must lie in [0, 1], got {self.c1}")
+        check_unit("c1", self.c1, closed=True)
         if check_count("N", self.N) <= check_count("n", self.n):
             raise ConfigError(f"need N > n, got N={self.N}, n={self.n}")
         check_positive("ExperimentConfig", "variance_ratio", self.variance_ratio)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .model import check_count, check_positive
+from .model import check_count, check_positive, check_unit
 
 __all__ = [
     "RngHandle",
@@ -114,8 +114,7 @@ def sample_noise_mixture(N: int, sigma2: float, c1: float, variance_ratio: float
     Returns the noise and the boolean mask of its high-variance draws.
     """
     check_count("N", N)
-    if not (0.0 <= c1 <= 1.0):
-        raise ConfigError(f"c1 must lie in [0, 1], got {c1}")
+    c1 = check_unit("c1", c1, closed=True)
     sigma2 = check_positive("sample_noise_mixture", "sigma2", sigma2)
     variance_ratio = check_positive("sample_noise_mixture", "variance_ratio", variance_ratio)
     gen = as_generator(rng)

@@ -306,7 +306,8 @@ def conditional_g(
     L_K = kernel_factor(spec)
     Xt = whiten(L_K, U, y)
     tau = check_array("tau", tau, Xt.shape[1:], positive=True)
-    g = L_K @ _draw_g(lam, tau, Xt, as_generator(rng))
+    with np.errstate(over="ignore"):  # a scaled datum out of range: the Gram reports it
+        g = L_K @ _draw_g(lam, tau, Xt, as_generator(rng))
     if not np.isfinite(g).all():
         raise NumericError("non-finite g draw", context="gibbs.conditional_g")
     return g
@@ -388,9 +389,12 @@ def quantile_diagnostics(chain: GibbsChain) -> QuantileReport:
     The post-burn-in samples are split into two halves; the 0.25/0.5/0.75
     quantile gaps between halves, normalized by the full post-burn-in IQR
     (floored at IQR_FLOOR_FACTOR times the sample range to avoid 0/0),
-    flag coordinates above QUANTILE_FLAG_THRESHOLD.
+    flag coordinates above QUANTILE_FLAG_THRESHOLD.  ``chain.burn_in`` must
+    be a positive integer that leaves at least DIAG_MIN_SAMPLES draws, and
+    those draws must be finite.
     """
-    post = chain.post_burn_in()
+    check_count("chain.burn_in", chain.burn_in)
+    post = check_array("chain.g_samples", chain.post_burn_in(), (None, None))
     check_count("post-burn-in samples", post.shape[0], DIAG_MIN_SAMPLES)
     half = post.shape[0] // 2
     first, second = post[:half], post[half : 2 * half]

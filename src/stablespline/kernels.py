@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .model import check_array, check_count
+from .model import check_array, check_count, check_unit
 
 __all__ = [
     "KernelOrder",
@@ -61,8 +61,7 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "order", KernelOrder.parse(self.order))
-        if not (0.0 <= self.beta < 1.0):
-            raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
+        check_unit("beta", self.beta)
         object.__setattr__(self, "n", check_count("n", self.n))
 
 

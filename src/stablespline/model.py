@@ -64,6 +64,16 @@ def check_positive(context: str, name: str, value, zero_ok: bool = False) -> flo
     return v
 
 
+def check_unit(name: str, value, closed: bool = False) -> float:
+    """``value`` as a float in [0, 1) ([0, 1] if ``closed``), else a
+    ConfigError naming it."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not (0 <= value <= 1 if closed else 0 <= value < 1):
+        raise ConfigError(f"{name} must lie in [0, 1{']' if closed else ')'}, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Paired input/output record of N samples.
@@ -98,8 +108,7 @@ class Hyperparameters:
 
     def __post_init__(self):
         check_positive("Hyperparameters", "lambda", self.lam, zero_ok=True)
-        if not (0.0 <= self.beta < 1.0):
-            raise ConfigError(f"beta must lie in [0, 1), got {self.beta}")
+        check_unit("beta", self.beta)
         check_positive("Hyperparameters", "sigma2", self.sigma2)
 
 

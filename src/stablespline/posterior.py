@@ -85,7 +85,8 @@ def solve(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
 def moments(lam: float, Xt: np.ndarray, d: np.ndarray, context: str):
     """(A^{-1} c, L_A^{-T}) for X' = [Phi y]' and noise variances ``d``, which
     its callers have checked; a failure raises NumericError under ``context``."""
-    A, c = information_system(lam, Xt * (1.0 / np.sqrt(d)), context)
+    with np.errstate(over="ignore"):  # a scaled datum out of range: the Gram reports it
+        A, c = information_system(lam, Xt * (1.0 / np.sqrt(d)), context)
     try:
         L_A = np.linalg.cholesky(A)
     except np.linalg.LinAlgError as exc:

@@ -410,7 +410,8 @@ def posterior_mean(
     s = 1.0 / np.sqrt(noise_diag(noise_cov_diag, Xt.shape[1]))
     if lam == 0.0:
         return np.zeros(spec.n)
-    A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
+    with np.errstate(over="ignore"):  # a scaled datum out of range: the Gram reports it
+        A, c = information_system(lam, Xt * s, "ssml.posterior_mean")
     return L_K @ solve(A, c, "ssml.posterior_mean")
 
 
@@ -431,6 +432,9 @@ class SsmlResult:
     def __post_init__(self):
         g = check_array("g_hat", self.g_hat).copy()
         check_count("len(g_hat)", g.size)
+        if not isinstance(self.hyper, Hyperparameters):
+            raise ConfigError(f"hyper must be a Hyperparameters, got {self.hyper!r}")
+        check_array("objective", self.objective, ())
         g.flags.writeable = False
         object.__setattr__(self, "g_hat", g)
         object.__setattr__(self, "order", KernelOrder.parse(self.order))

@@ -44,7 +44,8 @@ G = 0.8 ** np.arange(1, n + 1)
 SPEC = KernelSpec("first", 0.8, n)
 DATASET = Dataset(_rng.standard_normal(N), Y)
 INIT = SsmlResult(G, Hyperparameters(1.0, 0.8, 0.5), 0.0, "first")
-CHAIN = GibbsChain(_rng.standard_normal((120, n)), np.ones(120), np.ones((12, N)), burn_in=10)
+# burn_in=1: quantile_diagnostics reads every row, so each variant lands in a read draw
+CHAIN = GibbsChain(_rng.standard_normal((120, n)), np.ones(120), np.ones((12, N)), burn_in=1)
 TF = TransferFunction(zeros=np.array([0.5, -0.3]), poles=np.array([0.3, 0.6]), gain=1.0)
 TAU = np.linspace(0.5, 2.0, N)
 
@@ -56,15 +57,17 @@ KINDS = {
     "scalar+": ({"nan", "inf", "-inf", "zero", "negative"}, {"subnormal", "huge"}),
     "scalar0": ({"nan", "inf", "-inf", "negative"}, {"zero", "subnormal", "huge"}),
     "real": ({"nan", "inf", "-inf"}, {"zero", "negative", "subnormal", "huge"}),
-    "unit": ({"nan", "inf", "-inf", "negative", "huge"}, {"zero", "subnormal"}),
+    "unit": ({"nan", "inf", "-inf", "negative", "huge", "text"}, {"zero", "subnormal"}),
     "poles": ({"nan", "inf", "-inf", "huge", "ndim"}, {"zero", "subnormal"}),
     "count": ({"nan", "zero", "negative", "fraction"}, set()),
     "count0": ({"nan", "negative", "fraction"}, {"zero"}),
     "list": ({"short"}, set()),
+    # a record of the package replaced by something else
+    "instance": ({"none", "tuple"}, set()),
     # a record built valid: one of its arrays made extreme
     "record": (set(), {"zero", "negative", "subnormal", "huge"}),
 }
-RECORD_FIELDS = {Dataset: ("u", "y"), SsmlResult: ("g_hat",)}
+RECORD_FIELDS = {Dataset: ("u", "y"), SsmlResult: ("g_hat",), GibbsChain: ("g_samples",)}
 # run_gibbs names the step that failed, and the sweep
 SWEEP_STEPS = ("gibbs.conditional_tau", "gibbs.conditional_lambda", "gibbs.conditional_g")
 
@@ -103,7 +106,8 @@ ENTRIES = {
         {"N": "count", "sigma2": "scalar+", "c1": "unit", "variance_ratio": "scalar+"},
     ),
     "SsmlResult": entry(
-        SsmlResult, dict(g_hat=G, hyper=INIT.hyper, objective=0.0, order="first"), {"g_hat": "array"}
+        SsmlResult, dict(g_hat=G, hyper=INIT.hyper, objective=0.0, order="first"),
+        {"g_hat": "array", "hyper": "instance", "objective": "real"},
     ),
     "posterior_mean": entry(
         ss.posterior_mean, dict(lam=1.0, spec=SPEC, U=U, y=Y, noise_cov_diag=TAU),
@@ -134,7 +138,7 @@ ENTRIES = {
         ss.run_gibbs, dict(dataset=DATASET, config=GibbsConfig(M=M, M0=10), init=INIT, rng=RngHandle(1)),
         {"dataset": "record", "init": "record"}, SWEEP_STEPS,
     ),
-    "quantile_diagnostics": entry(ss.quantile_diagnostics, dict(chain=CHAIN), {}),
+    "quantile_diagnostics": entry(ss.quantile_diagnostics, dict(chain=CHAIN), {"chain": "array"}),
     "TransferFunction": entry(
         TransferFunction, dict(zeros=TF.zeros.real, poles=TF.poles.real, gain=1.0),
         {"zeros": "array", "poles": "poles", "gain": "real"},
@@ -191,6 +195,9 @@ def _variant(variant, base, data):
         "subnormal": lambda: data.draw(st.floats(5e-324, 2.2e-308, allow_subnormal=True)),
         "huge": lambda: data.draw(st.floats(1e300, np.finfo(float).max)),
         "fraction": lambda: base + data.draw(st.floats(0.01, 0.99)),
+        "text": lambda: str(base),
+        "none": lambda: None,
+        "tuple": lambda: dataclasses.astuple(base),
     }[variant]()
     if np.ndim(base) == 0:
         return value

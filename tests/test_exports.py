@@ -48,6 +48,26 @@ def test_submodule_exports_resolve(name):
         assert _missing(module) == []
 
 
+def _private_imports(name):
+    """The underscore names that module ``name`` imports from a sibling,
+    dunders aside."""
+    path = Path(stablespline.__file__).parent / f"{name}.py"
+    return [
+        f"{node.module or '.'}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or node.module.startswith("stablespline"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if not m.startswith("_")])
+def test_no_private_name_crosses_a_module(name):
+    # a private module (``_worker``) is a part of its sibling, and may reach in
+    assert _private_imports(name) == []
+
+
 def _traced_attributes():
     """The (module, attribute) pairs of ``PATCHES`` in perfbench/layers.py,
     read from its source without importing it."""

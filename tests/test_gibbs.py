@@ -581,3 +581,25 @@ class TestQuantileDiagnostics:
         chain = self._chain(np.zeros((120, 3)), burn_in=50)
         with pytest.raises(ConfigError):
             quantile_diagnostics(chain)
+
+    @pytest.mark.parametrize(
+        "burn_in, match",
+        [
+            (2.5, "chain.burn_in must be an integer"),
+            (0, "chain.burn_in must be positive"),
+            (-50, "chain.burn_in must be positive"),  # would read the chain's last 51 rows
+            (121, "post-burn-in samples must be at least 100, got 0"),
+        ],
+    )
+    def test_burn_in_outside_the_chain_rejected(self, burn_in, match):
+        chain = self._chain(np.zeros((120, 3)), burn_in=burn_in)
+        with pytest.raises(ConfigError, match=match):
+            quantile_diagnostics(chain)
+
+    def test_non_finite_draw_rejected(self):
+        # unchecked, a NaN draw's row of NaN gaps would count as flagged
+        g = RngHandle(112).generator().standard_normal((120, 3))
+        g[60, 1] = np.nan
+        match = r"^chain.g_samples must be finite, got chain.g_samples\[60\]\[1\] = nan"
+        with pytest.raises(ConfigError, match=match):
+            quantile_diagnostics(self._chain(g))

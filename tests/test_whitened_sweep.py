@@ -448,6 +448,39 @@ def test_failed_factor_names_its_caller(call, context):
     assert info.value.context == context
 
 
+SPEC5 = KernelSpec("first", 0.8, 5)
+
+
+@pytest.mark.parametrize(
+    "call, context",
+    [
+        (lambda U, y, tau: posterior_mean(1.0, SPEC5, U, y, tau), "ssml.posterior_mean"),
+        (
+            lambda U, y, tau: posterior_moments(1.0, U @ kernel_factor(SPEC5), y, tau),
+            "posterior.posterior_moments",
+        ),
+        (lambda U, y, tau: conditional_g(1.0, tau, SPEC5, U, y, RngHandle(1)), "gibbs.conditional_g"),
+        (
+            lambda U, y, tau: gibbs.conditional_g_moments(1.0, tau, SPEC5, U, y),
+            "gibbs.conditional_g_moments",
+        ),
+    ],
+    ids=["posterior_mean", "posterior_moments", "conditional_g", "conditional_g_moments"],
+)
+def test_scaled_data_overflow_names_its_caller(call, context):
+    # a finite y scaled by a noise variance below 1 overflows D^{-1/2} X;
+    # the Gram reports it, with no numpy warning
+    rng = np.random.default_rng(72)
+    U = build_regressor(rng.standard_normal(20), 20, 5)
+    y, tau = rng.standard_normal(20), np.full(20, 0.5)
+    y[0] = 1.5e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="not finite") as info:
+            call(U, y, tau)
+    assert info.value.context == context
+
+
 class TestPosteriorMomentsEdges:
     """The Cholesky of A at the ends of the lambda range, on a low-pass
     regressor (ill-conditioned U'U) and slowly decaying kernels, and at a
