@@ -11,7 +11,6 @@ same sub-streams no matter how many runs the experiment contains.
 from __future__ import annotations
 
 import contextlib
-import enum
 import os
 import sys
 import warnings
@@ -25,7 +24,8 @@ from .errors import ConfigError, NumericError
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
 from .model import (
-    Dataset, build_regressor, check_array, check_count, check_positive, check_unit, fit_score
+    Choice, Dataset, build_regressor, check_array, check_count, check_positive, check_unit,
+    fit_score,
 )
 from .ssml import run_ssml
 
@@ -51,20 +51,9 @@ MAX_FAILURE_FRACTION = 0.2
 RUNS_PER_WORKER = 2         # measured: 2 workers win from 2 runs; workers start at 4
 
 
-class InputKind(str, enum.Enum):
+class InputKind(Choice):
     WN = "wn"
     LP = "lp"
-
-    @classmethod
-    def parse(cls, value) -> "InputKind":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown input kind {value!r} (expected 'wn' or 'lp')"
-            ) from None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 input/configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -63,6 +64,7 @@ def _add_experiment(p: argparse.ArgumentParser) -> None:
                    help="sigma2 = var(noiseless output) / divisor (default 100)")
 
 
+@functools.cache  # one parser per process: parse_args only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stablespline",

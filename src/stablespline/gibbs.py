@@ -9,7 +9,7 @@ Each sweep draws, in order and each conditioned on the latest values:
 3. g from its Gaussian conditional given (lambda, tau).
 
 The sweep runs in the whitened coordinates of :mod:`stablespline.posterior`,
-w = L_K^{-1} g with L_K L_K' = K (K + eps I for the second order), on
+w = L_K^{-1} g with L_K L_K' = K exactly, on
 X' = [Phi y]', Phi = U L_K, formed once per chain by
 :func:`stablespline.posterior.whiten`: the residual is y - Phi w, the lambda
 rate uses g'K^{-1}g = w'w, and the g step draws w.  The chain's state is w:
@@ -27,20 +27,14 @@ name, with no numpy warning, and :func:`run_gibbs` adds the sweep.
 The chain starts from the Gaussian-noise estimate (see
 :func:`stablespline.ssml.run_ssml`), whose result also fixes n, the kernel
 order, beta and sigma2; it draws from the caller's stream, discards a
-burn-in prefix, and averages the remaining g draws.  Like SS-ML, it runs
-on the regressor and output scaled by powers of two
-(:func:`stablespline.model.power_of_two_scaled`), U 2^-m and y 2^-k with
-max|U 2^-m| and max|y 2^-k| in [1/2, 1), where U holds u(1..N-1): g scales
-by 2^(m-k), lambda by 4^(m-k) and tau and sigma2 by 4^-k, exactly, so the
-draws mapped back are those of the unscaled chain wherever that chain
-neither underflows nor overflows.  The lambda-rate floor,
-LAMBDA_RATE_FLOOR_FACTOR trace(K), thus holds in units of
-(max|y| / max|u(1..N-1)|)^2 for g'K^{-1}g, whatever the scale of either
-signal.
-The exported conditionals take and return data units, and
-:func:`conditional_lambda`'s floor holds in units of max|g|^2.
-Mixing diagnostics (:func:`quantile_diagnostics`) are computed by whoever
-reads them, from the returned chain.
+burn-in prefix, and averages the remaining g draws.  Like SS-ML, it runs on
+data scaled by powers of two (:func:`run_gibbs`), exactly, so the draws
+mapped back are those of the unscaled chain wherever that chain neither
+underflows nor overflows, and the lambda-rate floor, LAMBDA_RATE_FLOOR_FACTOR
+trace(K), holds in units of (max|y| / max|u(1..N-1)|)^2 for g'K^{-1}g,
+whatever the scale of either signal.  The exported conditionals take and
+return data units.  Mixing diagnostics (:func:`quantile_diagnostics`) are
+computed by whoever reads them, from the returned chain.
 """
 
 from __future__ import annotations
@@ -332,7 +326,7 @@ def run_gibbs(
     (the samples the regressor U holds) and 2^(k-1) <= max|y| < 2^k, from
     g0 2^(m-k) and sigma2 4^-k.  After the last sweep its stored w draws
     become g = L_K w, and g, lambda and tau are mapped back by 2^(k-m),
-    4^(k-m) and 4^k (module docstring); a draw or estimate that overflows
+    4^(k-m) and 4^k, exactly; a draw or estimate that overflows
     in data units raises NumericError.
     """
     n = init.g_hat.size

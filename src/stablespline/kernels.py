@@ -8,20 +8,19 @@ Two kernel families are provided, both parameterized by a decay rate
 * second order:       K[i, j] = beta^(i+j) * beta^max(i, j) / 2
                                 - beta^(3 max(i, j)) / 6
 
-Each order has one factor K = L L^T (:func:`kernel_factor`): the first in
-closed form, exact; the second, near-singular for small beta and large n,
-by one Cholesky with a trace-scaled jitter.
+Each order has one exact, upper-triangular factor K = L L^T in closed form
+(:func:`kernel_factor`), with no Cholesky and no jitter: the second-order
+kernel is near-singular for small beta and large n, but its factor is not.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .model import check_array, check_count, check_unit
+from .errors import NumericError
+from .model import Choice, check_array, check_count, check_unit
 
 __all__ = [
     "KernelOrder",
@@ -33,24 +32,9 @@ __all__ = [
     "kernel_solve",
 ]
 
-# The second-order factor's jitter, relative to trace(K)/n.
-JITTER_BASE = 1e-12
-
-
-class KernelOrder(str, enum.Enum):
+class KernelOrder(Choice):
     FIRST = "first"
     SECOND = "second"
-
-    @classmethod
-    def parse(cls, value) -> "KernelOrder":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown kernel order {value!r} (expected 'first' or 'second')"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -101,39 +85,48 @@ def build_kernel_derivative(spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_factor(spec: KernelSpec) -> np.ndarray:
-    """L with L L^T = K, the kernel of ``spec``: all that whitening needs.
+    """L, upper-triangular, with L L^T = K, the kernel of ``spec``, exactly.
 
-    First order, exact and upper-triangular: L = T diag(sqrt(v)), T the
-    upper-triangular ones and v_l = beta^l (1 - beta) for l < n, v_n = beta^n,
-    the step variances of the reverse-time random walk x_i = sum_{l >= i} e_l
-    whose covariance is K; K^{-1} is tridiagonal (Carli, Chen & Ljung, IEEE
-    TAC 2017).  A v_l that underflows leaves a zero column.  Second order:
-    the Cholesky factor of K + eps I, eps = JITTER_BASE trace(K)/n.  A zero
-    kernel (beta = 0) or a failed Cholesky raises NumericError.
+    First order: L = T diag(sqrt(v)), T the upper-triangular ones, with the
+    step variances v_l = beta^l (1 - beta), v_n = beta^n of a reverse-time
+    random walk (Carli, Chen & Ljung, IEEE TAC 2017).  Second order: K is the
+    covariance of integrated Brownian motion at s_k = beta^k, Markov in s, so
+    L_kj = sqrt(s_j d_j) (s_j + (s_k - s_j) r_j) for k <= j, with d and r from
+    a recursion in q, the slope's variance given s_{k+1..n} over s_{k+1}
+    (Andersen & Chen, SIAM J. Matrix Anal. Appl. 2020); nothing in it cancels
+    or underflows.  A column whose diagonal is not a normal float is zero.  A
+    zero kernel (beta = 0) raises NumericError.
     """
-    n = spec.n
+    n, beta = spec.n, spec.beta
+    s = np.float_power(beta, np.arange(1, n + 1))
     if spec.order is KernelOrder.FIRST:
-        v = np.float_power(spec.beta, np.arange(1, n + 1))
-        v[:-1] *= 1.0 - spec.beta
-        if not v[0] > 0:
-            raise NumericError("kernel is zero; cannot factor", context="kernels.kernel_factor")
-        return np.triu(np.broadcast_to(np.sqrt(v), (n, n)))
-    K = build_kernel(spec)
-    eps = JITTER_BASE * (float(np.trace(K)) / n)
-    try:
-        return np.linalg.cholesky(K + eps * np.eye(n))
-    except np.linalg.LinAlgError:
-        raise NumericError(
-            f"Cholesky of K + {eps:g} I failed", context="kernels.kernel_factor"
-        ) from None
+        s[:-1] *= 1.0 - beta
+        L = np.triu(np.broadcast_to(np.sqrt(s), (n, n)))
+    else:
+        a, q, qs = 1.0 - beta, 0.25, [0.25] * n
+        for k in range(n - 2, -1, -1):
+            qs[k] = q
+            q = a * (4.0 * beta * q + a) / (4.0 * (3.0 * beta * q + a))
+        q = np.array(qs)
+        d = a * a * beta * q + a**3 / 3.0
+        r = (a * beta * q + a * a / 2.0) / d
+        d[-1], r[-1] = 1.0 / 3.0, 1.5
+        L = np.triu(np.sqrt(s * d) * (s + np.subtract.outer(s, s) * r))
+        L[:, ~(np.diagonal(L) >= np.finfo(float).tiny)] = 0.0
+    if not L[0, 0] > 0:
+        raise NumericError("kernel is zero; cannot factor", context="kernels.kernel_factor")
+    return L
 
 
 def kernel_solve(spec: KernelSpec, L: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """w = L^{-1} g for L = ``kernel_factor(spec)``: a solve for the second order; for
-    the first, w_l = (g_l - g_{l+1}) / sqrt(v_l), g_{n+1} = 0, or 0 where v_l is 0."""
+    """w = L^{-1} g for L = ``kernel_factor(spec)``, 0 where L has a zero column: for the
+    first order, w_l = (g_l - g_{l+1}) / sqrt(v_l), g_{n+1} = 0; else a solve on the rest."""
+    d = np.diagonal(L)
     if spec.order is KernelOrder.SECOND:
-        return np.linalg.solve(L, g)
-    d, diff = np.diagonal(L), g - np.append(g[1:], 0.0)
+        k, w = d > 0, np.zeros_like(g)
+        w[k] = np.linalg.solve(L[np.ix_(k, k)], g[k])
+        return w
+    diff = g - np.append(g[1:], 0.0)
     return np.divide(diff, d, out=np.zeros_like(diff), where=d > 0)
 
 

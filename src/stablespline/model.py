@@ -9,6 +9,7 @@ the zero coordinate would only add a singular prior direction.
 
 from __future__ import annotations
 
+import enum
 import numbers
 from dataclasses import dataclass
 
@@ -26,11 +27,30 @@ __all__ = [
 ]
 
 
+class Choice(str, enum.Enum):
+    """A string enum whose ``parse`` takes a member or its value in any case."""
+
+    @classmethod
+    def parse(cls, value):
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(str(value).lower())
+        except ValueError:
+            what = "".join(" " + c.lower() if c.isupper() else c for c in cls.__name__)[1:]
+            expected = " or ".join(repr(m.value) for m in cls)
+            raise ConfigError(f"unknown {what} {value!r} (expected {expected})") from None
+
+
 def check_array(name: str, x, shape: tuple = (None,), positive: bool = False) -> np.ndarray:
     """``x`` as a float array of ``shape`` (None: any length) whose entries are
-    finite, and > 0 if ``positive``; else a ConfigError naming it and its
-    first bad entry.  The one array check of the package's entries."""
-    a = np.asarray(x, dtype=float)
+    real numbers, finite, and > 0 if ``positive``; else a ConfigError naming
+    it and its first bad entry.  The one array check of the package's entries."""
+    a = np.asarray(x)
+    for v in [] if a.dtype.kind in "biuf" else a.ravel().tolist():
+        if not isinstance(v, numbers.Real):
+            raise ConfigError(f"{name} must be real, got {v!r}")
+    a = a.astype(float, copy=False)
     if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
         raise ConfigError(f"{name} must have shape {shape}, got {a.shape}")
     bad = np.argwhere(~((a > 0) & (a < np.inf)) if positive else ~np.isfinite(a))
@@ -54,8 +74,10 @@ def check_count(name: str, value, minimum: int = 1) -> int:
 
 
 def check_positive(context: str, name: str, value, zero_ok: bool = False) -> float:
-    """``value`` as a float that is finite and > 0 (>= 0 if ``zero_ok``), else
-    a ConfigError naming ``context``, the function checking it, and ``name``."""
+    """``value``, a real number, as a float that is finite and > 0 (>= 0 if
+    ``zero_ok``), else a ConfigError naming ``context``, its checker, and ``name``."""
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{context} requires {name} to be a real number, got {value!r}")
     v = float(value)
     if not (v >= 0 if zero_ok else v > 0) or v == np.inf:
         raise ConfigError(

@@ -2,9 +2,9 @@
 
 The posterior is computed in whitened coordinates w = L_K^{-1} g, with
 K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
-N(0, lam I) (Chen & Ljung's factor parametrization).  L_K is exact for the
-first order, so the posterior has the marginal likelihood's prior K, and
-factors K + eps I for the second (:func:`stablespline.kernels.kernel_factor`).
+N(0, lam I) (Chen & Ljung's factor parametrization).  L_K is exact for both
+orders (:func:`stablespline.kernels.kernel_factor`), so the posterior has the
+marginal likelihood's prior K.
 Each estimator factors the kernel itself and passes L_K to :func:`whiten`,
 the one builder of X' = [Phi y]', by the product U @ L_K: for the SS-ML
 posterior mean and once per chain in the Gibbs sampler, so both give the
@@ -36,7 +36,7 @@ __all__ = ["noise_diag", "information_system", "whiten", "solve", "moments", "po
 
 def noise_diag(noise_cov_diag, N: int) -> np.ndarray:
     """The N noise variances from a scalar sigma2 or one per sample."""
-    d = np.asarray(noise_cov_diag, dtype=float)
+    d = np.asarray(noise_cov_diag)
     return check_array("noise_cov_diag", np.full(N, d) if d.ndim == 0 else d, (N,), positive=True)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import stablespline
 from stablespline.benchmark import ExperimentConfig, simulate
-from stablespline.cli import main
+from stablespline.cli import build_parser, main
 from stablespline.distributions import RngHandle
 from stablespline.fileio import dump_document, read_dataset, read_document, write_dataset
 
@@ -36,6 +36,26 @@ def sim_files(tmp_path):
     code = run_cli(*SIM_ARGS, "--output", str(ds), "--truth", str(truth))
     assert code == 0
     return ds, truth
+
+
+class TestParser:
+    def test_failed_parse_leaves_the_next_call_unchanged(self, tmp_path, capsys):
+        # one parser serves every call in a process: a parse that exits 2
+        # must not change what the next call does or prints
+        def simulate(name):
+            ds, truth = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            assert run_cli(*SIM_ARGS, "--output", str(ds), "--truth", str(truth)) == 0
+            return ds.read_bytes(), truth.read_bytes(), capsys.readouterr()
+
+        before = simulate("before")
+        paths = ["--output", str(tmp_path / "x.csv"), "--truth", str(tmp_path / "x.json")]
+        for bad in (["simulate", "--N", "many"], ["identify", "--estimator", "none"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*bad, *paths)
+            assert exc.value.code == 2
+            capsys.readouterr()
+        assert simulate("after") == before
+        assert build_parser() is build_parser()
 
 
 class TestSimulate:

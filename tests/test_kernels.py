@@ -13,7 +13,7 @@ from stablespline import (
     kernel_factor,
     kernel_quadratic_form,
 )
-from stablespline.kernels import JITTER_BASE, build_kernel_derivative, kernel_solve
+from stablespline.kernels import build_kernel_derivative, kernel_solve
 
 
 class TestBuildKernel:
@@ -127,13 +127,15 @@ class TestBuildKernelDerivative:
 
 
 class TestKernelFactor:
-    def test_reconstruction_within_jitter(self):
-        K = build_kernel(KernelSpec("second", 0.6, 40))
-        L = kernel_factor(KernelSpec("second", 0.6, 40))
-        eps = JITTER_BASE * np.trace(K) / 40
-        dev = np.abs(L @ L.T - K).max()
-        assert dev <= eps + 1e-12 * np.linalg.norm(K)
-        assert np.all(np.triu(L, 1) == 0.0)
+    def test_second_order_reconstruction_without_cholesky(self, monkeypatch):
+        # the second-order factor is the closed form: upper-triangular, no
+        # Cholesky, and K to the rounding of the product L L^T (n + 4 eps)
+        n = 40
+        K = build_kernel(KernelSpec("second", 0.6, n))
+        monkeypatch.setattr(np.linalg, "cholesky", None)
+        L = kernel_factor(KernelSpec("second", 0.6, n))
+        assert np.all(np.tril(L, -1) == 0.0) and np.all(np.diagonal(L) > 0)
+        assert np.abs(L @ L.T - K).max() <= (n + 4) * np.finfo(float).eps * K.max()
 
     def test_first_order_large_n_strictly_pd(self, monkeypatch):
         # the first-order kernel is strictly PD for 0 < beta < 1, and its
@@ -157,16 +159,18 @@ class TestKernelFactor:
     @example(beta=0.01, n=500)
     @example(beta=0.99, n=500)
     @example(beta=0.05, n=100)
-    def test_second_order_single_cholesky_factors(self, beta, n):
-        # one Cholesky of K + eps I, eps = JITTER_BASE trace(K)/n, succeeds
-        # over the decays the fit searches
+    def test_second_order_closed_form_factors(self, beta, n):
+        # over the decays the fit searches: every entry finite, zero columns
+        # exactly where the diagonal is not a normal float, and K to the
+        # rounding of the product L L^T
         spec = KernelSpec("second", beta, n)
         K = build_kernel(spec)
         L = kernel_factor(spec)
-        eps = JITTER_BASE * np.trace(K) / n
-        assert np.all(np.triu(L, 1) == 0.0) and np.all(np.diagonal(L) > 0)
-        dev = np.abs(L @ L.T - K - eps * np.eye(n)).max()
-        assert dev <= 4 * n * np.finfo(float).eps * K.max()
+        diag = np.diagonal(L)
+        assert np.isfinite(L).all() and np.all(np.tril(L, -1) == 0.0)
+        assert np.all((diag == 0.0) | (diag >= np.finfo(float).tiny))
+        assert not L[:, diag == 0.0].any() and diag[0] > 0
+        assert np.abs(L @ L.T - K).max() <= (n + 4) * np.finfo(float).eps * K.max()
 
 
 def mp_first_order(beta, n):
@@ -230,6 +234,107 @@ class TestFirstOrderFactorReference:
             x = mpmath.lu_solve(K, g)
             quad = sum((g[i] - (g[i + 1] if i + 1 < n else 0)) ** 2 / sq[i] ** 2 for i in range(n))
             assert abs((g.T * x)[0] - quad) <= mpmath.mpf(10) ** -40 * quad
+
+
+def mp_second_order(beta, n):
+    """(s, sqrt(d), r) of the second-order factor in mpmath, by the recursion
+    in its unscaled form: s_k = beta^k; d_n = s_n^3/3, r_n = 3/(2 s_n) and
+    p = s_n/4; for k < n, with D = s_k - s_{k+1}, d_k = D^2 p + D^3/3,
+    r_k = (D p + D^2/2)/d_k, then p <- D (4p + D) / (4 (3p + D)).  The factor
+    is L_kj = sqrt(d_j) (1 + (s_k - s_j) r_j) for k <= j."""
+    b = mpmath.mpf(beta)
+    s = [b**k for k in range(1, n + 1)]
+    d, r, p = [None] * n, [None] * n, s[-1] / 4
+    d[-1], r[-1] = s[-1] ** 3 / 3, 3 / (2 * s[-1])
+    for k in range(n - 2, -1, -1):
+        D = s[k] - s[k + 1]
+        d[k] = D * D * p + D**3 / 3
+        r[k] = (D * p + D * D / 2) / d[k]
+        p = D * (4 * p + D) / (4 * (3 * p + D))
+    return s, [mpmath.sqrt(x) for x in d], r
+
+
+def mp_second_kernel(beta, i, k):
+    """K_ik of the second order, 0-based, from its defining formula."""
+    b, m = mpmath.mpf(beta), max(i, k) + 1
+    return b ** (i + k + 2 + m) / 2 - b ** (3 * m) / 6
+
+
+class TestSecondOrderFactorReference:
+    """The closed-form second-order factor, w = L^{-1} g and g'K^{-1}g
+    against mpmath at 40 digits.
+
+    L L^T is summed exactly from the double entries of L and compared with
+    K from its defining formula, on every pair of a set of rows that holds
+    both ends, the middle and the last columns kept: within 8 eps max K.
+    g = L_ref z is rounded from a 40-digit prior draw with z standard normal
+    and cut to 0 from the first column whose diagonal is below 4 x the
+    least normal float, so g is a vector the double factor can represent.
+    Rounding g perturbs each g_k by eps relative, which w = L^{-1} g
+    amplifies by about (1 - beta)^(-5/2) <= 1e5 at beta <= 0.99: w is held
+    to 1e-9 absolute and g'K^{-1}g = z'z to 1e-8 relative.  At beta = 0.01,
+    n = 200 and beta = 0.3, n = 500 the prior variance underflows: 98 and
+    109 columns of L are zero."""
+
+    EPS = np.finfo(float).eps
+    TINY = np.finfo(float).tiny
+    CASES = [(0.01, 1), (0.99, 1), (0.6, 2), (0.01, 2), (0.05, 20), (0.5, 20), (0.99, 20),
+             (0.01, 50), (0.3, 50), (0.8, 50), (0.95, 50), (0.01, 200), (0.5, 200),
+             (0.99, 200), (0.3, 500), (0.8, 500), (0.99, 500)]
+
+    @pytest.mark.parametrize("beta, n", CASES)
+    def test_against_mpmath(self, beta, n):
+        spec = KernelSpec("second", beta, n)
+        L = kernel_factor(spec)
+        assert np.isfinite(L).all() and np.all(np.tril(L, -1) == 0.0)
+        with mpmath.workdps(40):
+            s, sd, r = mp_second_order(beta, n)
+            # L_jj = sqrt(d_j): a column is kept up to the first diagonal near
+            # the least normal float, and zero where its diagonal is well below
+            cut = next((j for j in range(n) if sd[j] < 4 * self.TINY), n)
+            kept = np.diagonal(L) > 0
+            assert kept[:cut].all()
+            assert not L[:, [j for j in range(n) if sd[j] < self.TINY / 2]].any()
+            if (beta, n) in ((0.01, 200), (0.3, 500)):
+                assert np.count_nonzero(~kept) == {200: 98, 500: 109}[n]
+
+            rows = sorted({0, 1, 2, n // 4, n // 2, 3 * n // 4, cut - 2, cut - 1, cut,
+                           n - 3, n - 2, n - 1} & set(range(n)))
+            mp_rows = {i: [mpmath.mpf(float(x)) for x in L[i]] for i in rows}
+            kmax = mp_second_kernel(beta, 0, 0)
+            for a, i in enumerate(rows):
+                for k in rows[a:]:
+                    err = abs(mpmath.fdot(mp_rows[i], mp_rows[k]) - mp_second_kernel(beta, i, k))
+                    assert err <= 8 * self.EPS * kmax, (i, k, float(err / kmax))
+
+            z = np.random.default_rng(n).standard_normal(n)
+            z[cut:] = 0.0
+            # g_k = sum_{j >= k} sqrt(d_j) (1 - s_j r_j) z_j + s_k sum_{j >= k} sqrt(d_j) r_j z_j
+            g, A, B = np.zeros(n), mpmath.mpf(0), mpmath.mpf(0)
+            for k in range(n - 1, -1, -1):
+                A += sd[k] * (1 - s[k] * r[k]) * z[k]
+                B += sd[k] * r[k] * z[k]
+                g[k] = float(A + s[k] * B)
+            w = kernel_solve(spec, L, g)
+            assert np.abs(w - z).max() <= 1e-9
+            quad = float(z @ z)
+            assert abs(kernel_quadratic_form(spec, g) - quad) <= 1e-8 * quad
+
+    @pytest.mark.parametrize("beta", [0.01, 0.4, 0.9, 0.99])
+    def test_reference_is_the_kernel(self, beta):
+        # the reference's recursion against K's defining formula, in mpmath
+        n = 12
+        with mpmath.workdps(50):
+            s, sd, r = mp_second_order(beta, n)
+            L = mpmath.matrix(n, n)
+            for k in range(n):
+                for j in range(k, n):
+                    L[k, j] = sd[j] * (1 + (s[k] - s[j]) * r[j])
+            LLt = L * L.T
+            for i in range(n):
+                for k in range(n):
+                    K = mp_second_kernel(beta, i, k)
+                    assert abs(LLt[i, k] - K) <= mpmath.mpf(10) ** -40 * K
 
 
 class TestKernelQuadraticForm:

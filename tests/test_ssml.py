@@ -3,7 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from dense_oracle import covariance_posterior_mean, dense_neg_log_marglik, lstsq_sigma2
+from dense_oracle import (
+    covariance_posterior,
+    covariance_posterior_mean,
+    dense_neg_log_marglik,
+    lstsq_sigma2,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -508,6 +513,19 @@ class TestPosteriorMean:
             a = posterior_mean(lam, spec, U, y, d)
             b = covariance_posterior_mean(lam, build_kernel(spec), U, y, d)
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.6])
+    def test_second_order_matches_50_digit_oracle(self, beta):
+        # criterion 4e's instances (N=45, n=15) with the second-order kernel:
+        # its exact factor leaves rounding alone, about 1e-15 relative
+        rng = np.random.default_rng(int(100 * beta))
+        N, n = 45, 15
+        U = build_regressor(rng.standard_normal(N), N, n)
+        y, d, lam = rng.standard_normal(N), rng.uniform(0.3, 3.0, N), rng.uniform(0.1, 5.0)
+        spec = KernelSpec("second", beta, n)
+        ref, _ = covariance_posterior(lam, build_kernel(spec), U, y, d)
+        err = np.linalg.norm(posterior_mean(lam, spec, U, y, d) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-12
 
     def test_linear_in_y(self):
         rng = np.random.default_rng(13)

@@ -22,7 +22,6 @@ from stablespline import (
     ConfigError,
     Dataset,
     GibbsConfig,
-    KernelOrder,
     KernelSpec,
     NumericError,
     build_kernel,
@@ -66,8 +65,7 @@ def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
     L_K = kernel_factor(KernelSpec(order, beta, n))
-    # the kernel as factored: K itself for the first order, K + eps I for
-    # the second
+    # the kernel as factored, K itself to rounding for both orders
     K = L_K @ L_K.T
 
     mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
@@ -118,8 +116,8 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
     """Oracle: the g-space sweep through the posterior covariance factor.
 
     Same conditionals and RNG order (tau, then lambda, then e ~ N(0, I_{N+n}))
-    as the whitened sweep, with g'K^{-1}g by a triangular solve against L_K
-    (upper-triangular for the first order, lower for the second) and the g
+    as the whitened sweep, with g'K^{-1}g by a triangular solve against the
+    upper-triangular L_K and the g
     draw F t + F z for F = L_K L_A^{-T}: F t is the posterior mean
     and z = F'b, with b = U'D^{-1/2} e_N + L_K^{-T} e_n / sqrt(lam), is
     standard normal, since F'(U'D^{-1}U + K^{-1}/lam) F = I.  So F z is the
@@ -132,7 +130,6 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
     U = build_regressor(dataset.u, N, n)
     spec = KernelSpec(init.order, init.hyper.beta, n)
     K, L_K = build_kernel(spec), kernel_factor(spec)
-    lower = init.order is KernelOrder.SECOND
     # run_gibbs's floor holds in units of (max|y| / max|u(1..N-1)|)^2
     m, k = (int(np.frexp(np.max(np.abs(v)))[1]) for v in (U, y))
     rate_floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(K)), 2 * (k - m))
@@ -144,7 +141,7 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
             g = restart[k - 1]
         r = y - U @ g
         tau = sample_gig_half(2.0 / init.hyper.sigma2, r * r, gen)
-        w = solve_triangular(L_K, g, lower=lower)
+        w = solve_triangular(L_K, g)
         rate = max(float(w @ w) / 2.0, rate_floor)
         lam = 1.0 / sample_gamma(n / 2.0 + 1.0, rate, gen)
         e = gen.standard_normal(N + n)
@@ -154,7 +151,7 @@ def covariance_factor_sweep(dataset, init, rng, sweeps, restart=None):
         t = solve_triangular(L_A, L_K.T @ (W.T @ y), lower=True)
         F = solve_triangular(L_A, L_K.T, lower=True).T
         b = U.T @ (e[:N] / np.sqrt(tau))
-        b += solve_triangular(L_K.T, e[N:], lower=not lower) / np.sqrt(lam)
+        b += solve_triangular(L_K.T, e[N:], lower=True) / np.sqrt(lam)
         g = F @ (t + F.T @ b)
         draws.append(g)
     return np.array(draws)
