@@ -209,9 +209,9 @@ class TestNegLogMarglik:
             cases.append((U, y, rng.uniform(0.1, 2.0), rng.uniform(0.01, 10.0),
                           rng.uniform(0.2, 0.95)))
         # lambda 8 decades each side of scale = y'y / tr(UKU'), on kernels
-        # with eigenvalues below 1e-12 trace(K)/n, the jitter that
-        # kernel_factor now adds for the second order only: at 10^8 a route
-        # through a factor of K + eps I is off by more than 1e-7
+        # with eigenvalues below 1e-12 trace(K)/n, a jitter eps no factor
+        # adds any more: at 10^8 a route through a factor of K + eps I
+        # would be off by more than 1e-7
         for beta in (0.05, 0.1, 0.3):
             _, U, _ = random_problem(rng, N=40, n=20)
             y = rng.standard_normal(40)
