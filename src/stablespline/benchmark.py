@@ -24,8 +24,8 @@ from .errors import ConfigError, NumericError
 from .gibbs import GibbsConfig, run_gibbs
 from .kernels import KernelOrder
 from .model import (
-    Choice, Dataset, build_regressor, check_array, check_count, check_positive, check_unit,
-    fit_score,
+    Choice, Dataset, as_array, build_regressor, check_array, check_count, check_positive,
+    check_unit, fit_score,
 )
 from .ssml import run_ssml
 
@@ -75,8 +75,8 @@ class TransferFunction:
     den: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        z = np.array(self.zeros, dtype=complex)
-        p = np.array(self.poles, dtype=complex)
+        z = as_array("zeros", self.zeros, complex).copy()
+        p = as_array("poles", self.poles, complex).copy()
         check_array("zeros", np.abs(z))
         check_array("gain", self.gain, ())
         if not np.all(check_array("poles", np.abs(p)) < POLE_RADIUS):

@@ -10,7 +10,7 @@ The Gibbs sweep's samplers (``sample_gig_half``, ``sample_gamma`` and
 the sweep passes, and check nothing; the exported conditionals of
 :mod:`stablespline.gibbs` check their inputs.  The generalized inverse
 Gaussian sampler only covers the p = 1/2 case (the per-sample
-noise-variance conditional), with b clamped at a floor just above 0.
+noise-variance conditional), and draws it exactly for every b >= 0.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ __all__ = [
     "RngHandle",
     "as_generator",
     "sample_noise_mixture",
-    "GIG_B_FLOOR_FACTOR",
 ]
-
-# b below GIG_B_FLOOR_FACTOR * (2/a) is raised to that floor before the
-# GIG(a, b, 1/2) draw.  b is a squared residual, so the clamp acts on
-# (near-)interpolated data points; at the floor the mean sqrt(b/a) + 1/a is
-# within a factor 1 + 1.4e-6 of the b -> 0 limit, Gamma(shape 1/2, rate a/2).
-GIG_B_FLOOR_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,30 +69,22 @@ def sample_gamma(shape: float, rate: float, gen: np.random.Generator) -> float:
     return gen.gamma(shape, 1.0 / rate)
 
 
-def _inverse_gaussian(mu, lam: float, gen: np.random.Generator, size):
-    """Michael-Schucany-Haas transform with root selection.
-
-    The smaller root is evaluated in the cancellation-free form
-    mu / (1 + w + sqrt(w(w+2))) with w = mu*y/(2*lam), which stays
-    accurate for large mu (tiny b in the GIG use below).
-    """
-    y = gen.standard_normal(size) ** 2
-    w = mu * y / (2.0 * lam)
-    x_small = mu / (1.0 + w + np.sqrt(w * (w + 2.0)))
-    u = gen.uniform(size=size)
-    return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
-
-
 def sample_gig_half(a: float, b: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """Draw from GIG(a, b, p=1/2), density proportional to
     tau^{-1/2} exp(-(a*tau + b/tau)/2) on tau > 0, once per entry of ``b``.
 
-    If X is inverse Gaussian with mean sqrt(a/b) and shape a, then 1/X has
-    exactly this law.  b is first raised to the floor
-    GIG_B_FLOOR_FACTOR * (2/a), so every entry takes the same one draw.
+    If X is inverse Gaussian with mean 1/kappa, kappa = sqrt(b/a), and shape
+    a, then 1/X has exactly this law.  The Michael-Schucany-Haas draw of X,
+    written for 1/X in kappa: t = kappa + h + sqrt(h(h + 2 kappa)) with
+    h = z^2/(2a) is the reciprocal of its smaller root, kept with probability
+    t/(t + kappa), else the other root gives kappa^2/t.  At b = 0 this is
+    z^2/a, the Gamma(1/2, rate a/2) limit, so no b needs a floor.
     """
-    b = np.maximum(b, GIG_B_FLOOR_FACTOR * (2.0 / a))
-    return 1.0 / _inverse_gaussian(np.sqrt(a / b), a, gen, b.shape)
+    kappa = np.sqrt(b / a)
+    h = gen.standard_normal(b.shape) ** 2 / (2.0 * a)
+    t = kappa + h + np.sqrt(h * (h + 2.0 * kappa))
+    u = gen.uniform(size=b.shape)
+    return np.where(u * (t + kappa) <= t, t, kappa * kappa / t)
 
 
 def sample_mvn(size: int, gen: np.random.Generator) -> np.ndarray:

@@ -42,11 +42,19 @@ class Choice(str, enum.Enum):
             raise ConfigError(f"unknown {what} {value!r} (expected {expected})") from None
 
 
+def as_array(name: str, x, dtype=None) -> np.ndarray:
+    """``x`` as an array, else (a ragged nesting) a ConfigError naming it."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except ValueError as exc:
+        raise ConfigError(f"{name} is not a rectangular array of numbers: {exc}") from None
+
+
 def check_array(name: str, x, shape: tuple = (None,), positive: bool = False) -> np.ndarray:
     """``x`` as a float array of ``shape`` (None: any length) whose entries are
     real numbers, finite, and > 0 if ``positive``; else a ConfigError naming
     it and its first bad entry.  The one array check of the package's entries."""
-    a = np.asarray(x)
+    a = as_array(name, x)
     for v in [] if a.dtype.kind in "biuf" else a.ravel().tolist():
         if not isinstance(v, numbers.Real):
             raise ConfigError(f"{name} must be real, got {v!r}")

@@ -29,14 +29,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .model import check_array, check_positive
+from .model import as_array, check_array, check_positive
 
 __all__ = ["noise_diag", "information_system", "whiten", "solve", "moments", "posterior_moments"]
 
 
 def noise_diag(noise_cov_diag, N: int) -> np.ndarray:
     """The N noise variances from a scalar sigma2 or one per sample."""
-    d = np.asarray(noise_cov_diag)
+    d = as_array("noise_cov_diag", noise_cov_diag)
     return check_array("noise_cov_diag", np.full(N, d) if d.ndim == 0 else d, (N,), positive=True)
 
 

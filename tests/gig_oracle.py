@@ -1,15 +1,16 @@
-"""Test-only oracles for the GIG(a, b, 1/2) law: its density, and a copy of
-the sampler's draw for b at or above the b-floor.
+"""Test-only oracles for the GIG(a, b, 1/2) law: its density, and a frozen
+copy of the sampler's draw.
 
-``inverse_gaussian_gig_half`` makes the one draw 1 / IG(sqrt(a/b), a) for
-every entry of ``b``.  ``sample_gig_half`` must reproduce these draws, and
-the generator position after them, bit for bit, so that a rewrite of it
-cannot silently change the chains the Gibbs sampler runs.
+``inverse_gaussian_gig_half`` makes the one draw 1 / IG(1/kappa, a),
+kappa = sqrt(b/a), for every entry of ``b`` >= 0, written in kappa so that
+b = 0 needs no special case.  ``sample_gig_half`` must reproduce these
+draws, and the generator position after them, bit for bit, so that a
+rewrite of it cannot silently change the chains the Gibbs sampler runs.
 """
 
 import numpy as np
 
-from stablespline.distributions import _inverse_gaussian, as_generator
+from stablespline.distributions import as_generator
 from stablespline.errors import ConfigError
 
 
@@ -33,5 +34,13 @@ def gig_pdf_half(tau, a: float, b: float):
 
 
 def inverse_gaussian_gig_half(a, b, rng):
+    """Michael-Schucany-Haas: one normal z and one uniform u per entry; the
+    reciprocal t of the smaller root of the IG equation in z, or the other
+    root's reciprocal kappa^2/t with probability kappa/(t + kappa)."""
+    gen = as_generator(rng)
     b_arr = np.asarray(b, dtype=float)
-    return 1.0 / _inverse_gaussian(np.sqrt(a / b_arr), a, as_generator(rng), b_arr.shape)
+    kappa = np.sqrt(b_arr / a)
+    h = gen.standard_normal(b_arr.shape) ** 2 / (2.0 * a)
+    t = kappa + h + np.sqrt(h * (h + 2.0 * kappa))
+    u = gen.uniform(size=b_arr.shape)
+    return np.where(u * (t + kappa) <= t, t, kappa * kappa / t)

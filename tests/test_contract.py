@@ -53,15 +53,16 @@ TAU = np.linspace(0.5, 2.0, N)
 
 # kind -> (malformed variants, valid extremes)
 KINDS = {
-    "array": ({"nan", "inf", "-inf", "ndim"}, {"zero", "negative", "subnormal", "huge"}),
-    "pinned": ({"nan", "inf", "-inf", "ndim", "short"}, {"zero", "negative", "subnormal", "huge"}),
-    "positive": ({"nan", "inf", "-inf", "zero", "negative", "ndim", "short", "text", "none"},
-                 {"subnormal", "huge"}),
+    "array": ({"nan", "inf", "-inf", "ndim", "ragged"}, {"zero", "negative", "subnormal", "huge"}),
+    "pinned": ({"nan", "inf", "-inf", "ndim", "short", "ragged"},
+               {"zero", "negative", "subnormal", "huge"}),
+    "positive": ({"nan", "inf", "-inf", "zero", "negative", "ndim", "short", "text", "none",
+                  "ragged"}, {"subnormal", "huge"}),
     "scalar+": ({"nan", "inf", "-inf", "zero", "negative", "text", "none"}, {"subnormal", "huge"}),
     "scalar0": ({"nan", "inf", "-inf", "negative", "text", "none"}, {"zero", "subnormal", "huge"}),
     "real": ({"nan", "inf", "-inf", "text", "none"}, {"zero", "negative", "subnormal", "huge"}),
     "unit": ({"nan", "inf", "-inf", "negative", "huge", "text"}, {"zero", "subnormal"}),
-    "poles": ({"nan", "inf", "-inf", "huge", "ndim"}, {"zero", "subnormal"}),
+    "poles": ({"nan", "inf", "-inf", "huge", "ndim", "ragged"}, {"zero", "subnormal"}),
     "count": ({"nan", "zero", "negative", "fraction"}, set()),
     "count0": ({"nan", "negative", "fraction"}, {"zero"}),
     "list": ({"short"}, set()),
@@ -187,6 +188,14 @@ def _variant(variant, base, data):
         return base[:-1] if isinstance(base, list) else base[..., :-1]
     if variant == "ndim":
         return base[0] if base.ndim > 1 else base[None]
+    if variant == "ragged":  # nested lists, one number of them a pair of it
+        out = base.tolist()
+        row = out
+        while isinstance(row[0], list):
+            row = row[data.draw(st.integers(0, len(row) - 1))]
+        i = data.draw(st.integers(0, len(row) - 1))
+        row[i] = [row[i], row[i]]
+        return out
     if isinstance(base, int) and variant in ("zero", "negative"):  # a count
         return 0 if variant == "zero" else -data.draw(st.integers(1, 10**6))
     value = {

@@ -5,7 +5,6 @@ from scipy import integrate, stats
 
 from stablespline import ConfigError
 from stablespline.distributions import (
-    GIG_B_FLOOR_FACTOR,
     RngHandle,
     sample_gamma,
     sample_gig_half,
@@ -88,12 +87,14 @@ class TestSampleGigHalf:
         assert m_quad == pytest.approx(1.5, abs=1e-9)
         assert abs(x.mean() - 1.5) <= 0.01 * 1.5
 
-    def test_b_floor_gamma_limit(self):
+    def test_b_zero_and_subnormal_gamma_limit(self):
+        # GIG(a, 0, 1/2) is Gamma(1/2, rate a/2); a subnormal b is within
+        # rounding of it
         a = 4.0
-        b = 0.5 * GIG_B_FLOOR_FACTOR * (2.0 / a)
-        x = sample_gig_half(a, np.full(100_000, b), RngHandle(31).generator())
-        # Gamma(1/2, rate a/2 = 2) mean = 0.25
-        assert abs(x.mean() - 0.25) <= 0.02 * 0.25
+        for i, b in enumerate([0.0, 5e-324, 1e-310]):
+            x = sample_gig_half(a, np.full(200_000, b), RngHandle(31, stream=i).generator())
+            res = stats.kstest(x, stats.gamma(0.5, scale=2.0 / a).cdf)
+            assert res.pvalue > 0.001, (b, res)
 
     def test_vectorized_b_matches_support(self):
         b = np.concatenate([np.zeros(5), np.full(5, 2.0)])
@@ -124,21 +125,25 @@ class TestSampleGigHalf:
             assert res.pvalue > 0.001, (a, b, res)
 
 
-def _same_draws(a, b, seed, b_ref=None):
-    """The sampler at ``b`` and its frozen oracle at ``b_ref`` (default
-    ``b``) agree bit for bit, and leave the generator at the same point."""
+def _same_draws(a, b, seed):
+    """The sampler and its frozen oracle agree bit for bit at ``b``, and
+    leave the generator at the same point."""
     gen, ref_gen = RngHandle(seed).generator(), RngHandle(seed).generator()
     x = sample_gig_half(a, b, gen)
-    ref = inverse_gaussian_gig_half(a, b if b_ref is None else b_ref, ref_gen)
+    ref = inverse_gaussian_gig_half(a, b, ref_gen)
     assert x.shape == np.shape(b)
     assert np.array_equal(x, ref)
     assert np.array_equal(gen.random(4), ref_gen.random(4))
     return x
 
 
+# b at and next to 0: exactly 0, the least subnormal (b/a rounds to 0), a
+# larger subnormal, and a normal far below the scale of a squared residual
+TINY_B = {"zero": 0.0, "min_subnormal": 5e-324, "subnormal": 1e-310, "tiny": 1e-13}
+
+
 class TestSampleGigHalfPaths:
     a = 4.0
-    floor = GIG_B_FLOOR_FACTOR * (2.0 / a)
 
     def test_array_above_floor_matches_oracle(self):
         rng = np.random.default_rng(40)
@@ -151,29 +156,27 @@ class TestSampleGigHalfPaths:
         _same_draws(self.a, np.full(1, 0.3), 44)
         assert _same_draws(self.a, np.full(0, 0.3), 45).shape == (0,)
 
-    def test_b_at_floor_takes_inverse_gaussian_draw(self):
-        _same_draws(self.a, np.full(200, self.floor), 46)
+    def test_b_zero_is_scaled_squared_normal(self):
+        # at b = 0 the draw is z^2/a exactly, and the uniform is still drawn
+        gen, ref_gen = RngHandle(46).generator(), RngHandle(46).generator()
+        x = sample_gig_half(self.a, np.zeros(200), gen)
+        assert np.array_equal(x, ref_gen.standard_normal(200) ** 2 / self.a)
+        ref_gen.uniform(size=200)
+        assert np.array_equal(gen.random(4), ref_gen.random(4))
 
-    @pytest.mark.parametrize(
-        "b",
-        [0.0, 0.5 * floor, np.nextafter(floor, 0.0)],
-        ids=["zero", "half_floor", "below_floor"],
-    )
-    def test_b_below_floor_draws_as_floor(self, b):
-        _same_draws(self.a, np.full(1, b), 47, b_ref=np.full(1, self.floor))
-        _same_draws(self.a, np.full(200, b), 47, b_ref=np.full(200, self.floor))
+    @pytest.mark.parametrize("b", TINY_B.values(), ids=TINY_B.keys())
+    def test_tiny_b_matches_oracle(self, b):
+        _same_draws(self.a, np.full(1, b), 47)
+        assert np.all(_same_draws(self.a, np.full(200, b), 47) > 0)
 
     def test_mixed_arrays_match_oracle(self):
-        # entries below the floor draw as the floor; the others are untouched
+        # zero and subnormal entries among positive ones
         rng = np.random.default_rng(48)
         for i, n_low in enumerate([1, 17, 199]):
             b = rng.exponential(size=200)
-            b[rng.choice(200, n_low, replace=False)] = rng.choice(
-                [0.0, 0.5 * self.floor, np.nextafter(self.floor, 0.0)], n_low
-            )
-            _same_draws(self.a, b, 49 + i, b_ref=np.maximum(b, self.floor))
-        b = np.array([[0.0, self.floor], [2.0, 0.0]])
-        _same_draws(self.a, b, 52, b_ref=np.maximum(b, self.floor))
+            b[rng.choice(200, n_low, replace=False)] = rng.choice(list(TINY_B.values()), n_low)
+            _same_draws(self.a, b, 49 + i)
+        _same_draws(self.a, np.array([[0.0, 5e-324], [2.0, 0.0]]), 52)
 
     def test_empty_b(self):
         assert sample_gig_half(self.a, np.array([]), RngHandle(55).generator()).shape == (0,)
