@@ -27,7 +27,6 @@ from .gibbs import (
     GibbsConfig,
     QuantileReport,
     conditional_g,
-    conditional_g_moments,
     conditional_lambda,
     conditional_tau,
     quantile_diagnostics,
@@ -69,7 +68,6 @@ __all__ = [
     "conditional_tau",
     "conditional_lambda",
     "conditional_g",
-    "conditional_g_moments",
     "run_gibbs",
     "quantile_diagnostics",
     "InputKind",

@@ -56,7 +56,7 @@ from .model import (
     power_of_two_scaled,
 )
 # posterior_moments stays a name here: perfbench/layers.py patches it
-from .posterior import information_system, moments, posterior_moments, solve, whiten
+from .posterior import information_system, posterior_moments, solve, whiten
 from .ssml import SsmlResult
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "conditional_tau",
     "conditional_lambda",
     "conditional_g",
-    "conditional_g_moments",
     "run_gibbs",
     "quantile_diagnostics",
     "RATE_CONVENTIONS",
@@ -263,28 +262,6 @@ def conditional_lambda(g: np.ndarray, spec: KernelSpec, rng, rate_convention="ha
         e = int(np.frexp(np.max(np.abs(g)))[1])
         floor = np.ldexp(LAMBDA_RATE_FLOOR_FACTOR * float(np.trace(build_kernel(spec))), 2 * e)
         return _draw_lambda(float(w @ w), g.size, as_generator(rng), rate_convention, floor)
-
-
-def conditional_g_moments(
-    lam: float,
-    tau: np.ndarray,
-    spec: KernelSpec,
-    U: np.ndarray,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance factor of the g conditional for the kernel K of ``spec``.
-
-    Equals the posterior of g under noise covariance D = diag(tau):
-    mean lam K U' (lam U K U' + D)^{-1} y, covariance
-    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K, both evaluated through
-    the whitened information form and mapped back through L_K.
-    """
-    lam = check_positive("conditional_g_moments", "lambda", lam)
-    L_K = kernel_factor(spec)
-    Xt = whiten(L_K, U, y)
-    tau = check_array("tau", tau, Xt.shape[1:], positive=True)
-    mean, R = moments(lam, Xt, tau, "gibbs.conditional_g_moments")
-    return L_K @ mean, L_K @ R
 
 
 def conditional_g(

@@ -5,20 +5,20 @@ K = L_K L_K' and regressor Phi = U L_K, where the prior on w is
 N(0, lam I) (Chen & Ljung's factor parametrization).  L_K is exact for both
 orders (:func:`stablespline.kernels.kernel_factor`), so the posterior has the
 marginal likelihood's prior K.
-Each estimator factors the kernel itself and passes L_K to :func:`whiten`,
-the one builder of X' = [Phi y]', by the product U @ L_K: for the SS-ML
-posterior mean and once per chain in the Gibbs sampler, so both give the
-same bits under any BLAS thread count.  X' is read-only: each caller scales
-it into its own array.  One Gram of the scaled data D^{-1/2} X gives the
-information form A w = c of the posterior, A = I/lam + Phi'D^{-1}Phi and
-c = Phi'D^{-1}y (:func:`information_system`).  The SS-ML posterior mean
-(D = sigma2 I) is one solve of that system.  A Gibbs draw (D = diag(tau)) is
-one solve of the same system with a perturbed right-hand side (Papandreou &
-Yuille, NIPS 2010): with e standard normal of length N + n added as e_N to
-the scaled output row y D^{-1/2}, the Gram's last column becomes
-c~ = c + Phi'D^{-1/2} e_N ~ N(c, Phi'D^{-1}Phi), and
+The SS-ML posterior mean, :func:`posterior_moments` and, once per chain,
+the Gibbs sampler each factor the kernel themselves and pass L_K to
+:func:`whiten`, the one builder of X' = [Phi y]', by the product U @ L_K, so
+all give the same bits under any BLAS thread count.  X' is read-only: each
+caller scales it into its own array.  One Gram of the scaled data D^{-1/2} X
+gives the information form A w = c of the posterior,
+A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y (:func:`information_system`).
+The SS-ML posterior mean (D = sigma2 I) is one solve of that system.  A
+Gibbs draw (D = diag(tau)) is one solve of the same system with a perturbed
+right-hand side (Papandreou & Yuille, NIPS 2010): with e standard normal of
+length N + n added as e_N to the scaled output row y D^{-1/2}, the Gram's
+last column becomes c~ = c + Phi'D^{-1/2} e_N ~ N(c, Phi'D^{-1}Phi), and
 w = A^{-1}(c~ + e_n / sqrt(lam)) has mean A^{-1} c and covariance A^{-1}.
-Only the covariance factor L_A^{-T} of :func:`moments` takes a Cholesky
+Only the covariance factor of :func:`posterior_moments` takes a Cholesky
 A = L_A L_A', and no inverse is formed.  Every factorization goes
 through ``numpy.linalg``: numpy and scipy bundle separate OpenBLAS builds,
 and alternating between them on a hot path makes their thread pools compete.
@@ -29,9 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
+from .kernels import KernelSpec, kernel_factor
 from .model import as_array, check_array, check_positive
 
-__all__ = ["noise_diag", "information_system", "whiten", "solve", "moments", "posterior_moments"]
+__all__ = ["noise_diag", "information_system", "whiten", "solve", "posterior_moments"]
 
 
 def noise_diag(noise_cov_diag, N: int) -> np.ndarray:
@@ -82,9 +83,33 @@ def solve(A: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
         raise NumericError("information-form system singular", context=context) from exc
 
 
-def moments(lam: float, Xt: np.ndarray, d: np.ndarray, context: str):
-    """(A^{-1} c, L_A^{-T}) for X' = [Phi y]' and noise variances ``d``, which
-    its callers have checked; a failure raises NumericError under ``context``."""
+def posterior_moments(
+    lam: float, spec: KernelSpec, U: np.ndarray, y: np.ndarray, noise_cov_diag
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and covariance factor of g given data, (lam, D) and ``spec``.
+
+    ``noise_cov_diag`` is the diagonal of D: a scalar sigma2 or one
+    variance per sample.  The posterior is computed in w = L_K^{-1} g, with
+    K = L_K L_K' the kernel of ``spec`` (:func:`kernel_factor`) and
+    Phi = U L_K, so the prior on w is N(0, lam I) and its posterior is
+    N(A^{-1} c, A^{-1}) with A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y
+    (:func:`information_system`).  A = L_A L_A' is the one Cholesky, and
+    R = L_A^{-T} solves L_A' R = I, whose back substitution on e_i leaves
+    exact zeros, so R is exactly upper-triangular and A^{-1} = R R'.
+
+    Returns the posterior of g: the mean L_K R (R' c) and the covariance
+    factor F = L_K R, upper-triangular like both of its factors, with
+    covariance F F'.  By the Woodbury identity these equal the
+    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
+    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.  ``lam`` must be
+    positive.  A Gram that is not finite, or an A that is not positive
+    definite, raises NumericError.
+    """
+    context = "posterior.posterior_moments"
+    lam = check_positive("posterior_moments", "lambda", lam)
+    L_K = kernel_factor(spec)
+    Xt = whiten(L_K, U, y)
+    d = noise_diag(noise_cov_diag, Xt.shape[1])
     with np.errstate(over="ignore"):  # a scaled datum out of range: the Gram reports it
         A, c = information_system(lam, Xt * (1.0 / np.sqrt(d)), context)
     try:
@@ -94,32 +119,4 @@ def moments(lam: float, Xt: np.ndarray, d: np.ndarray, context: str):
             "information-form system not positive definite", context=context
         ) from exc
     R = np.linalg.solve(L_A.T, np.eye(A.shape[0]))
-    return R @ (R.T @ c), R
-
-
-def posterior_moments(
-    lam: float,
-    Phi: np.ndarray,
-    y: np.ndarray,
-    noise_cov_diag,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whitened posterior of w = L_K^{-1} g given data and (lam, D).
-
-    ``Phi`` is the whitened regressor U L_K, with K = L_K L_K', so the
-    prior on w is N(0, lam I).  The posterior is w ~ N(A^{-1} c, A^{-1})
-    with A = I/lam + Phi'D^{-1}Phi and c = Phi'D^{-1}y
-    (:func:`information_system`).  Returns the mean and the
-    upper-triangular factor R = L_A^{-T} of A^{-1} = R R', where
-    A = L_A L_A' is the one Cholesky: R solves L_A' R = I, whose back
-    substitution on e_i leaves exact zeros, so R is exactly
-    upper-triangular, and the mean is R (R' c).
-
-    Mapping back through L_K gives the posterior of g: mean L_K m and
-    covariance factor L_K R.  By the Woodbury identity these equal the
-    covariance-form mean lam K U' (lam U K U' + D)^{-1} y and covariance
-    lam K - lam^2 K U' (lam U K U' + D)^{-1} U K.
-    """
-    lam = check_positive("posterior_moments", "lambda", lam)
-    Phi = check_array("Phi", Phi, (None, None))
-    Xt = np.vstack([Phi.T, check_array("y", y, Phi.shape[:1])])
-    return moments(lam, Xt, noise_diag(noise_cov_diag, Xt.shape[1]), "posterior.posterior_moments")
+    return L_K @ (R @ (R.T @ c)), L_K @ R

@@ -21,12 +21,12 @@ from stablespline import (
     KernelSpec,
     build_kernel,
     build_regressor,
-    conditional_g_moments,
     fit_score,
     generate_input,
     generate_system,
     impulse_response,
     posterior_mean,
+    posterior_moments,
     run_experiment,
     run_gibbs,
     run_ssml,
@@ -153,7 +153,7 @@ def test_criterion_4d_constant_tau_reduction():
         sigma2 = rng.uniform(0.2, 2.0)
         lam = rng.uniform(0.2, 4.0)
         spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
-        mean, _ = conditional_g_moments(lam, np.full(N, sigma2), spec, U, y)
+        mean, _ = posterior_moments(lam, spec, U, y, np.full(N, sigma2))
         # independent route: direct N x N covariance-form solve
         ref = covariance_posterior_mean(lam, build_kernel(spec), U, y, sigma2)
         err = np.linalg.norm(mean - ref) / np.linalg.norm(ref)
@@ -180,7 +180,7 @@ def test_criterion_4e_woodbury_equivalence():
         worst = max(worst, err)
         assert err <= 1e-8
         if trial < 50:
-            mean, F = conditional_g_moments(lam, d, spec, U, y)
+            mean, F = posterior_moments(lam, spec, U, y, d)
             Sigma = lam * U @ K @ U.T + np.diag(d)
             cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(Sigma, U @ K)
             cerr = np.linalg.norm(F @ F.T - cov_ref) / np.linalg.norm(cov_ref)

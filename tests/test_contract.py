@@ -118,8 +118,8 @@ ENTRIES = {
         {"lam": ("scalar0", "lambda"), "U": "pinned", "y": "pinned", "noise_cov_diag": "positive"},
     ),
     "posterior_moments": entry(
-        ss.posterior_moments, dict(lam=1.0, Phi=U @ ss.kernel_factor(SPEC), y=Y, noise_cov_diag=TAU),
-        {"lam": ("scalar+", "lambda"), "Phi": "array", "y": "pinned", "noise_cov_diag": "positive"},
+        ss.posterior_moments, dict(lam=1.0, spec=SPEC, U=U, y=Y, noise_cov_diag=TAU),
+        {"lam": ("scalar+", "lambda"), "U": "pinned", "y": "pinned", "noise_cov_diag": "positive"},
     ),
     "run_ssml": entry(
         ss.run_ssml, dict(dataset=DATASET, n=n, order="first"), {"dataset": "record", "n": "count"}
@@ -132,10 +132,6 @@ ENTRIES = {
     "conditional_lambda": entry(ss.conditional_lambda, dict(g=G, spec=SPEC, rng=RngHandle(1)), {"g": "pinned"}),
     "conditional_g": entry(
         ss.conditional_g, dict(lam=1.0, tau=TAU, spec=SPEC, U=U, y=Y, rng=RngHandle(1)),
-        {"lam": ("scalar+", "lambda"), "tau": "positive", "U": "pinned", "y": "pinned"},
-    ),
-    "conditional_g_moments": entry(
-        ss.conditional_g_moments, dict(lam=1.0, tau=TAU, spec=SPEC, U=U, y=Y),
         {"lam": ("scalar+", "lambda"), "tau": "positive", "U": "pinned", "y": "pinned"},
     ),
     "run_gibbs": entry(

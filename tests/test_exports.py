@@ -6,6 +6,7 @@ attribute that the benchmark's tracer patches must exist, or
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,29 @@ def test_package_surface():
         "Hyperparameters", "InputKind", "KernelOrder", "KernelSpec", "NumericError",
         "QuantileReport", "RngHandle", "RunResult", "SsmlResult", "TransferFunction",
         "__version__", "build_kernel", "build_regressor", "conditional_g",
-        "conditional_g_moments", "conditional_lambda", "conditional_tau", "fit_score",
-        "generate_input", "generate_system", "impulse_response", "kernel_factor",
-        "kernel_quadratic_form", "posterior_mean", "posterior_moments",
-        "quantile_diagnostics", "run_experiment", "run_gibbs", "run_ssml",
-        "sample_noise_mixture", "summarize",
+        "conditional_lambda", "conditional_tau", "fit_score", "generate_input",
+        "generate_system", "impulse_response", "kernel_factor", "kernel_quadratic_form",
+        "posterior_mean", "posterior_moments", "quantile_diagnostics", "run_experiment",
+        "run_gibbs", "run_ssml", "sample_noise_mixture", "summarize",
     ]
+
+
+# parameter names of a kernel-derived matrix: K itself, its factor, or a
+# regressor or data matrix built from that factor
+KERNEL_MATRIX_PARAMETERS = {"K", "Phi", "L", "L_K", "Xt"}
+
+
+def test_kernel_users_take_a_spec():
+    # every exported callable that uses the kernel takes its KernelSpec and
+    # derives the matrix itself, so no caller can pass a K that disagrees
+    # with the spec; the error classes have no signature to read
+    taking = {
+        name: sorted(set(inspect.signature(fn).parameters) & KERNEL_MATRIX_PARAMETERS)
+        for name in stablespline.__all__
+        if callable(fn := getattr(stablespline, name))
+        and not (isinstance(fn, type) and issubclass(fn, Exception))
+    }
+    assert {name: params for name, params in taking.items() if params} == {}
 
 
 @pytest.mark.parametrize("name", MODULES)

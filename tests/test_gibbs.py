@@ -17,11 +17,11 @@ from stablespline import (
     build_kernel,
     build_regressor,
     conditional_g,
-    conditional_g_moments,
     conditional_lambda,
     conditional_tau,
     fit_score,
     posterior_mean,
+    posterior_moments,
     quantile_diagnostics,
     run_gibbs,
     run_ssml,
@@ -203,7 +203,8 @@ class TestConditionalEdges:
 
     # A shape that disagrees with the kernel's n or with the other arguments
     # is a ConfigError naming the argument, at each exported conditional and
-    # at posterior_mean, whose X' builder posterior.whiten checks it (n = 5, N = 20).
+    # at posterior_mean and posterior_moments, whose X' builder posterior.whiten
+    # checks it (n = 5, N = 20).
     @pytest.mark.parametrize(
         "call, name",
         [
@@ -212,8 +213,8 @@ class TestConditionalEdges:
             (lambda U, y, spec: conditional_tau(np.zeros(5), U[0], y, 1.0, RngHandle(1)), "U"),
             (lambda U, y, spec: conditional_g(1.0, np.ones(20), spec, U[:, :4], y, RngHandle(1)), "U"),
             (lambda U, y, spec: conditional_g(1.0, np.ones(20), spec, U, y[:-1], RngHandle(1)), "y"),
-            (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U[:, :4], y), "U"),
-            (lambda U, y, spec: conditional_g_moments(1.0, np.ones(20), spec, U, y[:-1]), "y"),
+            (lambda U, y, spec: posterior_moments(1.0, spec, U[:, :4], y, np.ones(20)), "U"),
+            (lambda U, y, spec: posterior_moments(1.0, spec, U, y[:-1], np.ones(20)), "y"),
             (lambda U, y, spec: conditional_lambda(np.ones(4), spec, RngHandle(1)), "g"),
             (lambda U, y, spec: posterior_mean(1.0, spec, U[:, :4], y, 1.0), "U"),
             (lambda U, y, spec: posterior_mean(1.0, spec, U[0], y, 1.0), "U"),
@@ -230,21 +231,24 @@ class TestConditionalEdges:
             call(U, y, self.SPEC)
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, np.inf, np.nan])
-    @pytest.mark.parametrize("call", [conditional_g, conditional_g_moments])
+    @pytest.mark.parametrize("call", [conditional_g, posterior_moments])
     def test_lambda_checked_at_entry(self, call, lam):
         rng = np.random.default_rng(0)
         U, y = build_regressor(rng.standard_normal(20), 20, 5), rng.standard_normal(20)
-        args = (lam, np.ones(20), self.SPEC, U, y) + ((RngHandle(1),) if call is conditional_g else ())
+        if call is conditional_g:
+            args = (lam, np.ones(20), self.SPEC, U, y, RngHandle(1))
+        else:
+            args = (lam, self.SPEC, U, y, np.ones(20))
         with pytest.raises(ConfigError, match=f"^{call.__name__} requires lambda > 0"):
             call(*args)
 
     @pytest.mark.parametrize("name", ["U", "y"])
-    def test_conditional_g_moments_rejects_non_finite_data(self, name):
+    def test_posterior_moments_rejects_non_finite_data(self, name):
         rng = np.random.default_rng(0)
         data = {"U": build_regressor(rng.standard_normal(20), 20, 5), "y": np.ones(20)}
         data[name][3] = np.nan
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
-            conditional_g_moments(1.0, np.ones(20), self.SPEC, data["U"], data["y"])
+            posterior_moments(1.0, self.SPEC, data["U"], data["y"], np.ones(20))
 
 
 class TestConditionalG:
@@ -255,7 +259,7 @@ class TestConditionalG:
             sigma2 = rng.uniform(0.2, 2.0)
             lam = rng.uniform(0.2, 4.0)
             spec = KernelSpec("first", rng.uniform(0.4, 0.95), 10)
-            mean, _ = conditional_g_moments(lam, np.full(40, sigma2), spec, U, ds.y)
+            mean, _ = posterior_moments(lam, spec, U, ds.y, np.full(40, sigma2))
             ref = posterior_mean(lam, spec, U, ds.y, sigma2)
             assert np.linalg.norm(mean - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -277,7 +281,7 @@ class TestConditionalG:
             lam = rng.uniform(0.2, 5.0)
             spec = KernelSpec("first", rng.uniform(0.4, 0.95), n)
             K = build_kernel(spec)
-            mean, F = conditional_g_moments(lam, tau, spec, U, y)
+            mean, F = posterior_moments(lam, spec, U, y, tau)
             Sigma = lam * U @ K @ U.T + np.diag(tau)
             mean_ref = lam * K @ U.T @ np.linalg.solve(Sigma, y)
             cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(Sigma, U @ K)
@@ -295,7 +299,7 @@ class TestConditionalG:
         tau = rng.uniform(0.5, 2.0, N)
         lam = 1.3
         spec = KernelSpec("first", 0.8, n)
-        mean, F = conditional_g_moments(lam, tau, spec, U, y)
+        mean, F = posterior_moments(lam, spec, U, y, tau)
         gen = RngHandle(95).generator()
         draws = np.array(
             [conditional_g(lam, tau, spec, U, y, gen) for _ in range(10_000)]
@@ -314,8 +318,8 @@ class TestConditionalG:
         tau = rng.uniform(0.3, 2.0, N)
         spec = KernelSpec("first", 0.75, n)
         perm = rng.permutation(N)
-        mean_a, F_a = conditional_g_moments(1.7, tau, spec, U, y)
-        mean_b, F_b = conditional_g_moments(1.7, tau[perm], spec, U[perm], y[perm])
+        mean_a, F_a = posterior_moments(1.7, spec, U, y, tau)
+        mean_b, F_b = posterior_moments(1.7, spec, U[perm], y[perm], tau[perm])
         assert np.allclose(mean_a, mean_b, rtol=1e-10, atol=1e-12)
         assert np.allclose(F_a @ F_a.T, F_b @ F_b.T, rtol=1e-10, atol=1e-12)
 

@@ -64,19 +64,19 @@ def test_whitened_step_matches_covariance_form(order, beta, log_lam, seed):
     U = build_regressor(rng.standard_normal(N), N, n)
     y = rng.standard_normal(N)
     tau = rng.uniform(0.1, 10.0, N)
-    L_K = kernel_factor(KernelSpec(order, beta, n))
+    spec = KernelSpec(order, beta, n)
+    L_K = kernel_factor(spec)
     # the kernel as factored, K itself to rounding for both orders
     K = L_K @ L_K.T
 
-    mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
+    mean, F = posterior_moments(lam, spec, U, y, tau)
 
     S = lam * U @ K @ U.T + np.diag(tau)
     mean_ref = lam * K @ U.T @ np.linalg.solve(S, y)
     cov_ref = lam * K - lam**2 * K @ U.T @ np.linalg.solve(S, U @ K)
-    F = L_K @ R
-    assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
+    assert np.linalg.norm(mean - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
     assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
-    assert np.array_equal(R, np.triu(R))
+    assert np.array_equal(F, np.triu(F))
 
 
 @settings(max_examples=40, deadline=None)
@@ -388,12 +388,15 @@ class TestLambdaRateFloor:
 
 
 def test_non_pd_information_form_raises():
-    # Identical columns and huge 1/tau: A = I/lam + Phi'D^{-1}Phi rounds
-    # exactly to 2^44 * ones(3, 3) (every value a power of two), whose
-    # Cholesky meets a zero pivot.
-    Phi = np.ones((16, 3))
-    with pytest.raises(NumericError, match="not positive definite"):
-        posterior_moments(2.0**30, Phi, np.ones(16), np.full(16, 2.0**-40))
+    # Identical columns and huge 1/tau: at beta = 1/2, n = 2, L_K's first row
+    # is (1/2, 1/2), so U = [1 0] gives Phi identical columns, and
+    # A = I/lam + Phi'D^{-1}Phi rounds exactly to 2^42 ones(2, 2) (every
+    # value a power of two), whose Cholesky meets a zero pivot.
+    U = np.zeros((16, 2))
+    U[:, 0] = 1.0
+    with pytest.raises(NumericError, match="not positive definite") as info:
+        posterior_moments(2.0**30, KernelSpec("first", 0.5, 2), U, np.ones(16), np.full(16, 2.0**-40))
+    assert info.value.context == "posterior.posterior_moments"
 
 
 @pytest.mark.parametrize(
@@ -405,10 +408,8 @@ def test_non_pd_information_form_raises():
     ids=["posterior_mean", "conditional_g"],
 )
 def test_singular_information_form_raises(call, context):
-    # as in test_non_pd_information_form_raises: at beta = 1/2, n = 2, L_K's
-    # first row is (1/2, 1/2), so U = [1 0] gives Phi identical columns, and
-    # A rounds exactly to 2^42 ones(2, 2), on which the LU solve meets a zero
-    # pivot
+    # the data of test_non_pd_information_form_raises: A rounds exactly to
+    # 2^42 ones(2, 2), on which the LU solve meets a zero pivot
     U = np.zeros((16, 2))
     U[:, 0] = 1.0
     with pytest.raises(NumericError, match="singular") as info:
@@ -417,12 +418,13 @@ def test_singular_information_form_raises(call, context):
 
 
 def test_overflowed_information_form_raises():
-    # one column of squared norm 1e400 overflows the Gram's leading entry,
-    # which the builder reports before any factorization
-    Phi = np.array([[1e200, 0.0], [0.0, 1.0]])
+    # at beta = 1/2, n = 2, L_K's first column is (1/2, 0), so Phi's first
+    # column is (5e199, 0), whose squared norm 2.5e399 overflows the Gram's
+    # leading entry; the builder reports it before any factorization
+    U = np.array([[1e200, 0.0], [0.0, 1.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError, match="not finite"):
-            posterior_moments(1.0, Phi, np.ones(2), np.ones(2))
+            posterior_moments(1.0, KernelSpec("first", 0.5, 2), U, np.ones(2), np.ones(2))
 
 
 @pytest.mark.parametrize(
@@ -432,7 +434,10 @@ def test_overflowed_information_form_raises():
             lambda U: posterior_mean(1.0, KernelSpec("first", 0.5, 2), U, np.ones(2), 1.0),
             "ssml.posterior_mean",
         ),
-        (lambda U: posterior_moments(1.0, U, np.ones(2), 1.0), "posterior.posterior_moments"),
+        (
+            lambda U: posterior_moments(1.0, KernelSpec("first", 0.5, 2), U, np.ones(2), 1.0),
+            "posterior.posterior_moments",
+        ),
     ],
     ids=["posterior_mean", "posterior_moments"],
 )
@@ -452,17 +457,10 @@ SPEC5 = KernelSpec("first", 0.8, 5)
     "call, context",
     [
         (lambda U, y, tau: posterior_mean(1.0, SPEC5, U, y, tau), "ssml.posterior_mean"),
-        (
-            lambda U, y, tau: posterior_moments(1.0, U @ kernel_factor(SPEC5), y, tau),
-            "posterior.posterior_moments",
-        ),
+        (lambda U, y, tau: posterior_moments(1.0, SPEC5, U, y, tau), "posterior.posterior_moments"),
         (lambda U, y, tau: conditional_g(1.0, tau, SPEC5, U, y, RngHandle(1)), "gibbs.conditional_g"),
-        (
-            lambda U, y, tau: gibbs.conditional_g_moments(1.0, tau, SPEC5, U, y),
-            "gibbs.conditional_g_moments",
-        ),
     ],
-    ids=["posterior_mean", "posterior_moments", "conditional_g", "conditional_g_moments"],
+    ids=["posterior_mean", "posterior_moments", "conditional_g"],
 )
 def test_scaled_data_overflow_names_its_caller(call, context):
     # a finite y scaled by a noise variance below 1 overflows D^{-1/2} X;
@@ -496,39 +494,34 @@ class TestPosteriorMomentsEdges:
     def test_matches_covariance_form(self, problem, lam, beta):
         U, y, tau = problem
         spec = KernelSpec("first", beta, self.n)
-        L_K = kernel_factor(spec)
-        mean_w, R = posterior_moments(lam, U @ L_K, y, tau)
+        mean, F = posterior_moments(lam, spec, U, y, tau)
 
-        assert np.all(np.tril(R, -1) == 0.0)
+        assert np.all(np.tril(F, -1) == 0.0)
         mean_ref, cov_ref = covariance_posterior(lam, build_kernel(spec), U, y, tau)
-        F = L_K @ R
-        assert np.linalg.norm(L_K @ mean_w - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
+        assert np.linalg.norm(mean - mean_ref) <= 1e-8 * np.linalg.norm(mean_ref)
         assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
 
     @pytest.mark.parametrize("lam", [1e-10, 1e10])
     def test_factor_triangular_at_sweep_size(self, lam):
         N, n = 500, 50
         U = build_regressor(generate_input("lp", N, RngHandle(61)), N, n)
-        L_K = kernel_factor(KernelSpec("first", 0.99, n))
         tau = np.random.default_rng(61).uniform(0.1, 10.0, N)
-        _, R = posterior_moments(lam, U @ L_K, np.ones(N), tau)
-        assert np.all(np.tril(R, -1) == 0.0)
-        assert np.all(np.diag(R) > 0)
+        _, F = posterior_moments(lam, KernelSpec("first", 0.99, n), U, np.ones(N), tau)
+        assert np.all(np.tril(F, -1) == 0.0)
+        assert np.all(np.diag(F) > 0)
 
     @pytest.mark.parametrize("N", [40, 8])
     def test_zero_output(self, N):
-        # y = 0 zeroes c = Phi'D^{-1}y, so the mean R (R'c) is exactly 0
+        # y = 0 zeroes c = Phi'D^{-1}y, so the mean L_K R (R'c) is exactly 0
         rng = np.random.default_rng(65)
         U = build_regressor(rng.standard_normal(N), N, self.n)
         tau = rng.uniform(0.5, 3.0, N)
         y = np.zeros(N)
         spec = KernelSpec("first", 0.9, self.n)
-        L_K = kernel_factor(spec)
-        mean_w, R = posterior_moments(1.0, U @ L_K, y, tau)
+        mean, F = posterior_moments(1.0, spec, U, y, tau)
 
-        assert np.all(mean_w == 0.0)
+        assert np.all(mean == 0.0)
         _, cov_ref = covariance_posterior(1.0, build_kernel(spec), U, y, tau)
-        F = L_K @ R
         assert np.linalg.norm(F @ F.T - cov_ref) <= 1e-8 * np.linalg.norm(cov_ref)
         assert np.all(np.isfinite(conditional_g(1.0, tau, spec, U, y, RngHandle(65))))
 
@@ -536,10 +529,11 @@ class TestPosteriorMomentsEdges:
     def test_rejects_bad_noise_variance(self, bad):
         d = np.ones(8)
         d[5] = bad
+        spec = KernelSpec("first", 0.8, 2)
         with pytest.raises(ConfigError, match="positive and finite"):
-            posterior_moments(1.0, np.ones((8, 2)), np.ones(8), d)
+            posterior_moments(1.0, spec, np.ones((8, 2)), np.ones(8), d)
         with pytest.raises(ConfigError, match="positive and finite"):
-            posterior_moments(1.0, np.ones((8, 2)), np.ones(8), bad)
+            posterior_moments(1.0, spec, np.ones((8, 2)), np.ones(8), bad)
 
 
 class TestSweepGuards:
