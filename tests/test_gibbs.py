@@ -231,7 +231,11 @@ class TestConditionalEdges:
             call(U, y, self.SPEC)
 
     @pytest.mark.parametrize("lam", [-1.0, 0.0, np.inf, np.nan])
-    @pytest.mark.parametrize("call", [conditional_g, posterior_moments])
+    # posterior_moments with tau as its noise variances gives the moments
+    # conditional_g draws from
+    @pytest.mark.parametrize(
+        "call", [conditional_g, posterior_moments], ids=["conditional_g", "conditional_g_moments"]
+    )
     def test_lambda_checked_at_entry(self, call, lam):
         rng = np.random.default_rng(0)
         U, y = build_regressor(rng.standard_normal(20), 20, 5), rng.standard_normal(20)
@@ -243,7 +247,7 @@ class TestConditionalEdges:
             call(*args)
 
     @pytest.mark.parametrize("name", ["U", "y"])
-    def test_posterior_moments_rejects_non_finite_data(self, name):
+    def test_conditional_g_moments_rejects_non_finite_data(self, name):
         rng = np.random.default_rng(0)
         data = {"U": build_regressor(rng.standard_normal(20), 20, 5), "y": np.ones(20)}
         data[name][3] = np.nan

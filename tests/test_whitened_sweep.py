@@ -459,8 +459,10 @@ SPEC5 = KernelSpec("first", 0.8, 5)
         (lambda U, y, tau: posterior_mean(1.0, SPEC5, U, y, tau), "ssml.posterior_mean"),
         (lambda U, y, tau: posterior_moments(1.0, SPEC5, U, y, tau), "posterior.posterior_moments"),
         (lambda U, y, tau: conditional_g(1.0, tau, SPEC5, U, y, RngHandle(1)), "gibbs.conditional_g"),
+        # the moments conditional_g draws from, through the sampler's name for posterior_moments
+        (lambda U, y, tau: gibbs.posterior_moments(1.0, SPEC5, U, y, tau), "posterior.posterior_moments"),
     ],
-    ids=["posterior_mean", "posterior_moments", "conditional_g"],
+    ids=["posterior_mean", "posterior_moments", "conditional_g", "conditional_g_moments"],
 )
 def test_scaled_data_overflow_names_its_caller(call, context):
     # a finite y scaled by a noise variance below 1 overflows D^{-1/2} X;
